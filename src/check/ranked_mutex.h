@@ -12,8 +12,6 @@
 //
 //   rank | LockRank    | instance                      | protects
 //   -----+-------------+-------------------------------+------------------
-//    100 | kScheduler  | PhaseExecutor::State::mu      | queues, virtual
-//        |             |                               | clocks, progress
 //    200 | kTrace      | TraceRecorder::mu_            | trace event and
 //        |             |                               | lane-name buffers
 //    250 | kHa         | ha::ShardRouter::mu_          | replica liveness,
@@ -26,28 +24,27 @@
 //    400 | kParPool    | par::ThreadPool::mu_          | fan-out job slot,
 //        |             |                               | lane tally (leaf)
 //
-// The executor releases kScheduler around chunk execution and the
-// checkpoint callback (the admission token, not the lock, is what keeps
-// them serial — see runtime/executor.cpp), so trace recording (kTrace),
-// shard-router queries (kHa) and kvstore migration traffic (kStore)
-// issued from a checkpoint start from an empty held-set. The ranking
-// still orders the subsystems: neither the recorder, the router nor the
-// store ever calls back out while locked, and the router never issues
-// store traffic under its own lock (routing decisions are returned by
-// value), so kHa < kStore holds by construction. The parallel-for
-// pool is leaf-most: a caller may fan out while holding anything above,
-// and chunk bodies run with no pool lock held, so they can themselves
-// take kStore or kTrace. Equal ranks never nest: acquiring a second
-// mutex of the rank you already hold (including re-acquiring the same
-// mutex) also aborts, which catches self-deadlock.
+// The executor is a single-threaded loop that holds no lock, so trace
+// recording (kTrace), shard-router queries (kHa) and kvstore migration
+// traffic (kStore) issued from a chunk body or checkpoint start from an
+// empty held-set. The ranking still orders the subsystems: neither the
+// recorder, the router nor the store ever calls back out while locked,
+// and the router never issues store traffic under its own lock (routing
+// decisions are returned by value), so kHa < kStore holds by
+// construction. The parallel-for pool is leaf-most: a caller may fan
+// out while holding anything above, and chunk bodies run with no pool
+// lock held, so they can themselves take kStore or kTrace. Equal ranks
+// never nest: acquiring a second mutex of the rank you already hold
+// (including re-acquiring the same mutex) also aborts, which catches
+// self-deadlock.
 //
 // RankedMutex satisfies Lockable; acquire it through check::LockGuard
 // (scoped) or check::UniqueLock (condition waits, unlock-around-callback
 // windows) below, which carry the Clang thread-safety annotations
 // (check/thread_safety.h) that let -Wthread-safety prove GUARDED_BY
 // contracts at compile time. Naked std::mutex is banned outside
-// src/check/ (enforced by tools/hetsim_lint), and lock acquisition
-// order is additionally checked statically by tools/hetsim_analyze.
+// src/check/, and lock acquisition order is additionally checked
+// statically (both enforced by tools/hetsim_analyze).
 //
 // Checking is gated on HETSIM_DCHECK_ENABLED (forced on by the
 // HETSIM_DCHECKS CMake option, default ON); with it off, RankedMutex is a
@@ -65,12 +62,11 @@ namespace hetsim::check {
 /// The global lock hierarchy. Gaps are deliberate: future subsystems
 /// slot in without renumbering.
 enum class LockRank : std::uint32_t {
-  kScheduler = 100,  // runtime::PhaseExecutor scheduler state (outermost)
-  kTrace = 200,      // runtime::TraceRecorder buffers
-  kHa = 250,         // ha::ShardRouter liveness + election log
-  kStore = 300,      // kvstore::Store keyspace
-  kFault = 350,      // fault::FaultInjector draw counters
-  kParPool = 400,    // par::ThreadPool fan-out state (leaf)
+  kTrace = 200,    // runtime::TraceRecorder buffers (outermost)
+  kHa = 250,       // ha::ShardRouter liveness + election log
+  kStore = 300,    // kvstore::Store keyspace
+  kFault = 350,    // fault::FaultInjector draw counters
+  kParPool = 400,  // par::ThreadPool fan-out state (leaf)
 };
 
 class HETSIM_CAPABILITY("mutex") RankedMutex {

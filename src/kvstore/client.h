@@ -121,7 +121,7 @@ class UnavailableError : public common::Error {
 /// Pass-through status check: returns the reply (or batch) unchanged
 /// when every status is kOk, throws UnavailableError otherwise. Raw
 /// execute()/drain() call sites must either inspect Reply::status or
-/// wrap the call in expect_ok (enforced by hetsim_lint unchecked-reply).
+/// wrap the call in expect_ok (enforced by hetsim_analyze status-flow).
 /// Deliberately not [[nodiscard]]: a bare `expect_ok(c.drain());` is the
 /// idiom for "I only care that it succeeded".
 Reply expect_ok(Reply reply);

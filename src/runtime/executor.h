@@ -1,35 +1,29 @@
-// Per-node executors on real OS threads under a cooperative
-// virtual-time scheduler.
+// Per-node executors under a single-threaded discrete-event scheduler.
 //
-// Each node gets a work queue of record indices and its own OS thread.
-// The scheduler admits exactly one thread at a time: the runnable node
-// with the smallest virtual clock (ties broken by a seeded per-node
-// priority), which executes one chunk of its queue through the
-// workload, is charged the chunk's compute + network virtual seconds,
-// and parks again. Because admission depends only on virtual state, the
-// interleaving is reproducible on any machine for a given seed — real
-// concurrency primitives, deterministic schedule.
+// Each node gets a work queue of record indices and a virtual clock.
+// run() repeatedly picks the runnable node with the smallest virtual
+// clock (ties broken by a seeded per-node priority, then by id),
+// executes one chunk of its queue through the workload on the caller's
+// thread, and charges the chunk's compute + network virtual seconds to
+// that node. Because the pick depends only on virtual state, the
+// schedule is reproducible on any machine for a given seed. Node
+// heterogeneity is modelled in virtual time, so host threads per node
+// would buy nothing; host parallelism belongs inside chunk bodies
+// (par::ThreadPool).
 //
-// After every chunk the scheduler invokes the checkpoint callback while
-// all threads are quiescent; the callback may inspect progress, move
-// records between queues (re-planning migrations) and charge extra
-// network time, which is how the runtime implements mid-job
-// re-planning.
-//
-// Locking: the scheduler mutex guards only admission and accounting.
-// Chunk bodies and checkpoint callbacks run with it RELEASED — the
-// admission token (State::current), not the lock, is what keeps them
-// serial — so blocking kvstore/fabric traffic is never issued under a
-// held RankedMutex (tools/hetsim_analyze, rule lock-blocking).
+// After every chunk the executor invokes the checkpoint callback; the
+// callback may inspect progress, move records between queues
+// (re-planning migrations) and charge extra network time, which is how
+// the runtime implements mid-job re-planning.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <span>
 #include <vector>
 
-#include "check/ranked_mutex.h"
 #include "cluster/cluster.h"
 
 namespace hetsim::fault {
@@ -48,12 +42,12 @@ struct ExecutorOptions {
   std::vector<double> per_node_slowdown;
   /// Seed for the scheduler's tie-break priorities.
   std::uint64_t seed = 171;
-  /// Fault oracle (nullable, not owned): fail-stops node threads at
-  /// their planned virtual times and compounds per-node slowdowns.
+  /// Fault oracle (nullable, not owned): fail-stops nodes at their
+  /// planned virtual times and compounds per-node slowdowns.
   const fault::FaultInjector* fault = nullptr;
   /// Virtual seconds without a heartbeat before a node counts as lost.
   /// 0 = auto: 3x the largest chunk duration the OBSERVING node has
-  /// completed, which the min-clock admission rule makes impossible for
+  /// completed, which the min-clock pick rule makes impossible for
   /// a live node to exceed (when a node checkpoints, every live node
   /// with work has a clock at least its own pre-chunk clock, so the lag
   /// is bounded by the observer's own chunk — not anyone else's).
@@ -86,25 +80,25 @@ class PhaseExecutor {
   /// metering via ctx (same contract as estimator::SampleRunner).
   using ChunkRunner =
       std::function<void(cluster::NodeContext&, std::span<const std::uint32_t>)>;
-  /// Invoked after `node` completes a chunk, with the scheduler lock
-  /// released but every other thread parked (the callback runs on the
-  /// thread holding the admission token), so it may freely use the
-  /// mutation API below and issue blocking client traffic.
+  /// Invoked after `node` completes a chunk (and by the rescue path);
+  /// it may freely use the mutation API below and issue client traffic.
   using CheckpointFn = std::function<void(std::uint32_t node)>;
 
   PhaseExecutor(cluster::Cluster& cluster,
                 std::vector<std::vector<std::uint32_t>> queues,
                 ChunkRunner runner, ExecutorOptions options);
-  ~PhaseExecutor();
   PhaseExecutor(const PhaseExecutor&) = delete;
   PhaseExecutor& operator=(const PhaseExecutor&) = delete;
 
   void set_checkpoint(CheckpointFn fn) { checkpoint_ = std::move(fn); }
 
-  /// Spawn one thread per node, run every queue to exhaustion, join.
+  /// Run every queue to exhaustion (or until only dead nodes hold
+  /// records that no checkpoint reassigns). Exceptions from the chunk
+  /// runner that are not common::Error, and any exception from the
+  /// checkpoint callback, propagate out of run().
   [[nodiscard]] ExecutorReport run();
 
-  // ---- checkpoint-callback API (valid while the scheduler is paused) --
+  // ---- checkpoint-callback API ------------------------------------------
   [[nodiscard]] const NodeProgress& progress(std::uint32_t node) const;
   [[nodiscard]] double node_time(std::uint32_t node) const;
   [[nodiscard]] std::size_t remaining(std::uint32_t node) const;
@@ -136,27 +130,36 @@ class PhaseExecutor {
   double sync_network(std::uint32_t node);
 
  private:
-  struct State;
-  void worker(std::uint32_t node);
   /// Node to run next: runnable with min (time, priority, id); size() if
   /// none.
-  [[nodiscard]] std::uint32_t pick_next_locked() const;
-  /// Pass the token on (or finish the phase). False = phase over.
-  /// `lk` is the caller's held scheduler lock (the rescue path drops it
-  /// around checkpoint callbacks).
-  bool hand_off_locked(check::UniqueLock& lk);
+  [[nodiscard]] std::uint32_t pick_next() const;
+  /// Run one chunk of `node`'s queue (or fail-stop it), then checkpoint.
+  void step(std::uint32_t node);
   /// Dead nodes still hold records but no live node has queued work:
   /// advance the clock of a live node past the detection horizon and run
   /// the checkpoint callback as it, so missed heartbeats become visible
   /// and the work can be reassigned. Returns the next runnable node, or
   /// size() when no callback mutation made one available.
-  [[nodiscard]] std::uint32_t rescue_locked(check::UniqueLock& lk);
+  [[nodiscard]] std::uint32_t rescue();
 
   cluster::Cluster& cluster_;
   ExecutorOptions options_;
   ChunkRunner runner_;
   CheckpointFn checkpoint_;
-  std::unique_ptr<State> state_;
+  std::vector<std::deque<std::uint32_t>> queues_;
+  std::vector<double> clock_;
+  std::vector<NodeProgress> progress_;
+  std::vector<double> slowdown_;
+  std::vector<std::uint64_t> priority_;  // seeded scheduler tie-break
+  std::vector<std::unique_ptr<cluster::NodeContext>> contexts_;
+  std::vector<double> units_seen_;    // last settled meter reading
+  std::vector<double> network_seen_;  // last settled client time
+  std::vector<char> dead_;            // fail-stopped
+  std::vector<double> heartbeat_;     // virtual time of last sign of life
+  std::vector<double> max_chunk_s_;   // largest own chunk duration, per node
+  std::uint64_t mutations_ = 0;       // queue-mutation epoch (rescue progress)
+  std::size_t taken_ = 0;             // records removed via take_* calls
+  std::size_t given_ = 0;             // records re-queued via give()
 };
 
 }  // namespace hetsim::runtime

@@ -72,9 +72,9 @@ class TraceRecorder {
   bool write_chrome_trace(const std::string& path) const;
 
  private:
-  /// Ranked between the scheduler lock (recording happens at
-  /// checkpoints, under kScheduler) and the store lock (the recorder
-  /// never calls into the kvstore).
+  /// Outermost rank: recording happens from executor checkpoints and
+  /// phase bodies with no lock held, and the recorder never calls into
+  /// the router or the kvstore while locked.
   mutable check::RankedMutex mu_{check::LockRank::kTrace,
                                  "runtime::TraceRecorder"};
   std::vector<TraceEvent> events_ HETSIM_GUARDED_BY(mu_);

@@ -117,27 +117,27 @@ TEST(AllocationContract, EmptyWeightsStillThrowConfigError) {
 // ---- ranked mutex ----------------------------------------------------------
 
 TEST(RankedMutex, InOrderAcquisitionSucceeds) {
-  RankedMutex sched(LockRank::kScheduler, "test-sched");
   RankedMutex trace(LockRank::kTrace, "test-trace");
+  RankedMutex ha(LockRank::kHa, "test-ha");
   RankedMutex store(LockRank::kStore, "test-store");
   {
-    std::lock_guard a(sched);
-    std::lock_guard b(trace);
+    std::lock_guard a(trace);
+    std::lock_guard b(ha);
     std::lock_guard c(store);
     EXPECT_EQ(RankedMutex::held_by_this_thread(),
               HETSIM_DCHECK_ENABLED ? 3u : 0u);
   }
   EXPECT_EQ(RankedMutex::held_by_this_thread(), 0u);
   // Skipping ranks downward is fine — only inversions abort.
-  std::lock_guard a(sched);
+  std::lock_guard a(trace);
   std::lock_guard c(store);
 }
 
 TEST(RankedMutex, ReleaseAllowsReacquisitionAtLowerRank) {
+  RankedMutex store(LockRank::kStore, "test-store");
   RankedMutex trace(LockRank::kTrace, "test-trace");
-  RankedMutex sched(LockRank::kScheduler, "test-sched");
-  { std::lock_guard hold(trace); }
-  std::lock_guard ok(sched);  // trace was released: no held rank above
+  { std::lock_guard hold(store); }
+  std::lock_guard ok(trace);  // store was released: no held rank above
 }
 
 TEST(RankedMutex, TryLockRegistersAndReleases) {
@@ -155,8 +155,8 @@ TEST(RankedMutex, IndependentThreadsHaveIndependentStacks) {
   // Another thread holds nothing, so it may take any rank — including a
   // lower one — without tripping this thread's stack.
   std::thread other([] {
-    RankedMutex sched(LockRank::kScheduler, "other-sched");
-    std::lock_guard ok(sched);
+    RankedMutex trace(LockRank::kTrace, "other-trace");
+    std::lock_guard ok(trace);
     EXPECT_EQ(RankedMutex::held_by_this_thread(),
               HETSIM_DCHECK_ENABLED ? 1u : 0u);
   });
@@ -169,11 +169,11 @@ using RankedMutexDeathTest = ::testing::Test;
 
 TEST(RankedMutexDeathTest, RankInversionAborts) {
   RankedMutex store(LockRank::kStore, "inv-store");
-  RankedMutex sched(LockRank::kScheduler, "inv-sched");
+  RankedMutex trace(LockRank::kTrace, "inv-trace");
   std::lock_guard hold(store);
-  // Deliberate inversion: kScheduler (100) while holding kStore (300).
-  EXPECT_DEATH(sched.lock(),
-               "HETSIM LOCK-ORDER failed: .*\"inv-sched\" \\(rank 100\\) "
+  // Deliberate inversion: kTrace (200) while holding kStore (300).
+  EXPECT_DEATH(trace.lock(),
+               "HETSIM LOCK-ORDER failed: .*\"inv-trace\" \\(rank 200\\) "
                "while holding \"inv-store\" \\(rank 300\\)");
 }
 
@@ -192,9 +192,9 @@ TEST(RankedMutexDeathTest, SelfRelockAborts) {
 
 TEST(RankedMutexDeathTest, TryLockCannotBypassTheHierarchy) {
   RankedMutex store(LockRank::kStore, "try-store");
-  RankedMutex sched(LockRank::kScheduler, "try-sched");
+  RankedMutex trace(LockRank::kTrace, "try-trace");
   std::lock_guard hold(store);
-  EXPECT_DEATH((void)sched.try_lock(), "LOCK-ORDER failed");
+  EXPECT_DEATH((void)trace.try_lock(), "LOCK-ORDER failed");
 }
 
 TEST(RankedMutexDeathTest, ForeignUnlockAborts) {

@@ -275,8 +275,14 @@ INSTANTIATE_TEST_SUITE_P(PartitionCounts, SonPartitions,
 
 // ---- Stratified sampling proportionality across shapes ----------------------
 
+// gtest names each case after the param's raw bytes, so the padding after
+// `strata` is an explicit zero member: left implicit, it held stack garbage
+// and the case names changed from run to run.
 struct SampleParam {
+  SampleParam(std::uint32_t s, std::size_t per, std::size_t n)
+      : strata(s), per_stratum(per), count(n) {}
   std::uint32_t strata;
+  std::uint32_t zero_pad = 0;
   std::size_t per_stratum;
   std::size_t count;
 };

@@ -1,5 +1,5 @@
 // Tests for the hetsim::runtime subsystem: phase DAG validation, the
-// threaded virtual-time executor, straggler detection / re-planning
+// discrete-event virtual-time executor, straggler detection / re-planning
 // math, end-to-end jobs, and trace determinism.
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include "core/mining_workload.h"
 #include "data/generators.h"
 #include "energy/estimator.h"
+#include "fault/fault.h"
 #include "runtime/dag.h"
 #include "runtime/executor.h"
 #include "runtime/replan.h"
@@ -382,12 +383,12 @@ TEST(PhaseExecutor, CheckpointMigrationIsHonored) {
 }
 
 TEST(PhaseExecutor, ChunkAndCheckpointRunWithNoSchedulerLockHeld) {
-  // Regression for the lock-blocking finding on the old executor: chunk
-  // bodies and checkpoint callbacks used to run under the scheduler
+  // Regression for the lock-blocking finding on an earlier executor:
+  // chunk bodies and checkpoint callbacks once ran under a scheduler
   // mutex, so blocking kvstore/fabric traffic issued from either would
-  // have executed with a RankedMutex held. They now run with the lock
-  // released (the admission token keeps them serial); assert the
-  // thread's held-lock set is empty at both callback boundaries.
+  // have executed with a RankedMutex held. The executor now holds no
+  // lock at all; assert the thread's held-lock set is empty at both
+  // callback boundaries.
   cluster::Cluster cluster(cluster::standard_cluster(2));
   std::vector<std::uint32_t> work(60);
   std::iota(work.begin(), work.end(), 0u);
@@ -410,6 +411,98 @@ TEST(PhaseExecutor, ChunkAndCheckpointRunWithNoSchedulerLockHeld) {
   EXPECT_EQ(report.per_node[1].records_done, 60u);
   EXPECT_EQ(chunks_seen, 12u);
   EXPECT_EQ(checkpoints_seen, 12u);
+}
+
+TEST(PhaseExecutor, ScheduleIsPinnedAcrossSlowdownMigrationAndRescue) {
+  // Golden schedule: the (node, clock) of every checkpoint call and the
+  // final report, captured from the earlier thread-per-node executor
+  // and pinned so the discrete-event loop provably picks the same nodes
+  // in the same order. Node 0 is a 2.5x straggler, the first checkpoint
+  // of another node migrates one chunk off node 0's tail, and node 3
+  // fail-stops mid-phase late enough that no survivor's own checkpoints
+  // notice it before they run dry, so only the rescue path (a checkpoint
+  // without a chunk) can reassign its queue.
+  cluster::Cluster cluster(cluster::standard_cluster(4));
+  fault::FaultPlan plan;
+  plan.nodes[3].fail_stop_at_s = 0.15;
+  fault::FaultInjector inj(plan);
+  cluster.set_fault(&inj);
+  std::vector<std::vector<std::uint32_t>> queues(4);
+  for (std::uint32_t i = 0; i < 160; ++i) queues[i % 4].push_back(i);
+  PhaseExecutor executor(
+      cluster, queues,
+      [](cluster::NodeContext& ctx, std::span<const std::uint32_t> indices) {
+        ctx.meter().add(1e4 * static_cast<double>(indices.size()));
+      },
+      {.chunk_records = 8,
+       .per_node_slowdown = {2.5, 1.0, 1.0, 1.0},
+       .seed = 9,
+       .fault = &inj});
+  std::vector<std::pair<std::uint32_t, double>> visits;
+  bool migrated = false;
+  std::size_t rescued = 0;
+  executor.set_checkpoint([&](std::uint32_t node) {
+    const double now = executor.node_time(node);
+    visits.emplace_back(node, now);
+    if (!migrated && node != 0) {
+      migrated = true;
+      executor.give(node, executor.take_from_tail(0, 8));
+    }
+    for (std::uint32_t d = 0; d < 4; ++d) {
+      if (d == node || executor.remaining(d) == 0) continue;
+      if (now - executor.heartbeat(d) <= executor.heartbeat_timeout(node)) {
+        continue;
+      }
+      const std::vector<std::uint32_t> orphans = executor.take_all(d);
+      rescued += orphans.size();
+      executor.give(node, orphans);
+    }
+  });
+  const ExecutorReport report = executor.run();
+
+  const std::vector<std::pair<std::uint32_t, double>> expected_visits = {
+      {0, 0.050000000000000003},  {2, 0.040000000000000001},
+      {1, 0.026666666666666668},  {3, 0.080000000000000002},
+      {1, 0.053333333333333337},  {2, 0.080000000000000002},
+      {0, 0.10000000000000001},   {1, 0.080000000000000002},
+      {2, 0.12},                  {1, 0.10666666666666667},
+      {3, 0.16},                  {0, 0.15000000000000002},
+      {1, 0.13333333333333333},   {2, 0.16},
+      {0, 0.20000000000000001},   {2, 0.20000000000000001},
+      {2, 0.24000000000000002},
+      {1, 0.25},  // rescue: node 1 at heartbeat(3) + 1.125 * 3 * its chunk
+      {1, 0.27666666666666667},   {1, 0.30333333333333334},
+      {1, 0.33000000000000002},
+  };
+  ASSERT_EQ(visits.size(), expected_visits.size());
+  for (std::size_t k = 0; k < visits.size(); ++k) {
+    EXPECT_EQ(visits[k].first, expected_visits[k].first) << "visit " << k;
+    EXPECT_EQ(visits[k].second, expected_visits[k].second) << "visit " << k;
+  }
+  EXPECT_EQ(rescued, 24u);
+  EXPECT_EQ(report.unprocessed, 0u);
+  EXPECT_EQ(report.makespan_s, 0.33000000000000002);
+  struct NodeRow {
+    std::size_t records_done;
+    std::size_t chunks;
+    double work_units;
+    double compute_s;
+  };
+  const std::vector<NodeRow> expected_nodes = {
+      {32, 4, 320000.0, 0.20000000000000001},
+      {64, 8, 640000.0, 0.21333333333333335},
+      {48, 6, 480000.0, 0.24000000000000002},
+      {16, 2, 160000.0, 0.16},
+  };
+  ASSERT_EQ(report.per_node.size(), expected_nodes.size());
+  for (std::size_t i = 0; i < expected_nodes.size(); ++i) {
+    const NodeProgress& got = report.per_node[i];
+    EXPECT_EQ(got.records_done, expected_nodes[i].records_done) << i;
+    EXPECT_EQ(got.chunks, expected_nodes[i].chunks) << i;
+    EXPECT_EQ(got.work_units, expected_nodes[i].work_units) << i;
+    EXPECT_EQ(got.compute_s, expected_nodes[i].compute_s) << i;
+    EXPECT_EQ(got.network_s, 0.0) << i;
+  }
 }
 
 // ---- straggler / re-plan math ----------------------------------------------

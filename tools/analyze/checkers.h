@@ -31,9 +31,9 @@ void check_status(const Index& index, std::vector<Finding>& out);
 /// or common::hash inputs (sorting sanitizes).
 void check_taint(const Index& index, std::vector<Finding>& out);
 
-/// Token-level rules absorbed from tools/hetsim_lint (naked-mutex,
-/// raw-thread, nondeterminism, float-accounting, direct-store,
-/// pragma-once) — applied to src/ (pragma-once also to tools/ headers).
+/// Token-level rules (naked-mutex, raw-thread, nondeterminism,
+/// float-accounting, direct-store, phase-throw, pragma-once) — applied
+/// to src/ (pragma-once also to tools/ headers).
 void check_lint_rules(const Index& index, std::vector<Finding>& out);
 
 }  // namespace hetsim::analyze

@@ -42,8 +42,7 @@ constexpr RuleInfo kRules[] = {
     {"naked-mutex",
      "std::mutex family outside src/check/ — use check::RankedMutex"},
     {"raw-thread",
-     "std::thread outside src/par/ and src/runtime/ — use par::ThreadPool "
-     "or the job runtime"},
+     "std::thread outside src/par/ — use par::ThreadPool"},
     {"nondeterminism",
      "random/wall-clock APIs in src/ break the byte-identical-trace "
      "guarantee"},

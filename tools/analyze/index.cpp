@@ -54,9 +54,9 @@ class Builder {
     // Canonical hierarchy (check/ranked_mutex.h); overridden by any
     // `enum class LockRank` found in the file set so the table cannot
     // silently drift.
-    index_.lock_ranks = {{"kScheduler", 100}, {"kTrace", 200},
-                         {"kHa", 250},        {"kStore", 300},
-                         {"kFault", 350},     {"kParPool", 400}};
+    index_.lock_ranks = {{"kTrace", 200}, {"kHa", 250},
+                         {"kStore", 300}, {"kFault", 350},
+                         {"kParPool", 400}};
   }
 
   void scan_file(int file_id) {

@@ -1,13 +1,13 @@
-// Token-level rules absorbed from tools/hetsim_lint (rationale in
-// DESIGN.md §7): naked-mutex, raw-thread, nondeterminism,
-// float-accounting, direct-store, phase-throw, pragma-once. The old
-// unchecked-reply rule is NOT ported — the flow-sensitive status-flow
-// checker replaces it. Suppression filtering happens centrally in the driver (the lexer
-// harvests both `hetsim-analyze: allow(...)` and the legacy
-// `hetsim-lint: allow(...)` spelling).
+// Token-level rules (rationale in DESIGN.md §7): naked-mutex,
+// raw-thread, nondeterminism, float-accounting, direct-store,
+// phase-throw, pragma-once. Reply consumption is the flow-sensitive
+// status-flow checker's job, not a token rule. Suppression filtering
+// happens centrally in the driver (the lexer harvests both
+// `hetsim-analyze: allow(...)` and the legacy `hetsim-lint: allow(...)`
+// spelling).
 //
-// Rules apply to files under src/ (matching the paths hetsim_lint was
-// run over); pragma-once also covers tools/ headers.
+// Rules apply to files under src/; pragma-once also covers tools/
+// headers.
 #include <algorithm>
 #include <cctype>
 #include <string>
@@ -130,8 +130,7 @@ void check_lint_rules(const Index& index, std::vector<Finding>& out) {
     if (!in_src) continue;
 
     const bool mutex_rule = !in_dir(file.rel, "src/check");
-    const bool thread_rule =
-        !in_dir(file.rel, "src/par") && !in_dir(file.rel, "src/runtime");
+    const bool thread_rule = !in_dir(file.rel, "src/par");
     const bool float_rule =
         std::any_of(std::begin(kAccountingDirs), std::end(kAccountingDirs),
                     [&](std::string_view d) { return in_dir(file.rel, d); });
@@ -162,9 +161,9 @@ void check_lint_rules(const Index& index, std::vector<Finding>& out) {
             out.push_back(
                 {"raw-thread", file.rel, line,
                  std::string(tok) +
-                     " outside src/par/ and src/runtime/ — fan work out "
-                     "through par::ThreadPool (deterministic chunking) or "
-                     "the job runtime instead of spawning raw threads"});
+                     " outside src/par/ — fan work out through "
+                     "par::ThreadPool (deterministic chunking) instead of "
+                     "spawning raw threads"});
           }
         }
       }

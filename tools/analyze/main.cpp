@@ -1,8 +1,8 @@
 // hetsim_analyze — compile-commands-driven static analysis for the
 // hetsim codebase: lock-order + blocking-under-lock (lock-rank,
 // lock-blocking), Status/Reply consumption (status-flow), determinism
-// taint (determinism-taint), plus the token-level rules absorbed from
-// hetsim_lint. See DESIGN.md §11.
+// taint (determinism-taint), plus the token-level repo rules. See
+// DESIGN.md §11.
 //
 // Usage:
 //   hetsim_analyze [--root <dir>] [--compile-commands <json>]

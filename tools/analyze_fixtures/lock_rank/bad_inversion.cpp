@@ -5,7 +5,7 @@
 
 namespace fxlock {
 
-// Shallow (rank 100) mutex behind a method: the inversion below is
+// Shallow (rank 200) mutex behind a method: the inversion below is
 // only reachable interprocedurally via plan()'s propagated min rank.
 class PlanBoard {
  public:
@@ -15,7 +15,7 @@ class PlanBoard {
   }
 
  private:
-  check::RankedMutex mu_{check::LockRank::kScheduler};
+  check::RankedMutex mu_{check::LockRank::kTrace};
   int steps_ = 0;
 };
 

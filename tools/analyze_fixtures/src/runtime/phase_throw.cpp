@@ -25,6 +25,12 @@ void partition_qualified() {
   throw kvstore::UnavailableError("shard gone");  // expect: phase-throw
 }
 
+// The job runtime's executor is single-threaded: src/runtime/ gets no
+// raw-thread exemption.
+void spawn_worker() {
+  std::thread t;  // expect: raw-thread
+}
+
 // Traps: the tokens inside comments and string literals stay silent,
 // and identifiers that merely contain the token do not match.
 void traps() {
