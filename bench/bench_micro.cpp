@@ -8,6 +8,7 @@
 // filter away.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <string>
 
 #include "common/rng.h"
@@ -16,6 +17,7 @@
 #include "data/generators.h"
 #include "kvstore/store.h"
 #include "mining/apriori.h"
+#include "mining/treeminer.h"
 #include "optimize/pareto.h"
 #include "par/pool.h"
 #include "simd/simd.h"
@@ -86,6 +88,36 @@ void BM_Apriori(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * txns.size());
 }
 BENCHMARK(BM_Apriori)->Arg(1000)->Arg(4000);
+
+// SON phase 2 on a swissprot-like corpus: the union of the candidates
+// mined from 4 interleaved chunks, counted over the whole corpus.
+void BM_CountSubtreeSupport(benchmark::State& state) {
+  const auto trees = data::generate_trees(data::swissprot_like(0.05));
+  constexpr std::size_t kChunks = 4;
+  const mining::TreeMinerConfig cfg{.min_support = 0.08,
+                                    .max_pattern_nodes = 3};
+  std::vector<mining::TreePattern> candidates;
+  for (std::size_t c = 0; c < kChunks; ++c) {
+    std::vector<data::LabeledTree> chunk;
+    for (std::size_t i = c; i < trees.size(); i += kChunks) {
+      chunk.push_back(trees[i]);
+    }
+    for (auto& f : mining::mine_subtrees(chunk, cfg).frequent) {
+      candidates.push_back(std::move(f.pattern));
+    }
+  }
+  std::sort(candidates.begin(), candidates.end());
+  candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                   candidates.end());
+  for (auto _ : state) {
+    std::uint64_t ops = 0;
+    benchmark::DoNotOptimize(
+        mining::count_subtree_support(trees, candidates, ops));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(trees.size()));
+}
+BENCHMARK(BM_CountSubtreeSupport)->Unit(benchmark::kMillisecond);
 
 void BM_Lz77Compress(benchmark::State& state) {
   common::Rng rng(11);

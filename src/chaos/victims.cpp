@@ -166,9 +166,9 @@ Violation run_churn(const fault::FaultPlan& plan, const Grammar& g,
       ++live_acks;
       // Control-plane inspection on purpose: the durability check must
       // see the replica's raw bytes, not a transport that faults or a
-      // router that fell back.  // hetsim-lint: allow(direct-store)
+      // router that fell back.  // hetsim-analyze: allow(direct-store)
       const std::optional<std::string> got =
-          group.store(target).get(key);  // hetsim-lint: allow(direct-store)
+          group.store(target).get(key);  // hetsim-analyze: allow(direct-store)
       if (!got || *got != expected[key]) {
         return fail(Victim::kChurn, "acked-write-lost",
                     "node " + std::to_string(target) + " acked '" + key +
@@ -196,7 +196,7 @@ Violation run_recovery(const Grammar&, std::uint64_t seed,
   constexpr std::uint64_t kTag = 0x6368616f735f7263ULL;  // "chaos_rc"
   // A standalone durable-store model, not data-plane traffic: the
   // victim drives the snapshot/replay machinery directly.
-  kvstore::Store original;  // hetsim-lint: allow(direct-store)
+  kvstore::Store original;  // hetsim-analyze: allow(direct-store)
   ha::OpLog log;
   const auto apply = [&](kvstore::Command cmd) {
     // The command mix includes gets of absent keys; non-ok replies are
@@ -234,17 +234,17 @@ Violation run_recovery(const Grammar&, std::uint64_t seed,
   for (std::uint64_t i = n1; i < n1 + n2; ++i) apply(command_at(i));
 
   const auto fingerprint =
-      [](const kvstore::Store& store) {  // hetsim-lint: allow(direct-store)
+      [](const kvstore::Store& store) {  // hetsim-analyze: allow(direct-store)
     std::ostringstream os;
     for (const std::string& key :
-         store.keys()) {  // hetsim-lint: allow(direct-store)
+         store.keys()) {  // hetsim-analyze: allow(direct-store)
       os << key << '=' << store.value_digest(key) << ';';
     }
     return os.str();
   };
   const std::string want = fingerprint(original);
 
-  kvstore::Store rebuilt;  // hetsim-lint: allow(direct-store)
+  kvstore::Store rebuilt;  // hetsim-analyze: allow(direct-store)
   const ha::RecoveryReport report = ha::recover(rebuilt, snap, log);
   if (report.failed_ops != 0) {
     return fail(Victim::kRecovery, "recovery-replay-failed",

@@ -42,29 +42,35 @@ struct Occurrence {
 /// Extension key: (depth of the new rightmost leaf, its label).
 using ExtKey = std::pair<std::uint32_t, std::uint32_t>;
 
-/// Compute all rightmost extensions of `occs` over `corpus`, grouped by
-/// (depth, label). Appends scan steps to work_ops.
+/// Compute the rightmost extensions of `occs` over `corpus`, grouped by
+/// (depth, label). Every child list the full pass scans is charged to
+/// work_ops, filtered or not; with `only` set, occurrences are built for
+/// that key alone, so the result is the full pass's entry for `only`.
 std::map<ExtKey, std::vector<Occurrence>> extensions(
     std::span<const IndexedTree> corpus, const std::vector<Occurrence>& occs,
-    std::uint64_t& work_ops) {
+    std::uint64_t& work_ops, const ExtKey* only = nullptr) {
   std::map<ExtKey, std::vector<Occurrence>> ext;
   for (const Occurrence& occ : occs) {
     const IndexedTree& tree = corpus[occ.tid];
     const std::size_t depth_of_leaf = occ.path.size() - 1;
     for (std::uint32_t d = 1; d <= depth_of_leaf + 1; ++d) {
-      const std::uint32_t parent = occ.path[d - 1];
-      for (const std::uint32_t w : tree.children[parent]) {
-        ++work_ops;
+      const std::vector<std::uint32_t>& children =
+          tree.children[occ.path[d - 1]];
+      work_ops += children.size();
+      if (only != nullptr && d != only->first) continue;
+      for (const std::uint32_t w : children) {
         // For depths on the existing rightmost path the new leaf must be
         // a *later* sibling branch than the current one; at depth
         // depth_of_leaf + 1 any child of the rightmost leaf qualifies.
         if (d <= depth_of_leaf && w <= occ.path[d]) continue;
+        const std::uint32_t label = (*tree.label)[w];
+        if (only != nullptr && label != only->second) continue;
         Occurrence next;
         next.tid = occ.tid;
         next.path.assign(occ.path.begin(),
                          occ.path.begin() + static_cast<long>(d));
         next.path.push_back(w);
-        ext[{d, (*tree.label)[w]}].push_back(std::move(next));
+        ext[{d, label}].push_back(std::move(next));
       }
     }
   }
@@ -108,6 +114,33 @@ void grow(TreePattern& pattern, const std::vector<Occurrence>& occs,
     grow(pattern, list, state);
     pattern.nodes.pop_back();
   }
+}
+
+void require_well_formed(const TreePattern& pattern, const char* what) {
+  common::require<common::ConfigError>(
+      !pattern.nodes.empty() && pattern.nodes[0].first == 0, what);
+}
+
+/// Does the single indexed tree in `one_tree` embed `pattern`? Grows the
+/// root's occurrences one pattern node at a time, extending only toward
+/// that node's key; charges what contains_subtree always has.
+bool contains_indexed(std::span<const IndexedTree> one_tree,
+                      const TreePattern& pattern, std::uint64_t& work_ops) {
+  const std::vector<std::uint32_t>& label = *one_tree[0].label;
+  std::vector<Occurrence> occs;
+  for (std::uint32_t v = 0; v < label.size(); ++v) {
+    ++work_ops;
+    if (label[v] == pattern.nodes[0].second) {
+      occs.push_back(Occurrence{0, {v}});
+    }
+  }
+  for (std::size_t k = 1; k < pattern.nodes.size() && !occs.empty(); ++k) {
+    const ExtKey key = pattern.nodes[k];
+    auto ext = extensions(one_tree, occs, work_ops, &key);
+    occs = ext.empty() ? std::vector<Occurrence>{}
+                       : std::move(ext.begin()->second);
+  }
+  return !occs.empty();
 }
 
 }  // namespace
@@ -167,34 +200,22 @@ TreeMiningResult mine_subtrees(std::span<const data::LabeledTree> corpus,
 
 bool contains_subtree(const data::LabeledTree& tree, const TreePattern& pattern,
                       std::uint64_t& work_ops) {
-  common::require<common::ConfigError>(
-      !pattern.nodes.empty() && pattern.nodes[0].first == 0,
-      "contains_subtree: malformed pattern");
+  require_well_formed(pattern, "contains_subtree: malformed pattern");
   const IndexedTree ix = index_tree(tree);
-  const std::vector<IndexedTree> corpus{ix};
-  std::vector<Occurrence> occs;
-  for (std::uint32_t v = 0; v < tree.size(); ++v) {
-    ++work_ops;
-    if (tree.label[v] == pattern.nodes[0].second) {
-      occs.push_back(Occurrence{0, {v}});
-    }
-  }
-  for (std::size_t k = 1; k < pattern.nodes.size() && !occs.empty(); ++k) {
-    auto ext = extensions(corpus, occs, work_ops);
-    const auto it = ext.find(
-        ExtKey{pattern.nodes[k].first, pattern.nodes[k].second});
-    occs = it == ext.end() ? std::vector<Occurrence>{} : std::move(it->second);
-  }
-  return !occs.empty();
+  return contains_indexed({&ix, 1}, pattern, work_ops);
 }
 
 std::vector<std::uint32_t> count_subtree_support(
     std::span<const data::LabeledTree> corpus,
     std::span<const TreePattern> patterns, std::uint64_t& work_ops) {
+  for (const TreePattern& pattern : patterns) {
+    require_well_formed(pattern, "count_subtree_support: malformed pattern");
+  }
   std::vector<std::uint32_t> counts(patterns.size(), 0);
   for (const data::LabeledTree& tree : corpus) {
+    const IndexedTree ix = index_tree(tree);
     for (std::size_t p = 0; p < patterns.size(); ++p) {
-      if (contains_subtree(tree, patterns[p], work_ops)) ++counts[p];
+      if (contains_indexed({&ix, 1}, patterns[p], work_ops)) ++counts[p];
     }
   }
   return counts;

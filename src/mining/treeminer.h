@@ -60,12 +60,19 @@ struct TreeMiningResult {
 
 /// Does `tree` contain at least one embedding of `pattern`? Used by the
 /// SON global-prune scan for distributed tree mining. Adds the matching
-/// steps performed to `work_ops`.
+/// steps to `work_ops`: one per tree node for the root match, then, per
+/// pattern node, every child list the full rightmost-extension pass
+/// scans (the metered model), although only the extensions toward that
+/// node are built.
 [[nodiscard]] bool contains_subtree(const data::LabeledTree& tree,
                                     const TreePattern& pattern,
                                     std::uint64_t& work_ops);
 
 /// Exact per-corpus supports of the given patterns (SON phase 2).
+/// Indexes each tree once and matches every pattern against it; the
+/// counts and `work_ops` equal those of calling contains_subtree per
+/// (tree, pattern) pair. Every pattern is validated before any tree is
+/// read, so a malformed one throws ConfigError even on an empty corpus.
 [[nodiscard]] std::vector<std::uint32_t> count_subtree_support(
     std::span<const data::LabeledTree> corpus,
     std::span<const TreePattern> patterns, std::uint64_t& work_ops);

@@ -146,12 +146,12 @@ ScopedIsaOverride::ScopedIsaOverride(Isa isa)
       << ": cannot force " << isa_name(isa) << " on this host";
   // The allow() below quiets the direct-store heuristic, which pattern-
   // matches std::atomic<>::store — no kvstore is involved here.
-  g_override.store(  // hetsim-lint: allow(direct-store)
+  g_override.store(  // hetsim-analyze: allow(direct-store)
       static_cast<std::int16_t>(isa), std::memory_order_relaxed);
 }
 
 ScopedIsaOverride::~ScopedIsaOverride() {
-  g_override.store(previous_, std::memory_order_relaxed);  // hetsim-lint: allow(direct-store)
+  g_override.store(previous_, std::memory_order_relaxed);  // hetsim-analyze: allow(direct-store)
 }
 
 }  // namespace hetsim::simd

@@ -1,6 +1,7 @@
 // Tests for the FREQT-style frequent subtree miner and the Eclat miner.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "common/error.h"
@@ -149,6 +150,79 @@ TEST(TreeMiner, CountSubtreeSupportAgrees) {
   EXPECT_GT(ops, 0u);
 }
 
+// SupportCountingPinnedAcrossRewrite's expected values, captured from the
+// implementation that materialised every rightmost extension per
+// (tree, pattern) pair.
+constexpr std::size_t kPinnedCandidates = 407;
+constexpr std::uint64_t kPinnedWorkOps = 1481214;
+constexpr std::uint64_t kPinnedSupportSum = 2474;
+constexpr std::uint64_t kPinnedSupportFnv = 14487490268909765887ULL;
+
+TEST(TreeMiner, SupportCountingPinnedAcrossRewrite) {
+  // SON on a swissprot-like corpus: phase 1 mines 4 interleaved chunks
+  // locally; phase 2 counts the union of their candidates over the whole
+  // corpus. Metered work and supports must not drift from the pins.
+  const auto trees = data::generate_trees(data::swissprot_like(0.05));
+  constexpr std::size_t kChunks = 4;
+  const TreeMinerConfig cfg{.min_support = 0.08, .max_pattern_nodes = 3};
+  std::vector<TreePattern> candidates;
+  for (std::size_t c = 0; c < kChunks; ++c) {
+    std::vector<data::LabeledTree> chunk;
+    for (std::size_t i = c; i < trees.size(); i += kChunks) {
+      chunk.push_back(trees[i]);
+    }
+    for (auto& f : mine_subtrees(chunk, cfg).frequent) {
+      candidates.push_back(std::move(f.pattern));
+    }
+  }
+  std::sort(candidates.begin(), candidates.end());
+  candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                   candidates.end());
+  // Two patterns no tree contains: a single node with an unused label, and
+  // a present 2-node prefix grown by a leaf with that label.
+  std::uint32_t absent = 0;
+  for (const auto& t : trees) {
+    for (const std::uint32_t l : t.label) absent = std::max(absent, l + 1);
+  }
+  const auto prefix = std::find_if(
+      candidates.begin(), candidates.end(),
+      [](const TreePattern& p) { return p.size() == 2; });
+  ASSERT_NE(prefix, candidates.end());
+  TreePattern grown = *prefix;
+  grown.nodes.emplace_back(1, absent);
+  candidates.push_back(pattern({{0, absent}}));
+  candidates.push_back(std::move(grown));
+
+  std::uint64_t ops = 0;
+  const auto counts = count_subtree_support(trees, candidates, ops);
+  ASSERT_EQ(counts.size(), candidates.size());
+  EXPECT_EQ(counts[counts.size() - 2], 0u);
+  EXPECT_EQ(counts.back(), 0u);
+
+  std::uint64_t pair_ops = 0;
+  for (std::size_t p = 0; p < candidates.size(); ++p) {
+    std::uint32_t count = 0;
+    for (const auto& t : trees) {
+      if (contains_subtree(t, candidates[p], pair_ops)) ++count;
+    }
+    EXPECT_EQ(count, counts[p]) << candidates[p].to_string();
+  }
+  EXPECT_EQ(ops, pair_ops);
+
+  std::uint64_t sum = 0;
+  std::uint64_t fnv = 14695981039346656037ULL;  // FNV-1a over the counts
+  for (const std::uint32_t c : counts) {
+    sum += c;
+    for (int byte = 0; byte < 4; ++byte) {
+      fnv = (fnv ^ ((c >> (8 * byte)) & 0xFFU)) * 1099511628211ULL;
+    }
+  }
+  EXPECT_EQ(candidates.size(), kPinnedCandidates);
+  EXPECT_EQ(ops, kPinnedWorkOps);
+  EXPECT_EQ(sum, kPinnedSupportSum);
+  EXPECT_EQ(fnv, kPinnedSupportFnv);
+}
+
 TEST(TreeMiner, MaxNodesCapsPatternSize) {
   const auto trees = data::generate_trees(data::swissprot_like(0.03));
   const TreeMinerConfig cfg{.min_support = 0.05, .max_pattern_nodes = 2};
@@ -164,6 +238,10 @@ TEST(TreeMiner, EmptyAndInvalidInputs) {
   EXPECT_THROW((void)mine_subtrees(corpus, bad), common::ConfigError);
   std::uint64_t ops = 0;
   EXPECT_THROW((void)contains_subtree(corpus[0], TreePattern{}, ops),
+               common::ConfigError);
+  // Patterns are checked before the tree loop, so an empty corpus too.
+  const std::vector<TreePattern> malformed{TreePattern{}};
+  EXPECT_THROW((void)count_subtree_support({}, malformed, ops),
                common::ConfigError);
 }
 

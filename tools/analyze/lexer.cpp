@@ -19,26 +19,23 @@ bool ident_char(char c) {
 
 /// Harvest `allow(...)` / `expect: ...` directives from one comment.
 void scan_directives(std::string_view comment, int line, SourceFile& file) {
-  for (const std::string_view marker :
-       {std::string_view("hetsim-analyze: allow("),
-        std::string_view("hetsim-lint: allow(")}) {
-    std::size_t at = comment.find(marker);
-    while (at != std::string_view::npos) {
-      const std::size_t open = at + marker.size();
-      const std::size_t close = comment.find(')', open);
-      if (close == std::string_view::npos) break;
-      std::string rules(comment.substr(open, close - open));
-      std::stringstream ss(rules);
-      std::string rule;
-      while (std::getline(ss, rule, ',')) {
-        const std::size_t b = rule.find_first_not_of(" \t");
-        const std::size_t e = rule.find_last_not_of(" \t");
-        if (b != std::string::npos) {
-          file.allows[line].insert(rule.substr(b, e - b + 1));
-        }
+  constexpr std::string_view marker = "hetsim-analyze: allow(";
+  std::size_t at = comment.find(marker);
+  while (at != std::string_view::npos) {
+    const std::size_t open = at + marker.size();
+    const std::size_t close = comment.find(')', open);
+    if (close == std::string_view::npos) break;
+    std::string rules(comment.substr(open, close - open));
+    std::stringstream ss(rules);
+    std::string rule;
+    while (std::getline(ss, rule, ',')) {
+      const std::size_t b = rule.find_first_not_of(" \t");
+      const std::size_t e = rule.find_last_not_of(" \t");
+      if (b != std::string::npos) {
+        file.allows[line].insert(rule.substr(b, e - b + 1));
       }
-      at = comment.find(marker, close);
     }
+    at = comment.find(marker, close);
   }
   const std::size_t ex = comment.find("expect:");
   if (ex != std::string_view::npos &&

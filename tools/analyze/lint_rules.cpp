@@ -2,9 +2,8 @@
 // raw-thread, nondeterminism, float-accounting, direct-store,
 // phase-throw, pragma-once. Reply consumption is the flow-sensitive
 // status-flow checker's job, not a token rule. Suppression filtering
-// happens centrally in the driver (the lexer harvests both
-// `hetsim-analyze: allow(...)` and the legacy `hetsim-lint: allow(...)`
-// spelling).
+// happens centrally in the driver (the lexer harvests
+// `hetsim-analyze: allow(...)` directives).
 //
 // Rules apply to files under src/; pragma-once also covers tools/
 // headers.

@@ -6,8 +6,7 @@
 // preprocessor lines (skipped wholesale so macro bodies cannot corrupt
 // brace tracking) and multi-char operators the checkers care about
 // ("::", "->"). Comments are not discarded blindly: suppression
-// directives (`hetsim-analyze: allow(rule)`, plus the legacy
-// `hetsim-lint: allow(rule)` spelling) and fixture expectations
+// directives (`hetsim-analyze: allow(rule)`) and fixture expectations
 // (`expect: rule`) are harvested per line before the text is dropped.
 #pragma once
 
