@@ -1,7 +1,5 @@
 #include "core/framework.h"
 
-#include <algorithm>
-
 #include "check/check.h"
 #include "common/allocation.h"
 #include "common/bytes.h"
@@ -36,6 +34,164 @@ std::string strategy_name(Strategy s) {
   return "?";
 }
 
+std::vector<std::string> sketch_keys(std::size_t nodes) {
+  std::vector<std::string> keys(nodes, "sketches:");
+  for (std::size_t i = 0; i < nodes; ++i) keys[i] += std::to_string(i);
+  return keys;
+}
+
+StratifyResult stratify_on_master(cluster::Cluster& cluster,
+                                  std::uint32_t master,
+                                  const data::Dataset& dataset,
+                                  const sketch::SketchConfig& sketch,
+                                  const stratify::KModesConfig& kmodes) {
+  const std::size_t p = cluster.size();
+  const std::size_t n = dataset.records.size();
+  const sketch::MinHasher hasher(sketch);
+  std::vector<sketch::Sketch> sketches(n);
+  const std::vector<std::string> keys = sketch_keys(p);
+  StratifyResult out;
+  std::vector<cluster::NodeTask> tasks;
+  tasks.reserve(p);
+  for (std::size_t node = 0; node < p; ++node) {
+    tasks.push_back([&, node](cluster::NodeContext& ctx) {
+      kvstore::Client& to_master = ctx.client(master);
+      for (std::size_t i = node; i < n; i += p) {
+        sketches[i] = hasher.sketch(dataset.records[i].items);
+        // One op per (item, permutation) pair.
+        ctx.meter().add(static_cast<double>(dataset.records[i].items.size()) *
+                        hasher.num_hashes());
+        to_master.enqueue({.type = kvstore::CommandType::kRPush,
+                           .key = keys[node],
+                           .value = encode_sketch(sketches[i])});
+      }
+      for (const kvstore::Reply& r : to_master.drain()) {
+        if (r.status != kvstore::Status::kOk) ++out.tolerated_kv_failures;
+      }
+    });
+  }
+  cluster.run_phase("sketch", tasks);
+  cluster.run_on("cluster-sketches", master, [&](cluster::NodeContext& ctx) {
+    // Read the sketch lists back (loopback traffic on the master).
+    for (std::size_t node = 0; node < p; ++node) {
+      const kvstore::Reply r =
+          ctx.local().execute({.type = kvstore::CommandType::kLRange,
+                               .key = keys[node],
+                               .arg0 = 0,
+                               .arg1 = -1});
+      if (r.status != kvstore::Status::kOk) ++out.tolerated_kv_failures;
+    }
+    out.strata = stratify::composite_kmodes(sketches, kmodes);
+    ctx.meter().add(static_cast<double>(out.strata.work_ops));
+  });
+  return out;
+}
+
+std::vector<double> forecast_dirty_rates(
+    const cluster::Cluster& cluster,
+    const energy::GreenEnergyEstimator& energy) {
+  std::vector<double> rates(cluster.size());
+  for (std::uint32_t i = 0; i < cluster.size(); ++i) {
+    rates[i] = energy.dirty_rate(cluster.node(i), kJobStartS, kEnergyWindowS);
+  }
+  return rates;
+}
+
+std::vector<optimize::NodeModel> make_node_models(
+    std::span<const estimator::NodeTimeModel> time_models,
+    std::span<const double> dirty_rates) {
+  std::vector<optimize::NodeModel> models;
+  models.reserve(time_models.size());
+  for (const estimator::NodeTimeModel& tm : time_models) {
+    models.push_back({.slope = tm.fit.slope,
+                      .intercept = tm.fit.intercept,
+                      .dirty_rate = dirty_rates[tm.node_id]});
+  }
+  return models;
+}
+
+std::vector<std::size_t> plan_sizes(
+    Strategy strategy, std::span<const optimize::NodeModel> models,
+    std::size_t total, double alpha, bool normalized,
+    const optimize::ReplicaCostModel& replica_cost) {
+  switch (strategy) {
+    case Strategy::kRandom:
+    case Strategy::kStratified: {
+      const std::vector<double> ones(models.size(), 1.0);
+      return common::proportional_allocation(ones, total);
+    }
+    case Strategy::kHetAware:
+      return optimize::solve_partition_sizes(models, total, 1.0).sizes;
+    case Strategy::kHetEnergyAware:
+      if (replica_cost.replication > 1) {
+        return optimize::solve_partition_sizes_replicated(models, total, alpha,
+                                                          replica_cost)
+            .sizes;
+      }
+      return (normalized ? optimize::solve_partition_sizes_normalized(
+                               models, total, alpha)
+                         : optimize::solve_partition_sizes(models, total, alpha))
+          .sizes;
+  }
+  throw common::ConfigError("plan_sizes: unknown strategy");
+}
+
+partition::PartitionAssignment assign_partitions(
+    Strategy strategy, const stratify::Stratification& strata,
+    std::span<const std::size_t> sizes, partition::Layout layout) {
+  return strategy == Strategy::kRandom
+             ? partition::random_partitions(strata.assignment.size(), sizes)
+             : partition::make_partitions(strata, sizes, layout);
+}
+
+void ExecTally::add(const cluster::PhaseReport& phase) {
+  makespan_s += phase.makespan_s();
+  for (const cluster::NodePhaseResult& r : phase.per_node) {
+    busy_s[r.node_id] += r.total_time_s();
+    work_units += r.work_units;
+  }
+}
+
+void run_global_phase(cluster::Cluster& cluster, Workload& workload,
+                      const data::Dataset& dataset,
+                      const partition::PartitionAssignment& assignment,
+                      ExecTally& tally) {
+  const std::vector<cluster::NodeTask> tasks =
+      workload.make_global_tasks(dataset, assignment);
+  if (tasks.empty()) return;
+  common::require<common::ConfigError>(tasks.size() == cluster.size(),
+                                       "global phase arity mismatch");
+  tally.add(cluster.run_phase("global", tasks));
+}
+
+void split_energy(const cluster::Cluster& cluster,
+                  const energy::GreenEnergyEstimator& energy,
+                  std::span<const double> busy_s, double& dirty_j,
+                  double& green_j) {
+  for (std::uint32_t node = 0; node < busy_s.size(); ++node) {
+    if (busy_s[node] <= 0.0) continue;
+    const cluster::NodeSpec& spec = cluster.node(node);
+    const double dirty =
+        energy.dirty_energy_joules(spec, kJobStartS, busy_s[node]);
+    dirty_j += dirty;
+    green_j += spec.power_watts * busy_s[node] - dirty;
+  }
+}
+
+void discard_keys(cluster::Cluster& cluster, std::uint32_t node,
+                  const std::vector<std::string>& keys) {
+  // A throwaway context: its traffic lands on no phase and no clock.
+  cluster::NodeContext ctx(cluster, cluster.node(node));
+  kvstore::Client& local = ctx.local();
+  for (const std::string& key : keys) {
+    local.enqueue({.type = kvstore::CommandType::kDel, .key = key});
+  }
+  // Best effort: a key a fault kept alive costs the next job on this
+  // cluster a few wire bytes, never a wrong result, and this job's
+  // numbers are already final.
+  (void)local.drain();  // hetsim-analyze: allow(status-flow)
+}
+
 ParetoFramework::ParetoFramework(cluster::Cluster& cluster,
                                  const energy::GreenEnergyEstimator& energy,
                                  FrameworkConfig config)
@@ -52,82 +208,37 @@ ParetoFramework::ParetoFramework(cluster::Cluster& cluster,
 void ParetoFramework::prepare(const data::Dataset& dataset, Workload& workload) {
   common::require<common::ConfigError>(!dataset.records.empty(),
                                        "prepare: empty dataset");
+  // run() reads the data list an earlier prepare() left on the master;
+  // this prepare() replaces it.
+  discard_keys(cluster_, master_, {kDataKey});
   const double setup_begin = cluster_.now();
-  const std::size_t p = cluster_.size();
-  const std::size_t n = dataset.records.size();
 
-  // ---- Phase 1: distributed sketching (records round-robin by node) ----
-  const sketch::MinHasher hasher(config_.sketch);
-  std::vector<sketch::Sketch> sketches(n);
-  {
-    std::vector<cluster::NodeTask> tasks;
-    tasks.reserve(p);
-    for (std::size_t node = 0; node < p; ++node) {
-      tasks.push_back([&, node](cluster::NodeContext& ctx) {
-        kvstore::Client& to_master = ctx.client(master_);
-        const std::string key = "sketches:" + std::to_string(node);
-        for (std::size_t i = node; i < n; i += p) {
-          sketches[i] = hasher.sketch(dataset.records[i].items);
-          // One op per (item, permutation) pair.
-          ctx.meter().add(static_cast<double>(dataset.records[i].items.size()) *
-                          hasher.num_hashes());
-          to_master.enqueue({.type = kvstore::CommandType::kRPush,
-                             .key = key,
-                             .value = encode_sketch(sketches[i])});
-        }
-        kvstore::expect_ok(to_master.drain());
-      });
-    }
-    cluster_.run_phase("sketch", tasks);
-  }
+  strata_ = stratify_on_master(cluster_, master_, dataset, config_.sketch,
+                               config_.kmodes)
+                .strata;
 
-  // ---- Phase 2: centralized compositeKModes on the master ----
-  stratify::Stratification strat;
-  cluster_.run_on("cluster-sketches", master_, [&](cluster::NodeContext& ctx) {
-    // Read the sketch lists back (loopback traffic on the master).
-    for (std::size_t node = 0; node < p; ++node) {
-      (void)ctx.local().lrange("sketches:" + std::to_string(node), 0, -1);
-    }
-    strat = stratify::composite_kmodes(sketches, config_.kmodes);
-    ctx.meter().add(static_cast<double>(strat.work_ops));
-  });
-  strata_ = std::move(strat);
-
-  // ---- Phase 3: load the dataset onto the master store ----
   cluster_.run_on("load-master", master_, [&](cluster::NodeContext& ctx) {
     kvstore::Client& local = ctx.local();
     for (const data::Record& r : dataset.records) {
       local.enqueue({.type = kvstore::CommandType::kRPush,
-                     .key = "data",
+                     .key = kDataKey,
                      .value = r.payload});
     }
     kvstore::expect_ok(local.drain());
   });
 
-  // ---- Phase 4: progressive-sampling time models ----
   const estimator::SampleRunner runner =
       [&workload, &dataset](cluster::NodeContext& ctx,
                             std::span<const std::uint32_t> indices) {
         workload.run(ctx, dataset, indices);
       };
-  const std::vector<estimator::NodeTimeModel> time_models =
+  models_ = make_node_models(
       estimator::estimate_time_models(cluster_, *strata_, runner,
-                                      config_.sampling);
-
-  // ---- Combine with the green-energy forecast into LP node models ----
-  models_.clear();
-  models_.reserve(p);
-  for (const auto& tm : time_models) {
-    optimize::NodeModel nm;
-    nm.slope = tm.fit.slope;
-    nm.intercept = tm.fit.intercept;
-    nm.dirty_rate = energy_.dirty_rate(cluster_.node(tm.node_id),
-                                       config_.job_start_s,
-                                       config_.energy_window_s);
-    models_.push_back(nm);
-  }
+                                      config_.sampling),
+      forecast_dirty_rates(cluster_, energy_));
   setup_time_s_ = cluster_.now() - setup_begin;
   prepared_ = true;
+  discard_keys(cluster_, master_, sketch_keys(cluster_.size()));
 }
 
 void ParetoFramework::require_prepared() const {
@@ -138,23 +249,8 @@ void ParetoFramework::require_prepared() const {
 std::vector<std::size_t> ParetoFramework::plan_sizes(Strategy strategy,
                                                      std::size_t total) const {
   require_prepared();
-  switch (strategy) {
-    case Strategy::kRandom:
-    case Strategy::kStratified: {
-      const std::vector<double> ones(cluster_.size(), 1.0);
-      return common::proportional_allocation(ones, total);
-    }
-    case Strategy::kHetAware:
-      return optimize::solve_partition_sizes(models_, total, 1.0).sizes;
-    case Strategy::kHetEnergyAware:
-      return (config_.normalized_alpha
-                  ? optimize::solve_partition_sizes_normalized(
-                        models_, total, config_.energy_alpha)
-                  : optimize::solve_partition_sizes(models_, total,
-                                                    config_.energy_alpha))
-          .sizes;
-  }
-  throw common::ConfigError("plan_sizes: unknown strategy");
+  return core::plan_sizes(strategy, models_, total, config_.energy_alpha,
+                          config_.normalized_alpha, {});
 }
 
 JobReport ParetoFramework::run(Strategy strategy, const data::Dataset& dataset,
@@ -170,12 +266,9 @@ JobReport ParetoFramework::run(Strategy strategy, const data::Dataset& dataset,
   report.strategy = strategy;
   report.workload = workload.name();
   report.partition_sizes = plan_sizes(strategy, n);
-
   const partition::PartitionAssignment assignment =
-      strategy == Strategy::kRandom
-          ? partition::random_partitions(n, report.partition_sizes)
-          : partition::make_partitions(*strata_, report.partition_sizes,
-                                       workload.preferred_layout());
+      assign_partitions(strategy, *strata_, report.partition_sizes,
+                        workload.preferred_layout());
 
   workload.reset(p, barrier_master_);
 
@@ -191,7 +284,7 @@ JobReport ParetoFramework::run(Strategy strategy, const data::Dataset& dataset,
         kvstore::Client& from_master = ctx.client(master_);
         for (const std::uint32_t idx : assignment.partitions[node]) {
           from_master.enqueue({.type = kvstore::CommandType::kLIndex,
-                               .key = "data",
+                               .key = kDataKey,
                                .arg0 = static_cast<std::int64_t>(idx)});
         }
         std::vector<kvstore::Reply> replies =
@@ -201,8 +294,8 @@ JobReport ParetoFramework::run(Strategy strategy, const data::Dataset& dataset,
         for (kvstore::Reply& r : replies) records.push_back(std::move(r.blob));
         kvstore::Client& local = ctx.local();
         kvstore::expect_ok(local.execute(
-            {.type = kvstore::CommandType::kDel, .key = config_.partition_key}));
-        local.set(config_.partition_key, kvstore::pack_records(records));
+            {.type = kvstore::CommandType::kDel, .key = kPartitionKey}));
+        local.set(kPartitionKey, kvstore::pack_records(records));
       });
     }
     const cluster::PhaseReport load = cluster_.run_phase("load", tasks);
@@ -210,7 +303,7 @@ JobReport ParetoFramework::run(Strategy strategy, const data::Dataset& dataset,
   }
 
   // ---- Execution phase ----
-  std::vector<double> busy(p, 0.0);
+  ExecTally tally(p);
   {
     std::vector<cluster::NodeTask> tasks;
     tasks.reserve(p);
@@ -221,7 +314,7 @@ JobReport ParetoFramework::run(Strategy strategy, const data::Dataset& dataset,
         // strings — and cross-checks the count against the plan.
         std::size_t records_seen = 0;
         const kvstore::Client::ViewResult view = ctx.local().get_view(
-            config_.partition_key, [&](std::string_view blob) {
+            kPartitionKey, [&](std::string_view blob) {
               kvstore::RecordCursor cursor(blob);
               while (!cursor.done()) {
                 (void)cursor.next();
@@ -237,39 +330,15 @@ JobReport ParetoFramework::run(Strategy strategy, const data::Dataset& dataset,
         workload.run(ctx, dataset, assignment.partitions[node]);
       });
     }
-    const cluster::PhaseReport exec = cluster_.run_phase("exec", tasks);
-    report.exec_time_s += exec.makespan_s();
-    for (const auto& r : exec.per_node) {
-      busy[r.node_id] += r.total_time_s();
-      report.total_work_units += r.work_units;
-    }
+    tally.add(cluster_.run_phase("exec", tasks));
   }
+  run_global_phase(cluster_, workload, dataset, assignment, tally);
 
-  // ---- Optional global phase (e.g. SON candidate prune) ----
-  const std::vector<cluster::NodeTask> global_tasks =
-      workload.make_global_tasks(dataset, assignment);
-  if (!global_tasks.empty()) {
-    common::require<common::ConfigError>(global_tasks.size() == p,
-                                         "run: global phase arity mismatch");
-    const cluster::PhaseReport global = cluster_.run_phase("global", global_tasks);
-    report.exec_time_s += global.makespan_s();
-    for (const auto& r : global.per_node) {
-      busy[r.node_id] += r.total_time_s();
-      report.total_work_units += r.work_units;
-    }
-  }
-
-  // ---- Energy accounting over the actual execution interval ----
-  report.node_exec_s = busy;
-  for (std::size_t node = 0; node < p; ++node) {
-    if (busy[node] <= 0.0) continue;
-    const cluster::NodeSpec& spec = cluster_.node(static_cast<std::uint32_t>(node));
-    const double dirty =
-        energy_.dirty_energy_joules(spec, config_.job_start_s, busy[node]);
-    const double total = spec.power_watts * busy[node];
-    report.dirty_energy_j += dirty;
-    report.green_energy_j += total - dirty;
-  }
+  report.exec_time_s = tally.makespan_s;
+  report.total_work_units = tally.work_units;
+  split_energy(cluster_, energy_, tally.busy_s, report.dirty_energy_j,
+               report.green_energy_j);
+  report.node_exec_s = std::move(tally.busy_s);
   report.quality = workload.quality();
   return report;
 }

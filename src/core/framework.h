@@ -57,12 +57,6 @@ struct FrameworkConfig {
   /// instead of needing values like 0.999 to offset the joule/second
   /// scale mismatch.
   bool normalized_alpha = false;
-  /// Simulated time-of-day the job starts (seconds from trace start).
-  double job_start_s = 10.0 * 3600.0;
-  /// Forecast window for the mean green-power linearization.
-  double energy_window_s = 4.0 * 3600.0;
-  /// Key under which partitions are stored on each node.
-  std::string partition_key = "partition";
 };
 
 /// Result of one job execution.
@@ -91,6 +85,86 @@ struct JobReport {
   /// Total metered work units across nodes.
   double total_work_units = 0.0;
 };
+
+// ---- The shared Fig. 1 planning steps -------------------------------------
+// ParetoFramework and runtime::JobRuntime both plan a job through these.
+
+/// Simulated time-of-day every job starts (seconds from trace start).
+inline constexpr double kJobStartS = 10.0 * 3600.0;
+/// Forecast window for the mean green-power linearization.
+inline constexpr double kEnergyWindowS = 4.0 * 3600.0;
+/// Key under which each node stores its partition.
+inline constexpr char kPartitionKey[] = "partition";
+/// Master list of every record payload, in dataset order.
+inline constexpr char kDataKey[] = "data";
+
+/// Master list of each node's uploaded sketches, by node id.
+[[nodiscard]] std::vector<std::string> sketch_keys(std::size_t nodes);
+
+struct StratifyResult {
+  stratify::Stratification strata;
+  std::uint64_t tolerated_kv_failures = 0;  // non-kOk upload/read replies
+};
+
+/// Distributed sketching ("sketch": records round-robin by node, each
+/// node uploading its sketches to `master`), then compositeKModes on the
+/// master ("cluster-sketches"). The clustering reads the in-memory
+/// sketches, so a lost upload costs wire time only and is just counted.
+[[nodiscard]] StratifyResult stratify_on_master(
+    cluster::Cluster& cluster, std::uint32_t master,
+    const data::Dataset& dataset, const sketch::SketchConfig& sketch,
+    const stratify::KModesConfig& kmodes);
+
+/// Dirty rate k_i of every node over the forecast window.
+[[nodiscard]] std::vector<double> forecast_dirty_rates(
+    const cluster::Cluster& cluster, const energy::GreenEnergyEstimator& energy);
+
+/// LP node models: each fitted time model plus its node's dirty rate.
+[[nodiscard]] std::vector<optimize::NodeModel> make_node_models(
+    std::span<const estimator::NodeTimeModel> time_models,
+    std::span<const double> dirty_rates);
+
+/// Partition sizes: equal for Random/Stratified, the LP at alpha = 1 for
+/// Het-Aware and at `alpha` for Het-Energy-Aware. With replication > 1
+/// that solve also bills the replica copies, on the raw alpha (the
+/// replica term would re-weight the normalized rescale's extremes).
+[[nodiscard]] std::vector<std::size_t> plan_sizes(
+    Strategy strategy, std::span<const optimize::NodeModel> models,
+    std::size_t total, double alpha, bool normalized,
+    const optimize::ReplicaCostModel& replica_cost);
+
+/// Shuffle-and-cut for Random, the workload's strata layout otherwise.
+[[nodiscard]] partition::PartitionAssignment assign_partitions(
+    Strategy strategy, const stratify::Stratification& strata,
+    std::span<const std::size_t> sizes, partition::Layout layout);
+
+/// Cost of a job's execute and global phases.
+struct ExecTally {
+  explicit ExecTally(std::size_t nodes) : busy_s(nodes, 0.0) {}
+  void add(const cluster::PhaseReport& phase);
+  std::vector<double> busy_s;  // per node; the energy bill's input
+  double makespan_s = 0.0;
+  double work_units = 0.0;
+};
+
+/// Runs the workload's cross-partition phase, if it has one (e.g. the
+/// SON candidate prune), and adds its cost to `tally`.
+void run_global_phase(cluster::Cluster& cluster, Workload& workload,
+                      const data::Dataset& dataset,
+                      const partition::PartitionAssignment& assignment,
+                      ExecTally& tally);
+
+/// Adds the dirty and the green joules drawn by nodes busy for `busy_s`
+/// seconds from kJobStartS on to `dirty_j` and `green_j`.
+void split_energy(const cluster::Cluster& cluster,
+                  const energy::GreenEnergyEstimator& energy,
+                  std::span<const double> busy_s, double& dirty_j,
+                  double& green_j);
+
+/// Deletes `keys` on `node`'s store, off every job clock, so the next
+/// job on the cluster starts clean.
+void discard_keys(cluster::Cluster& cluster, std::uint32_t node,
+                  const std::vector<std::string>& keys);
 
 class ParetoFramework {
  public:

@@ -5,8 +5,6 @@
 #include <optional>
 
 #include "check/check.h"
-#include "common/allocation.h"
-#include "common/bytes.h"
 #include "common/error.h"
 #include "common/json.h"
 #include "fault/fault.h"
@@ -20,16 +18,89 @@ namespace hetsim::runtime {
 
 namespace {
 
-std::string encode_sketch(const sketch::Sketch& sig) {
-  std::string out;
-  out.reserve(sig.size() * 8);
-  for (const std::uint64_t v : sig) common::append_u64(out, v);
-  return out;
-}
-
 /// Replicated key of the idx-th ingested record.
 std::string record_key(std::uint32_t idx) {
   return "data:" + std::to_string(idx);
+}
+
+/// Payloads of `records` as fetched by `ctx` (nullopt = no source had it).
+struct Fetched {
+  std::vector<std::optional<std::string>> blobs;
+  std::size_t from_replicas = 0;  // records the replica walk served
+};
+
+/// Fetches from the sources given, in this order: the master's data list
+/// (LIndex) when `master` is set, then the replica walk for every record
+/// still missing when `router` is set.
+Fetched fetch_records(cluster::NodeContext& ctx,
+                      std::span<const std::uint32_t> records,
+                      std::optional<std::uint32_t> master,
+                      ha::ShardRouter* router) {
+  Fetched out;
+  out.blobs.resize(records.size());
+  if (master) {
+    kvstore::Client& from_master = ctx.client(*master);
+    for (const std::uint32_t idx : records) {
+      from_master.enqueue({.type = kvstore::CommandType::kLIndex,
+                           .key = core::kDataKey,
+                           .arg0 = static_cast<std::int64_t>(idx)});
+    }
+    std::vector<kvstore::Reply> replies = from_master.drain();
+    const std::size_t m = std::min(replies.size(), records.size());
+    for (std::size_t i = 0; i < m; ++i) {
+      if (replies[i].status == kvstore::Status::kOk && replies[i].ok) {
+        out.blobs[i] = std::move(replies[i].blob);
+      }
+    }
+  }
+  if (router == nullptr) return out;
+  std::vector<std::string> keys;
+  std::vector<std::size_t> pos;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    if (!out.blobs[i]) {
+      keys.push_back(record_key(records[i]));
+      pos.push_back(i);
+    }
+  }
+  if (keys.empty()) return out;
+  // Pull each payload from whichever replica of its key is alive
+  // (batched to the acting primaries, falling back replica-by-replica).
+  ha::Client replicated(*router,
+                        [&ctx](net::HostId target) -> kvstore::Client& {
+                          return ctx.client(target);
+                        });
+  std::vector<ha::ReadResult> results = replicated.get_many(keys);
+  const std::size_t m = std::min(results.size(), pos.size());
+  for (std::size_t k = 0; k < m; ++k) {
+    kvstore::Reply& r = results[k].reply;
+    if (r.status == kvstore::Status::kOk && r.ok) {
+      out.blobs[pos[k]] = std::move(r.blob);
+      ++out.from_replicas;
+    }
+  }
+  return out;
+}
+
+/// The live nodes of the execute phase; entry k of each vector describes
+/// node ids[k].
+struct Survivors {
+  std::vector<std::uint32_t> ids;
+  std::vector<optimize::NodeModel> models;
+  std::vector<NodeObservation> obs;
+};
+
+Survivors survivors(const PhaseExecutor& executor,
+                    const std::vector<char>& lost,
+                    const std::vector<optimize::NodeModel>& models) {
+  Survivors out;
+  for (std::uint32_t i = 0; i < lost.size(); ++i) {
+    if (lost[i] != 0) continue;
+    const NodeProgress& prog = executor.progress(i);
+    out.ids.push_back(i);
+    out.models.push_back(models[i]);
+    out.obs.push_back({prog.records_done, prog.busy_s(), executor.remaining(i)});
+  }
+  return out;
 }
 
 }  // namespace
@@ -53,25 +124,16 @@ std::string summary_json(const JobSummary& s) {
   w.field("migrated_records", static_cast<std::uint64_t>(s.migrated_records));
   w.field("total_work_units", s.total_work_units);
   w.field("quality", s.quality);
-  w.key("initial_sizes");
-  w.begin_array();
-  for (const std::size_t v : s.initial_sizes) {
-    w.value(static_cast<std::uint64_t>(v));
-  }
-  w.end_array();
-  w.key("processed");
-  w.begin_array();
-  for (const std::size_t v : s.processed) {
-    w.value(static_cast<std::uint64_t>(v));
-  }
-  w.end_array();
+  const auto array = [&w](const char* key, const auto& values) {
+    w.key(key);
+    w.begin_array();
+    for (const auto v : values) w.value(static_cast<std::uint64_t>(v));
+    w.end_array();
+  };
+  array("initial_sizes", s.initial_sizes);
+  array("processed", s.processed);
   w.field("degraded", s.degraded);
-  w.key("nodes_lost");
-  w.begin_array();
-  for (const std::uint32_t v : s.nodes_lost) {
-    w.value(static_cast<std::uint64_t>(v));
-  }
-  w.end_array();
+  array("nodes_lost", s.nodes_lost);
   w.field("node_loss_replans",
           static_cast<std::uint64_t>(s.node_loss_replans));
   w.field("replanned_records",
@@ -99,6 +161,41 @@ void verify_no_work_lost(const JobSummary& summary) {
   HETSIM_CHECK_EQ(processed, summary.records);
 }
 
+struct JobRuntime::JobState {
+  const cluster::Cluster& cluster;
+  const data::Dataset& dataset;
+  core::Workload& workload;
+  std::size_t p = 0;
+  std::size_t n = 0;
+  JobSummary summary;
+  // Job-relative virtual clock: cluster phases advance the cluster's
+  // clock past cluster_t0, the execute phase adds its executor's
+  // makespan to exec_extra (the executor runs its own per-node clocks).
+  double cluster_t0 = 0.0;
+  double exec_extra = 0.0;
+  [[nodiscard]] double clock() const {
+    return (cluster.now() - cluster_t0) + exec_extra;
+  }
+
+  std::optional<stratify::Stratification> strata;
+  std::vector<estimator::NodeTimeModel> time_models;
+  std::vector<double> dirty_rates;
+  std::optional<partition::PartitionAssignment> assignment;
+  core::ExecTally tally;  // execute + global cost, for the energy bill
+  // Set when the canonical data list never fully landed on the master
+  // but every record has >= 1 replica copy: later phases must read
+  // through the ha replica walk instead of master LIndex (a partially
+  // applied RPush sequence silently shifts list indices).
+  bool data_on_replicas = false;
+
+  // ---- execute phase, valid while it runs ----------------------------
+  PhaseExecutor* executor = nullptr;
+  double exec_base = 0.0;  // job clock when the execute phase started
+  std::size_t chunk_records = 0;
+  double replan_alpha = 1.0;  // LP weight of re-plan solves
+  std::vector<char> lost;     // nodes declared dead so far
+};
+
 JobRuntime::JobRuntime(cluster::Cluster& cluster,
                        const energy::GreenEnergyEstimator& energy, JobSpec spec)
     : cluster_(cluster), energy_(energy), spec_(std::move(spec)) {
@@ -122,57 +219,32 @@ JobRuntime::JobRuntime(cluster::Cluster& cluster,
   barrier_master_ = masters.size() > 1 ? masters[1] : masters[0];
 }
 
-std::vector<std::size_t> JobRuntime::plan_sizes(std::size_t total) const {
-  switch (spec_.strategy) {
-    case core::Strategy::kRandom:
-    case core::Strategy::kStratified: {
-      const std::vector<double> ones(cluster_.size(), 1.0);
-      return common::proportional_allocation(ones, total);
-    }
-    case core::Strategy::kHetAware:
-      return optimize::solve_partition_sizes(models_, total, 1.0).sizes;
-    case core::Strategy::kHetEnergyAware:
-      // With a replicated data plane the copy traffic is part of the
-      // energy bill, so the placement-aware solve takes over. (The raw
-      // alpha is used there: mixing the replica term into the
-      // normalized rescale would re-weight the extremes themselves.)
-      if (replica_cost_.replication > 1) {
-        return optimize::solve_partition_sizes_replicated(
-                   models_, total, spec_.alpha, replica_cost_)
-            .sizes;
-      }
-      return (spec_.normalized_alpha
-                  ? optimize::solve_partition_sizes_normalized(models_, total,
-                                                               spec_.alpha)
-                  : optimize::solve_partition_sizes(models_, total,
-                                                    spec_.alpha))
-          .sizes;
-  }
-  throw common::ConfigError("JobRuntime: unknown strategy");
-}
-
 JobSummary JobRuntime::run(const data::Dataset& dataset,
                            core::Workload& workload) {
   common::require<common::ConfigError>(!dataset.records.empty(),
                                        "JobRuntime: empty dataset");
   const std::size_t p = cluster_.size();
-  const std::size_t n = dataset.records.size();
-
   trace_.clear();
   trace_.name_lane(TraceRecorder::kRuntimeLane, "runtime");
   for (std::size_t i = 0; i < p; ++i) {
+    const int speed = static_cast<int>(cluster_.nodes()[i].speed);
     trace_.name_lane(static_cast<std::int64_t>(i),
                      "node " + std::to_string(i) + " (speed " +
-                         std::to_string(static_cast<int>(
-                             cluster_.nodes()[i].speed)) +
-                         "x)");
+                         std::to_string(speed) + "x)");
   }
 
-  JobSummary summary;
-  summary.job = spec_.name;
-  summary.workload = workload.name();
-  summary.strategy = spec_.strategy;
-  summary.records = n;
+  JobState s{.cluster = cluster_,
+             .dataset = dataset,
+             .workload = workload,
+             .p = p,
+             .n = dataset.records.size(),
+             .summary = {.job = spec_.name,
+                         .workload = workload.name(),
+                         .strategy = spec_.strategy,
+                         .records = dataset.records.size()},
+             .cluster_t0 = cluster_.now(),
+             .tally = core::ExecTally(p)};
+  JobSummary& summary = s.summary;
   const net::RetryStats kv_before = cluster_.fabric().retry_stats();
 
   // Replicated data plane: every record is also sharded over k replica
@@ -183,11 +255,9 @@ JobSummary JobRuntime::run(const data::Dataset& dataset,
   if (spec_.replication >= 2) {
     std::vector<net::HostId> members(p);
     std::iota(members.begin(), members.end(), net::HostId{0});
-    ha::ShardMapConfig shard;
-    shard.replication = spec_.replication;
-    shard.seed = spec_.seed;
     router_ = std::make_unique<ha::ShardRouter>(
-        ha::ShardMap(std::move(members), shard),
+        ha::ShardMap(std::move(members),
+                     {.replication = spec_.replication, .seed = spec_.seed}),
         spec_.seed ^ 0x48412d454c454354ULL);  // independent election stream
     double payload_bytes = 0.0;
     for (const data::Record& r : dataset.records) {
@@ -195,853 +265,55 @@ JobSummary JobRuntime::run(const data::Dataset& dataset,
     }
     replica_cost_.replication = spec_.replication;
     replica_cost_.write_s_per_record =
-        (payload_bytes / static_cast<double>(n)) /
+        (payload_bytes / static_cast<double>(s.n)) /
         cluster_.fabric().remote_spec().bandwidth_bps;
     replica_cost_.replica_sets = router_->map().replica_sets();
   }
 
-  // Job-relative virtual clock: cluster phases advance cluster_.now(),
-  // the execute phase advances exec_extra (the executor runs its own
-  // per-node clocks and reports a makespan).
-  const double cluster_t0 = cluster_.now();
-  double exec_extra = 0.0;
-  const auto job_clock = [&] {
-    return (cluster_.now() - cluster_t0) + exec_extra;
-  };
-
-  // State threaded between phases.
-  std::optional<stratify::Stratification> strata;
-  std::vector<estimator::NodeTimeModel> time_models;
-  std::vector<double> dirty_rates(p, 0.0);
-  std::optional<partition::PartitionAssignment> assignment;
-  std::vector<double> busy(p, 0.0);  // execution busy seconds, for energy
-  // Set when the canonical "data" list never fully landed on the master
-  // but every record has >= 1 replica copy: later phases must read
-  // through the ha replica walk instead of master LIndex (a partially
-  // applied RPush sequence silently shifts list indices).
-  bool data_on_replicas = false;
-
   PhaseDag dag;
   const auto add_phase = [&](std::string name, PhaseKind kind,
                              std::vector<std::string> deps,
-                             std::size_t max_attempts, JobStatus on_exhausted,
+                             std::size_t attempts, JobStatus on_exhausted,
                              std::function<PhaseResult(const PhaseAttempt&)>
                                  body) {
-    Phase ph;
-    ph.name = std::move(name);
-    ph.kind = kind;
-    ph.deps = std::move(deps);
-    ph.body = std::move(body);
-    ph.max_attempts = max_attempts;
-    ph.retry_budget_s = max_attempts > 1 ? spec_.phase_retry_budget_s : 0.0;
-    ph.on_exhausted = on_exhausted;
-    dag.add(std::move(ph));
+    dag.add({.name = std::move(name),
+             .kind = kind,
+             .deps = std::move(deps),
+             .body = std::move(body),
+             .max_attempts = attempts,
+             .retry_budget_s = attempts > 1 ? spec_.phase_retry_budget_s : 0.0,
+             .on_exhausted = on_exhausted});
   };
   const std::size_t retries = spec_.phase_max_attempts;
-
-  add_phase("ingest", PhaseKind::kIngest, {}, retries,
-            JobStatus::kDataUnavailable, [&](const PhaseAttempt& at) {
-    PhaseResult result = PhaseResult::ok();
-    cluster_.run_on("ingest", master_, [&](cluster::NodeContext& ctx) {
-      kvstore::Client& local = ctx.local();
-      bool master_ok = true;
-      bool push_to_master = true;
-      if (at.attempt > 0) {
-        // RPush is not idempotent: re-ingesting onto the remnant of a
-        // failed attempt would shift every list index — and would break
-        // the LLen completeness proof below (a remnant plus a partial
-        // re-push could fake llen == n). Clear the canonical list
-        // first; if even the Del cannot land, the master copy is
-        // forfeit for this attempt.
-        const kvstore::Reply del = local.execute(
-            {.type = kvstore::CommandType::kDel, .key = "data"});
-        if (del.status != kvstore::Status::kOk) {
-          if (!at.last || router_ == nullptr) {
-            result =
-                PhaseResult::transient("ingest: data master unreachable");
-            return;
-          }
-          // Last attempt with a replicated plane: skip the master and
-          // let the replica copies carry the job.
-          push_to_master = false;
-          master_ok = false;
-        }
-      }
-      if (push_to_master) {
-        for (const data::Record& r : dataset.records) {
-          local.enqueue({.type = kvstore::CommandType::kRPush,
-                         .key = "data",
-                         .value = r.payload});
-        }
-        std::uint64_t push_failures = 0;
-        for (const kvstore::Reply& r : local.drain()) {
-          if (r.status != kvstore::Status::kOk) ++push_failures;
-        }
-        master_ok = push_failures == 0;
-        if (!master_ok) {
-          // Non-kOk pushes are ambiguous (a timed-out RPush may have
-          // landed). The list is canonical only if it is provably
-          // complete AND in order; pipelined pushes apply in enqueue
-          // order and are never retried on timeout, so LLen == n means
-          // every push landed exactly once. Probed only on failure, so
-          // the fault-free wire cost is unchanged.
-          const kvstore::Reply len = local.execute(
-              {.type = kvstore::CommandType::kLLen, .key = "data"});
-          master_ok = len.status == kvstore::Status::kOk &&
-                      len.integer == static_cast<std::int64_t>(n);
-          if (master_ok) summary.tolerated_kv_failures += push_failures;
-        }
-      }
-      if (router_ == nullptr) {
-        // Single-master plane: the list either landed or the phase
-        // burns an attempt (the DAG exhausts to kDataUnavailable —
-        // there is nothing to fall back to).
-        if (!master_ok) {
-          result = PhaseResult::transient(
-              "ingest: canonical data list incomplete on master");
-        }
-        return;
-      }
-      // Replicated copies: one keyed record per replica, fanned out
-      // through the shard router (pipelined per target). kSet is
-      // idempotent, so attempt re-runs are safe.
-      ha::Client replicated(
-          *router_, [&ctx](net::HostId target) -> kvstore::Client& {
-            return ctx.client(target);
-          });
-      std::vector<std::pair<std::string, std::string>> pairs;
-      pairs.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) {
-        pairs.emplace_back(record_key(i), dataset.records[i].payload);
-      }
-      std::size_t zero_ack = 0;
-      std::size_t under_replicated = 0;
-      for (const ha::WriteResult& res : replicated.put_many(pairs)) {
-        summary.replica_writes += res.acked;
-        if (res.status != kvstore::Status::kOk) {
-          ++zero_ack;
-        } else if (res.acked < res.routed) {
-          ++under_replicated;
-        }
-      }
-      if (master_ok) {
-        if (zero_ack > 0 || under_replicated > 0) {
-          // The master holds the canonical copy of every record;
-          // missing replica copies are write divergence for the
-          // anti-entropy repair pass, not a job failure.
-          summary.tolerated_kv_failures += zero_ack + under_replicated;
-          result = PhaseResult::degraded(
-              "ingest: " + std::to_string(zero_ack + under_replicated) +
-              " records under-replicated");
-        }
-        return;
-      }
-      if (!at.last) {
-        result = PhaseResult::transient(
-            "ingest: canonical data list incomplete on master");
-        return;
-      }
-      // Out of attempts with no canonical list: serve the job from the
-      // replica copies. Records that also failed every replica write
-      // surface in the partition phase, which drops exactly those.
-      data_on_replicas = true;
-      result = PhaseResult::degraded(
-          "ingest: master list unavailable, serving from replicas");
-    });
-    return result;
-  });
-
-  add_phase("stratify", PhaseKind::kStratify, {}, retries,
-            JobStatus::kDataUnavailable, [&](const PhaseAttempt&) {
-    const sketch::MinHasher hasher(spec_.sketch);
-    std::vector<sketch::Sketch> sketches(n);
-    std::vector<std::uint64_t> upload_failures(p, 0);
-    std::vector<cluster::NodeTask> tasks;
-    tasks.reserve(p);
-    for (std::size_t node = 0; node < p; ++node) {
-      tasks.push_back([&, node](cluster::NodeContext& ctx) {
-        kvstore::Client& to_master = ctx.client(master_);
-        const std::string key = "sketches:" + std::to_string(node);
-        for (std::size_t i = node; i < n; i += p) {
-          sketches[i] = hasher.sketch(dataset.records[i].items);
-          ctx.meter().add(
-              static_cast<double>(dataset.records[i].items.size()) *
-              hasher.num_hashes());
-          to_master.enqueue({.type = kvstore::CommandType::kRPush,
-                             .key = key,
-                             .value = encode_sketch(sketches[i])});
-        }
-        // The sketch upload is the phase's wire-cost medium; the
-        // clustering below reads the in-memory sketches, so a lost
-        // upload degrades observability, not the stratification.
-        for (const kvstore::Reply& r : to_master.drain()) {
-          if (r.status != kvstore::Status::kOk) ++upload_failures[node];
-        }
-      });
-    }
-    cluster_.run_phase("sketch", tasks);
-    for (std::size_t node = 0; node < p; ++node) {
-      summary.tolerated_kv_failures += upload_failures[node];
-    }
-    cluster_.run_on(
-        "cluster-sketches", master_, [&](cluster::NodeContext& ctx) {
-          for (std::size_t node = 0; node < p; ++node) {
-            const kvstore::Reply r = ctx.local().execute(
-                {.type = kvstore::CommandType::kLRange,
-                 .key = "sketches:" + std::to_string(node),
-                 .arg0 = 0,
-                 .arg1 = -1});
-            if (r.status != kvstore::Status::kOk) {
-              ++summary.tolerated_kv_failures;
-            }
-          }
-          strata = stratify::composite_kmodes(sketches, spec_.kmodes);
-          ctx.meter().add(static_cast<double>(strata->work_ops));
-        });
-    return PhaseResult::ok();
-  });
-
-  add_phase("estimate", PhaseKind::kEstimate, {"stratify"}, retries,
-            JobStatus::kDataUnavailable, [&](const PhaseAttempt& at) {
-    const estimator::SampleRunner runner =
-        [&workload, &dataset](cluster::NodeContext& ctx,
-                              std::span<const std::uint32_t> indices) {
-          workload.run(ctx, dataset, indices);
-        };
-    try {
-      time_models = estimator::estimate_time_models(
-          cluster_, *strata, runner, spec_.sampling);
-    } catch (const common::Error& e) {
-      if (!at.last) return PhaseResult::transient(e.what());
-      // Out of attempts: fall back to catalog-derived models. The
-      // relative heterogeneity (1/speed) survives; only the
-      // data-dependence of the slope is lost, which costs allocation
-      // quality, never correctness.
-      time_models.clear();
-      time_models.reserve(p);
-      for (std::size_t i = 0; i < p; ++i) {
-        estimator::NodeTimeModel m;
-        m.node_id = static_cast<std::uint32_t>(i);
-        m.fit.slope =
-            1.0 / cluster_.node(static_cast<std::uint32_t>(i)).speed;
-        m.fit.intercept = 0.0;
-        time_models.push_back(std::move(m));
-      }
-      return PhaseResult::degraded(
-          std::string("estimate: catalog fallback models: ") + e.what());
-    }
-    return PhaseResult::ok();
-  });
-
-  add_phase("forecast", PhaseKind::kForecast, {}, 1,
-            JobStatus::kDataUnavailable, [&](const PhaseAttempt&) {
-    for (std::size_t i = 0; i < p; ++i) {
-      dirty_rates[i] = energy_.dirty_rate(
-          cluster_.node(static_cast<std::uint32_t>(i)),
-          spec_.job_start_s, spec_.energy_window_s);
-    }
-    return PhaseResult::ok();
-  });
-
+  constexpr JobStatus kLost = JobStatus::kDataUnavailable;
+  add_phase("ingest", PhaseKind::kIngest, {}, retries, kLost,
+            [&](const PhaseAttempt& at) { return ingest(s, at); });
+  add_phase("stratify", PhaseKind::kStratify, {}, retries, kLost,
+            [&](const PhaseAttempt&) { return stratify(s); });
+  add_phase("estimate", PhaseKind::kEstimate, {"stratify"}, retries, kLost,
+            [&](const PhaseAttempt& at) { return estimate(s, at); });
+  add_phase("forecast", PhaseKind::kForecast, {}, 1, kLost,
+            [&](const PhaseAttempt&) { return forecast(s); });
   add_phase("optimize", PhaseKind::kOptimize, {"estimate", "forecast"}, 1,
-            JobStatus::kDataUnavailable, [&](const PhaseAttempt&) {
-    models_.clear();
-    models_.reserve(p);
-    for (const auto& tm : time_models) {
-      models_.push_back({.slope = tm.fit.slope,
-                         .intercept = tm.fit.intercept,
-                         .dirty_rate = dirty_rates[tm.node_id]});
-    }
-    summary.initial_sizes = plan_sizes(n);
-    return PhaseResult::ok();
-  });
-
+            kLost, [&](const PhaseAttempt&) { return optimize(s); });
   add_phase("partition", PhaseKind::kPartition,
-            {"ingest", "stratify", "optimize"}, retries,
-            JobStatus::kDataUnavailable, [&](const PhaseAttempt& at) {
-    // Recomputed every attempt (pure function of strata + sizes), so a
-    // retry after a mid-phase store crash restarts from a clean plan.
-    assignment =
-        spec_.strategy == core::Strategy::kRandom
-            ? partition::random_partitions(n, summary.initial_sizes)
-            : partition::make_partitions(*strata,
-                                         summary.initial_sizes,
-                                         workload.preferred_layout());
-    std::vector<std::vector<std::uint32_t>> unreadable(p);
-    std::vector<std::size_t> replica_pulled(p, 0);
-    std::vector<std::uint64_t> staging_failures(p, 0);
-    std::vector<cluster::NodeTask> tasks;
-    tasks.reserve(p);
-    for (std::size_t node = 0; node < p; ++node) {
-      tasks.push_back([&, node](cluster::NodeContext& ctx) {
-        const std::vector<std::uint32_t>& part = assignment->partitions[node];
-        std::vector<std::string> blobs(part.size());
-        std::vector<char> have(part.size(), 0);
-        if (!data_on_replicas) {
-          kvstore::Client& from_master = ctx.client(master_);
-          for (const std::uint32_t idx : part) {
-            from_master.enqueue({.type = kvstore::CommandType::kLIndex,
-                                 .key = "data",
-                                 .arg0 = static_cast<std::int64_t>(idx)});
-          }
-          const std::vector<kvstore::Reply> replies = from_master.drain();
-          const std::size_t m = std::min(replies.size(), part.size());
-          for (std::size_t i = 0; i < m; ++i) {
-            if (replies[i].status == kvstore::Status::kOk && replies[i].ok) {
-              blobs[i] = replies[i].blob;
-              have[i] = 1;
-            }
-          }
-        }
-        if (router_ != nullptr) {
-          // Replica walk for every record the master could not serve
-          // (or all of them when the canonical list never landed).
-          std::vector<std::string> keys;
-          std::vector<std::size_t> pos;
-          for (std::size_t i = 0; i < part.size(); ++i) {
-            if (have[i] == 0) {
-              keys.push_back(record_key(part[i]));
-              pos.push_back(i);
-            }
-          }
-          if (!keys.empty()) {
-            ha::Client replicated(
-                *router_, [&ctx](net::HostId target) -> kvstore::Client& {
-                  return ctx.client(target);
-                });
-            const std::vector<ha::ReadResult> results =
-                replicated.get_many(keys);
-            const std::size_t m = std::min(results.size(), pos.size());
-            for (std::size_t k = 0; k < m; ++k) {
-              const kvstore::Reply& r = results[k].reply;
-              if (r.status == kvstore::Status::kOk && r.ok) {
-                blobs[pos[k]] = r.blob;
-                have[pos[k]] = 1;
-                ++replica_pulled[node];
-              }
-            }
-          }
-        }
-        for (std::size_t i = 0; i < part.size(); ++i) {
-          if (have[i] == 0) unreadable[node].push_back(part[i]);
-        }
-        // Local staging: the partition list is the execution phase's
-        // wire-cost medium (records are processed from the in-memory
-        // dataset), so staging losses are tolerated and counted.
-        kvstore::Client& local = ctx.local();
-        const kvstore::Reply del = local.execute(
-            {.type = kvstore::CommandType::kDel,
-             .key = spec_.partition_key});
-        if (del.status != kvstore::Status::kOk) ++staging_failures[node];
-        for (std::size_t i = 0; i < part.size(); ++i) {
-          if (have[i] == 0) continue;
-          local.enqueue({.type = kvstore::CommandType::kRPush,
-                         .key = spec_.partition_key,
-                         .value = blobs[i]});
-        }
-        for (const kvstore::Reply& r : local.drain()) {
-          if (r.status != kvstore::Status::kOk) ++staging_failures[node];
-        }
-      });
-    }
-    cluster_.run_phase("load", tasks);
-    std::size_t missing_total = 0;
-    std::size_t pulled_total = 0;
-    for (std::size_t node = 0; node < p; ++node) {
-      summary.tolerated_kv_failures += staging_failures[node];
-      missing_total += unreadable[node].size();
-      pulled_total += replica_pulled[node];
-    }
-    if (missing_total == 0) {
-      if (pulled_total > 0 || data_on_replicas) {
-        summary.replica_rescued_records += pulled_total;
-        return PhaseResult::degraded(
-            "partition: " + std::to_string(pulled_total) +
-            " records re-pulled from replicas");
-      }
-      return PhaseResult::ok();
-    }
-    if (!at.last) {
-      // Per-attempt tallies are discarded on retry, so nothing is
-      // double-counted when the re-run succeeds.
-      return PhaseResult::transient(
-          "partition: " + std::to_string(missing_total) +
-          " records unreadable");
-    }
-    // Final attempt: drop what no live copy can serve and execute the
-    // rest — the honest alternative to failing the whole job.
-    summary.replica_rescued_records += pulled_total;
-    for (std::size_t node = 0; node < p; ++node) {
-      if (unreadable[node].empty()) continue;
-      auto& part = assignment->partitions[node];
-      const auto& gone = unreadable[node];
-      part.erase(std::remove_if(part.begin(), part.end(),
-                                [&](std::uint32_t idx) {
-                                  return std::find(gone.begin(), gone.end(),
-                                                   idx) != gone.end();
-                                }),
-                 part.end());
-    }
-    summary.records_dropped += missing_total;
-    return PhaseResult::data_unavailable(
-        "partition: dropped " + std::to_string(missing_total) +
-        " unreadable records");
-  });
+            {"ingest", "stratify", "optimize"}, retries, kLost,
+            [&](const PhaseAttempt& at) { return partition(s, at); });
+  add_phase("execute", PhaseKind::kExecute, {"partition"}, 1, kLost,
+            [&](const PhaseAttempt&) { return execute(s); });
+  add_phase("global", PhaseKind::kGlobal, {"execute"}, 1, JobStatus::kDegraded,
+            [&](const PhaseAttempt&) { return global(s); });
 
-  add_phase("execute", PhaseKind::kExecute, {"partition"}, 1,
-            JobStatus::kDataUnavailable, [&](const PhaseAttempt&) {
-    summary.setup_time_s = job_clock();
-    const double exec_base = job_clock();
-    workload.reset(p, barrier_master_);
-
-    std::size_t largest = 0;
-    for (const auto& part : assignment->partitions) {
-      largest = std::max(largest, part.size());
-    }
-    ExecutorOptions opts;
-    opts.chunk_records =
-        spec_.checkpoint_records > 0
-            ? spec_.checkpoint_records
-            : std::max<std::size_t>(1, (largest + 7) / 8);
-    opts.per_node_slowdown = spec_.per_node_slowdown;
-    opts.seed = spec_.seed;
-    opts.fault = cluster_.fault_injector();
-    opts.heartbeat_timeout_s = spec_.heartbeat_timeout_s;
-
-    // Per-node read cursor into the local partition list, so each
-    // chunk's payload fetch is network-costed like the monolithic
-    // execution's single lrange. The read is raw: a transport failure
-    // is a tolerated cost signal, not a reason to kill the chunk (the
-    // records themselves come from the in-memory dataset).
-    std::vector<std::size_t> cursor(p, 0);
-    PhaseExecutor executor(
-        cluster_, assignment->partitions,
-        [&](cluster::NodeContext& ctx,
-            std::span<const std::uint32_t> indices) {
-          const std::uint32_t id = ctx.node().id;
-          if (!indices.empty()) {
-            const kvstore::Reply r = ctx.local().execute(
-                {.type = kvstore::CommandType::kLRange,
-                 .key = spec_.partition_key,
-                 .arg0 = static_cast<std::int64_t>(cursor[id]),
-                 .arg1 = static_cast<std::int64_t>(cursor[id] +
-                                                   indices.size() - 1)});
-            if (r.status != kvstore::Status::kOk) {
-              ++summary.tolerated_kv_failures;
-            }
-            cursor[id] += indices.size();
-          }
-          workload.run(ctx, dataset, indices);
-        },
-        opts);
-
-    // Chunk spans need each node's previous clock value.
-    std::vector<double> last_time(p, 0.0);
-    std::vector<std::size_t> last_done(p, 0);
-    std::vector<char> lost(p, 0);  // nodes declared dead so far
-
-    // Move records to node `to`: the receiver pulls the canonical
-    // payloads (replica walk when replicated, data master otherwise)
-    // and appends them to its local partition list — the same path as
-    // the initial load, costed through the client over the Fabric —
-    // then the delivered records join its queue. Records no live copy
-    // can serve go back to the donor: conservation first (taken ==
-    // given), honesty second — on a dead donor they surface as
-    // `unprocessed`, which is exactly what kDataUnavailable means.
-    struct TransferOutcome {
-      double bytes = 0.0;
-      std::size_t delivered = 0;
-    };
-    const auto transfer = [&](std::vector<std::uint32_t> taken,
-                              std::uint32_t from, std::uint32_t to,
-                              const char* span_name) -> TransferOutcome {
-      std::sort(taken.begin(), taken.end());
-      cluster::NodeContext& ctx_to = executor.context(to);
-      kvstore::Client& local = ctx_to.local();
-      TransferOutcome out;
-      std::vector<std::uint32_t> delivered;
-      std::vector<std::uint32_t> undeliverable;
-      delivered.reserve(taken.size());
-      if (router_ != nullptr) {
-        // Replicated plane: pull each payload from whichever replica
-        // of its key is alive (batched to the acting primaries,
-        // falling back replica-by-replica).
-        ha::Client replicated(
-            *router_,
-            [&ctx_to](net::HostId target) -> kvstore::Client& {
-              return ctx_to.client(target);
-            });
-        std::vector<std::string> keys;
-        keys.reserve(taken.size());
-        for (const std::uint32_t idx : taken) {
-          keys.push_back(record_key(idx));
-        }
-        const std::vector<ha::ReadResult> results =
-            replicated.get_many(keys);
-        const std::size_t m = std::min(results.size(), taken.size());
-        for (std::size_t k = 0; k < m; ++k) {
-          const kvstore::Reply& r = results[k].reply;
-          if (r.status == kvstore::Status::kOk && r.ok) {
-            out.bytes += static_cast<double>(r.blob.size());
-            local.enqueue({.type = kvstore::CommandType::kRPush,
-                           .key = spec_.partition_key,
-                           .value = r.blob});
-            delivered.push_back(taken[k]);
-          } else {
-            undeliverable.push_back(taken[k]);
-          }
-        }
-        for (std::size_t k = m; k < taken.size(); ++k) {
-          undeliverable.push_back(taken[k]);
-        }
-      } else {
-        kvstore::Client& from_master = ctx_to.client(master_);
-        for (const std::uint32_t idx : taken) {
-          from_master.enqueue(
-              {.type = kvstore::CommandType::kLIndex,
-               .key = "data",
-               .arg0 = static_cast<std::int64_t>(idx)});
-        }
-        const std::vector<kvstore::Reply> replies = from_master.drain();
-        const std::size_t m = std::min(replies.size(), taken.size());
-        for (std::size_t k = 0; k < m; ++k) {
-          const kvstore::Reply& r = replies[k];
-          if (r.status == kvstore::Status::kOk && r.ok) {
-            out.bytes += static_cast<double>(r.blob.size());
-            local.enqueue({.type = kvstore::CommandType::kRPush,
-                           .key = spec_.partition_key,
-                           .value = r.blob});
-            delivered.push_back(taken[k]);
-          } else {
-            undeliverable.push_back(taken[k]);
-          }
-        }
-        for (std::size_t k = m; k < taken.size(); ++k) {
-          undeliverable.push_back(taken[k]);
-        }
-      }
-      for (const kvstore::Reply& r : local.drain()) {
-        if (r.status != kvstore::Status::kOk) {
-          ++summary.tolerated_kv_failures;
-        }
-      }
-      const double start = executor.node_time(to);
-      const double charged = executor.sync_network(to);
-      executor.give(to, delivered);
-      out.delivered = delivered.size();
-      if (!undeliverable.empty()) {
-        executor.give(from, undeliverable);
-        trace_.add_instant(
-            "transfer-unreadable", "fault", to, exec_base + start,
-            {{"records", static_cast<double>(undeliverable.size())},
-             {"from", static_cast<double>(from)}});
-      }
-      trace_.add_span(span_name, "replan", to, exec_base + start,
-                      charged,
-                      {{"records", static_cast<double>(delivered.size())},
-                       {"from", static_cast<double>(from)},
-                       {"bytes", out.bytes}});
-      return out;
-    };
-
-    executor.set_checkpoint([&](std::uint32_t node) {
-      const double now = executor.node_time(node);
-      const NodeProgress& prog = executor.progress(node);
-      trace_.add_span(
-          "chunk", "exec", node, exec_base + last_time[node],
-          now - last_time[node],
-          {{"records",
-            static_cast<double>(prog.records_done - last_done[node])},
-           {"done", static_cast<double>(prog.records_done)}});
-      last_time[node] = now;
-      last_done[node] = prog.records_done;
-      trace_.add_counter("records_remaining",
-                         TraceRecorder::kRuntimeLane, exec_base + now,
-                         static_cast<double>(executor.total_remaining()));
-
-      const double replan_alpha =
-          spec_.strategy == core::Strategy::kHetEnergyAware
-              ? spec_.alpha
-              : 1.0;
-
-      // ---- node-loss detection (degraded mode) --------------
-      // Runs before any straggler gate: reclaiming a dead
-      // node's partition is correctness, not optimization.
-      const fault::FaultInjector* inj = cluster_.fault_injector();
-      if (inj != nullptr && inj->enabled() && p >= 2) {
-        for (std::uint32_t d = 0; d < p; ++d) {
-          if (lost[d] != 0 || d == node) continue;
-          if (executor.remaining(d) == 0) continue;
-          if (now - executor.heartbeat(d) <=
-              executor.heartbeat_timeout(node)) {
-            continue;
-          }
-          // `d` holds queued records but has shown no sign of
-          // life for longer than a live node possibly could:
-          // declare it lost and redistribute its in-flight
-          // partition over the survivors.
-          lost[d] = 1;
-          summary.degraded = true;
-          summary.nodes_lost.push_back(d);
-          trace_.add_instant(
-              "node-lost", "fault", d, exec_base + now,
-              {{"heartbeat", executor.heartbeat(d)},
-               {"timeout", executor.heartbeat_timeout(node)}});
-          if (router_ != nullptr) {
-            // Re-home the dead node's shards; reads via the
-            // router now skip it, and a seeded election picks
-            // the successor fronting its arcs.
-            const ha::ElectionRecord rec =
-                router_->mark_down(d, now);
-            trace_.add_instant(
-                "election", "fault", d, exec_base + now,
-                {{"promoted", static_cast<double>(rec.promoted)},
-                 {"term", static_cast<double>(rec.term)}});
-          } else if (d == master_) {
-            // Single-master plane and the master is gone: the
-            // canonical record copies are unreachable. The old
-            // runtime threw here; instead finish the survivors'
-            // work and report the typed outcome — the dead
-            // node's queued records are unrecoverable.
-            summary.status = JobStatus::kDataUnavailable;
-            // Leave the queue untouched: the executor reports
-            // the stranded records as `unprocessed`, which is
-            // the honest accounting of what was lost.
-            trace_.add_instant(
-                "data-unavailable", "fault", d, exec_base + now,
-                {{"records",
-                  static_cast<double>(executor.remaining(d))}});
-            continue;
-          }
-          std::vector<std::uint32_t> orphans = executor.take_all(d);
-          std::vector<std::uint32_t> surv;
-          for (std::uint32_t i = 0; i < p; ++i) {
-            if (lost[i] == 0) surv.push_back(i);
-          }
-          // At least `node` is alive, so surv is never empty.
-          std::vector<optimize::NodeModel> surv_models(surv.size());
-          std::vector<NodeObservation> surv_obs(surv.size());
-          for (std::size_t k = 0; k < surv.size(); ++k) {
-            const std::uint32_t id = surv[k];
-            surv_models[k] = models_[id];
-            surv_obs[k] =
-                NodeObservation{executor.progress(id).records_done,
-                                executor.progress(id).busy_s(),
-                                executor.remaining(id)};
-          }
-          const std::vector<optimize::NodeModel> refit =
-              refit_models(surv_models, surv_obs,
-                           spec_.straggler.min_observed_records);
-          // Granularity floor: never hand a survivor less than
-          // one chunk of orphans. Sub-chunk slivers are poison
-          // for support-threshold workloads (SON over a
-          // handful of records admits nearly every candidate),
-          // so cap the recipient count and keep the survivors
-          // the LP rates highest (ties to the lower id).
-          std::vector<std::size_t> recipients(surv.size());
-          std::iota(recipients.begin(), recipients.end(),
-                    std::size_t{0});
-          const std::size_t max_recipients = std::min(
-              surv.size(),
-              std::max<std::size_t>(
-                  1, orphans.size() / opts.chunk_records));
-          std::vector<std::size_t> shares;
-          if (max_recipients < surv.size()) {
-            const std::vector<std::size_t> probe =
-                optimize::solve_partition_sizes(
-                    refit, orphans.size(), replan_alpha)
-                    .sizes;
-            std::stable_sort(recipients.begin(), recipients.end(),
-                             [&](std::size_t a, std::size_t b) {
-                               return probe[a] > probe[b];
-                             });
-            recipients.resize(max_recipients);
-            std::sort(recipients.begin(), recipients.end());
-            std::vector<optimize::NodeModel> kept(max_recipients);
-            for (std::size_t k = 0; k < max_recipients; ++k) {
-              kept[k] = refit[recipients[k]];
-            }
-            shares = optimize::solve_partition_sizes(
-                         kept, orphans.size(), replan_alpha)
-                         .sizes;
-          } else {
-            shares = optimize::solve_partition_sizes(
-                         refit, orphans.size(), replan_alpha)
-                         .sizes;
-          }
-          std::size_t off = 0;
-          for (std::size_t k = 0; k < recipients.size(); ++k) {
-            // Last recipient absorbs any rounding remainder so
-            // every orphan lands somewhere.
-            const std::size_t cnt =
-                k + 1 == recipients.size()
-                    ? orphans.size() - off
-                    : std::min(shares[k], orphans.size() - off);
-            if (cnt == 0) continue;
-            std::vector<std::uint32_t> slice(
-                orphans.begin() + static_cast<std::ptrdiff_t>(off),
-                orphans.begin() +
-                    static_cast<std::ptrdiff_t>(off + cnt));
-            off += cnt;
-            const TransferOutcome tr = transfer(
-                std::move(slice), d, surv[recipients[k]], "rescue");
-            summary.replanned_bytes += tr.bytes;
-            summary.replanned_records += tr.delivered;
-            if (router_ != nullptr) {
-              summary.replica_rescued_records += tr.delivered;
-            }
-          }
-          ++summary.node_loss_replans;
-        }
-      }
-
-      if (!spec_.enable_replan || p < 2) return;
-      if (summary.replans >= spec_.straggler.max_replans) return;
-      const std::size_t total_rem = executor.total_remaining();
-      if (total_rem == 0) return;
-      if (static_cast<double>(total_rem) <
-          spec_.straggler.min_remaining_fraction *
-              static_cast<double>(n)) {
-        return;
-      }
-      // Straggler machinery runs over survivors only: a lost
-      // node must never be detected as a straggler, donate, or
-      // receive migrated work. With no losses `surv` is the
-      // identity and the computation is unchanged.
-      std::vector<std::uint32_t> surv;
-      for (std::uint32_t i = 0; i < p; ++i) {
-        if (lost[i] == 0) surv.push_back(i);
-      }
-      if (surv.size() < 2) return;
-      std::vector<optimize::NodeModel> surv_models(surv.size());
-      std::vector<NodeObservation> obs(surv.size());
-      for (std::size_t k = 0; k < surv.size(); ++k) {
-        const std::uint32_t id = surv[k];
-        surv_models[k] = models_[id];
-        obs[k] = NodeObservation{executor.progress(id).records_done,
-                                 executor.progress(id).busy_s(),
-                                 executor.remaining(id)};
-      }
-      const std::vector<std::uint32_t> stragglers =
-          detect_stragglers(surv_models, obs, spec_.straggler);
-      if (stragglers.empty()) return;
-
-      ++summary.replans;
-      summary.stragglers_detected += stragglers.size();
-      const std::vector<double> observed = observed_slopes(
-          surv_models, obs, spec_.straggler.min_observed_records);
-      for (const std::uint32_t s : stragglers) {
-        trace_.add_instant("straggler", "replan", surv[s],
-                           exec_base + executor.node_time(surv[s]),
-                           {{"observed_slope", observed[s]},
-                            {"model_slope", surv_models[s].slope}});
-      }
-
-      const std::vector<optimize::NodeModel> refit = refit_models(
-          surv_models, obs, spec_.straggler.min_observed_records);
-      const std::vector<std::size_t> target =
-          replan_remaining(refit, obs, replan_alpha);
-      std::vector<std::size_t> current(surv.size());
-      for (std::size_t k = 0; k < surv.size(); ++k) {
-        current[k] = executor.remaining(surv[k]);
-      }
-      const std::vector<MigrationStep> steps =
-          plan_migrations(current, target);
-
-      std::size_t moved_records = 0;
-      // Steps smaller than half a chunk can't shorten the
-      // straggler's tail by more than half a chunk's compute,
-      // but they would land as degenerate sub-chunk work on
-      // the receiver. Not worth the fabric round trip.
-      const std::size_t min_step =
-          std::max<std::size_t>(1, opts.chunk_records / 2);
-      for (const MigrationStep& step : steps) {
-        if (step.count < min_step) continue;
-        const std::uint32_t from = surv[step.from];
-        const std::uint32_t to = surv[step.to];
-        std::vector<std::uint32_t> taken =
-            executor.take_from_tail(from, step.count);
-        if (taken.empty()) continue;
-        const TransferOutcome tr =
-            transfer(std::move(taken), from, to, "migrate");
-        summary.migrated_bytes += tr.bytes;
-        summary.migrated_records += tr.delivered;
-        ++summary.migration_steps;
-        moved_records += tr.delivered;
-      }
-      // Adopt the refit models (survivor entries only) so
-      // detection re-baselines and a node is only re-flagged
-      // if it deviates *again*.
-      for (std::size_t k = 0; k < surv.size(); ++k) {
-        models_[surv[k]] = refit[k];
-      }
-      trace_.add_instant(
-          "replan", "replan", TraceRecorder::kRuntimeLane,
-          exec_base + now,
-          {{"stragglers", static_cast<double>(stragglers.size())},
-           {"moved_records", static_cast<double>(moved_records)}});
-    });
-
-    const ExecutorReport report = executor.run();
-    exec_extra += report.makespan_s;
-    summary.makespan_s += report.makespan_s;
-    summary.total_work_units += report.total_work_units();
-    summary.processed.resize(p);
-    std::size_t processed_total = 0;
-    for (std::size_t i = 0; i < p; ++i) {
-      busy[i] += report.per_node[i].busy_s();
-      summary.processed[i] = report.per_node[i].records_done;
-      processed_total += report.per_node[i].records_done;
-    }
-    // Extended no-work-lost audit: every ingested record is processed,
-    // stranded on a declared-dead node, or explicitly dropped by the
-    // partition phase — nothing disappears silently, even across
-    // phase retries and partial re-execution.
-    HETSIM_CHECK_EQ(
-        processed_total + report.unprocessed + summary.records_dropped, n);
-    if (report.unprocessed > 0) {
-      // Records stranded on dead nodes with no surviving copy to
-      // rescue them from. The old runtime threw here; the typed
-      // outcome states exactly what was lost.
-      return PhaseResult::data_unavailable(
-          "execute: " + std::to_string(report.unprocessed) +
-          " records stranded on lost nodes");
-    }
-    return PhaseResult::ok();
-  });
-
-  add_phase("global", PhaseKind::kGlobal, {"execute"}, 1,
-            JobStatus::kDegraded, [&](const PhaseAttempt&) {
-    const std::vector<cluster::NodeTask> tasks =
-        workload.make_global_tasks(dataset, *assignment);
-    if (tasks.empty()) return PhaseResult::ok();
-    common::require<common::ConfigError>(
-        tasks.size() == p, "JobRuntime: global phase arity mismatch");
-    const cluster::PhaseReport report =
-        cluster_.run_phase("global", tasks);
-    summary.makespan_s += report.makespan_s();
-    for (const auto& r : report.per_node) {
-      busy[r.node_id] += r.total_time_s();
-      summary.total_work_units += r.work_units;
-    }
-    return PhaseResult::ok();
-  });
-
-  const DagReport dag_report = dag.run(trace_, job_clock);
+  const DagReport dag_report = dag.run(trace_, [&] { return s.clock(); });
   summary.phase_retries = dag_report.phase_retries;
   summary.failed_phase = dag_report.failed_phase;
   summary.failure_detail = dag_report.failure_detail;
   summary.status = worse_job_status(summary.status, dag_report.status);
 
-  for (std::size_t node = 0; node < p; ++node) {
-    if (busy[node] <= 0.0) continue;
-    const cluster::NodeSpec& node_spec =
-        cluster_.node(static_cast<std::uint32_t>(node));
-    const double dirty = energy_.dirty_energy_joules(
-        node_spec, spec_.job_start_s, busy[node]);
-    summary.dirty_energy_j += dirty;
-    summary.green_energy_j += node_spec.power_watts * busy[node] - dirty;
-  }
+  summary.makespan_s = s.tally.makespan_s;
+  summary.total_work_units = s.tally.work_units;
+  core::split_energy(cluster_, energy_, s.tally.busy_s, summary.dirty_energy_j,
+                     summary.green_energy_j);
   summary.quality = workload.quality();
   const net::RetryStats kv_after = cluster_.fabric().retry_stats();
   summary.kv_retries = kv_after.retries - kv_before.retries;
@@ -1054,7 +326,570 @@ JobSummary JobRuntime::run(const data::Dataset& dataset,
   if (summary.status != JobStatus::kDataUnavailable) {
     verify_no_work_lost(summary);
   }
+  // The master lists this job appended to. (Partition lists are reset by
+  // the next job's partition phase; replica keys are overwritten.)
+  std::vector<std::string> keys = core::sketch_keys(p);
+  keys.emplace_back(core::kDataKey);
+  core::discard_keys(cluster_, master_, keys);
   return summary;
+}
+
+PhaseResult JobRuntime::ingest(JobState& s, const PhaseAttempt& at) {
+  PhaseResult result = PhaseResult::ok();
+  cluster_.run_on("ingest", master_, [&](cluster::NodeContext& ctx) {
+    kvstore::Client& local = ctx.local();
+    bool master_ok = true;
+    bool push_to_master = true;
+    if (at.attempt > 0) {
+      // RPush is not idempotent: re-ingesting onto the remnant of a
+      // failed attempt would shift every list index — and would break
+      // the LLen completeness proof below (a remnant plus a partial
+      // re-push could fake llen == n). Clear the canonical list
+      // first; if even the Del cannot land, the master copy is
+      // forfeit for this attempt.
+      const kvstore::Reply del = local.execute(
+          {.type = kvstore::CommandType::kDel, .key = core::kDataKey});
+      if (del.status != kvstore::Status::kOk) {
+        if (!at.last || router_ == nullptr) {
+          result = PhaseResult::transient("ingest: data master unreachable");
+          return;
+        }
+        // Last attempt with a replicated plane: skip the master and
+        // let the replica copies carry the job.
+        push_to_master = false;
+        master_ok = false;
+      }
+    }
+    if (push_to_master) {
+      for (const data::Record& r : s.dataset.records) {
+        local.enqueue({.type = kvstore::CommandType::kRPush,
+                       .key = core::kDataKey,
+                       .value = r.payload});
+      }
+      std::uint64_t push_failures = 0;
+      for (const kvstore::Reply& r : local.drain()) {
+        if (r.status != kvstore::Status::kOk) ++push_failures;
+      }
+      master_ok = push_failures == 0;
+      if (!master_ok) {
+        // Non-kOk pushes are ambiguous (a timed-out RPush may have
+        // landed). The list is canonical only if it is provably
+        // complete AND in order; pipelined pushes apply in enqueue
+        // order and are never retried on timeout, so LLen == n means
+        // every push landed exactly once. Probed only on failure, so
+        // the fault-free wire cost is unchanged.
+        const kvstore::Reply len = local.execute(
+            {.type = kvstore::CommandType::kLLen, .key = core::kDataKey});
+        master_ok = len.status == kvstore::Status::kOk &&
+                    len.integer == static_cast<std::int64_t>(s.n);
+        if (master_ok) s.summary.tolerated_kv_failures += push_failures;
+      }
+    }
+    if (router_ == nullptr) {
+      // Single-master plane: the list either landed or the phase
+      // burns an attempt (the DAG exhausts to kDataUnavailable —
+      // there is nothing to fall back to).
+      if (!master_ok) {
+        result = PhaseResult::transient(
+            "ingest: canonical data list incomplete on master");
+      }
+      return;
+    }
+    // Replicated copies: one keyed record per replica, fanned out
+    // through the shard router (pipelined per target). kSet is
+    // idempotent, so attempt re-runs are safe.
+    ha::Client replicated(*router_,
+                          [&ctx](net::HostId target) -> kvstore::Client& {
+                            return ctx.client(target);
+                          });
+    std::vector<std::pair<std::string, std::string>> pairs;
+    pairs.reserve(s.n);
+    for (std::uint32_t i = 0; i < s.n; ++i) {
+      pairs.emplace_back(record_key(i), s.dataset.records[i].payload);
+    }
+    std::size_t zero_ack = 0;
+    std::size_t under_replicated = 0;
+    for (const ha::WriteResult& res : replicated.put_many(pairs)) {
+      s.summary.replica_writes += res.acked;
+      if (res.status != kvstore::Status::kOk) {
+        ++zero_ack;
+      } else if (res.acked < res.routed) {
+        ++under_replicated;
+      }
+    }
+    if (master_ok) {
+      if (zero_ack > 0 || under_replicated > 0) {
+        // The master holds the canonical copy of every record;
+        // missing replica copies are write divergence for the
+        // anti-entropy repair pass, not a job failure.
+        s.summary.tolerated_kv_failures += zero_ack + under_replicated;
+        result = PhaseResult::degraded(
+            "ingest: " + std::to_string(zero_ack + under_replicated) +
+            " records under-replicated");
+      }
+      return;
+    }
+    if (!at.last) {
+      result = PhaseResult::transient(
+          "ingest: canonical data list incomplete on master");
+      return;
+    }
+    // Out of attempts with no canonical list: serve the job from the
+    // replica copies. Records that also failed every replica write
+    // surface in the partition phase, which drops exactly those.
+    s.data_on_replicas = true;
+    result = PhaseResult::degraded(
+        "ingest: master list unavailable, serving from replicas");
+  });
+  return result;
+}
+
+PhaseResult JobRuntime::stratify(JobState& s) {
+  core::StratifyResult r = core::stratify_on_master(
+      cluster_, master_, s.dataset, spec_.sketch, spec_.kmodes);
+  s.summary.tolerated_kv_failures += r.tolerated_kv_failures;
+  s.strata = std::move(r.strata);
+  return PhaseResult::ok();
+}
+
+PhaseResult JobRuntime::estimate(JobState& s, const PhaseAttempt& at) {
+  const estimator::SampleRunner runner =
+      [&s](cluster::NodeContext& ctx, std::span<const std::uint32_t> indices) {
+        s.workload.run(ctx, s.dataset, indices);
+      };
+  try {
+    s.time_models = estimator::estimate_time_models(cluster_, *s.strata,
+                                                    runner, spec_.sampling);
+  } catch (const common::Error& e) {
+    if (!at.last) return PhaseResult::transient(e.what());
+    // Out of attempts: fall back to catalog-derived models. The
+    // relative heterogeneity (1/speed) survives; only the
+    // data-dependence of the slope is lost, which costs allocation
+    // quality, never correctness.
+    s.time_models.clear();
+    for (std::uint32_t i = 0; i < s.p; ++i) {
+      s.time_models.push_back(
+          {.node_id = i, .fit = {.slope = 1.0 / cluster_.node(i).speed}});
+    }
+    return PhaseResult::degraded(
+        std::string("estimate: catalog fallback models: ") + e.what());
+  }
+  return PhaseResult::ok();
+}
+
+PhaseResult JobRuntime::forecast(JobState& s) {
+  s.dirty_rates = core::forecast_dirty_rates(cluster_, energy_);
+  return PhaseResult::ok();
+}
+
+PhaseResult JobRuntime::optimize(JobState& s) {
+  models_ = core::make_node_models(s.time_models, s.dirty_rates);
+  s.summary.initial_sizes =
+      core::plan_sizes(spec_.strategy, models_, s.n, spec_.alpha,
+                       spec_.normalized_alpha, replica_cost_);
+  return PhaseResult::ok();
+}
+
+PhaseResult JobRuntime::partition(JobState& s, const PhaseAttempt& at) {
+  // Recomputed every attempt (pure function of strata + sizes), so a
+  // retry after a mid-phase store crash restarts from a clean plan.
+  s.assignment =
+      core::assign_partitions(spec_.strategy, *s.strata,
+                              s.summary.initial_sizes,
+                              s.workload.preferred_layout());
+  const std::size_t p = s.p;
+  std::vector<std::vector<std::uint32_t>> unreadable(p);
+  std::size_t missing_total = 0;
+  std::size_t pulled_total = 0;
+  std::vector<cluster::NodeTask> tasks;
+  tasks.reserve(p);
+  for (std::size_t node = 0; node < p; ++node) {
+    tasks.push_back([&, node](cluster::NodeContext& ctx) {
+      const std::vector<std::uint32_t>& part = s.assignment->partitions[node];
+      // The master unless its list never landed, then the replica walk.
+      Fetched got = fetch_records(
+          ctx, part,
+          s.data_on_replicas ? std::nullopt : std::optional(master_),
+          router_.get());
+      pulled_total += got.from_replicas;
+      for (std::size_t i = 0; i < part.size(); ++i) {
+        if (!got.blobs[i]) unreadable[node].push_back(part[i]);
+      }
+      missing_total += unreadable[node].size();
+      // Local staging: the partition list is the execution phase's
+      // wire-cost medium (records are processed from the in-memory
+      // dataset), so staging losses are tolerated and counted.
+      kvstore::Client& local = ctx.local();
+      const kvstore::Reply del = local.execute(
+          {.type = kvstore::CommandType::kDel, .key = core::kPartitionKey});
+      if (del.status != kvstore::Status::kOk) ++s.summary.tolerated_kv_failures;
+      for (std::size_t i = 0; i < part.size(); ++i) {
+        if (!got.blobs[i]) continue;
+        local.enqueue({.type = kvstore::CommandType::kRPush,
+                       .key = core::kPartitionKey,
+                       .value = std::move(*got.blobs[i])});
+      }
+      for (const kvstore::Reply& r : local.drain()) {
+        if (r.status != kvstore::Status::kOk) ++s.summary.tolerated_kv_failures;
+      }
+    });
+  }
+  cluster_.run_phase("load", tasks);
+  if (missing_total == 0) {
+    if (pulled_total > 0 || s.data_on_replicas) {
+      s.summary.replica_rescued_records += pulled_total;
+      return PhaseResult::degraded("partition: " +
+                                   std::to_string(pulled_total) +
+                                   " records re-pulled from replicas");
+    }
+    return PhaseResult::ok();
+  }
+  if (!at.last) {
+    // Per-attempt tallies are discarded on retry, so nothing is
+    // double-counted when the re-run succeeds.
+    return PhaseResult::transient("partition: " +
+                                  std::to_string(missing_total) +
+                                  " records unreadable");
+  }
+  // Final attempt: drop what no live copy can serve and execute the
+  // rest — the honest alternative to failing the whole job.
+  s.summary.replica_rescued_records += pulled_total;
+  for (std::size_t node = 0; node < p; ++node) {
+    const auto& gone = unreadable[node];
+    std::erase_if(s.assignment->partitions[node], [&](std::uint32_t idx) {
+      return std::find(gone.begin(), gone.end(), idx) != gone.end();
+    });
+  }
+  s.summary.records_dropped += missing_total;
+  return PhaseResult::data_unavailable("partition: dropped " +
+                                       std::to_string(missing_total) +
+                                       " unreadable records");
+}
+
+PhaseResult JobRuntime::execute(JobState& s) {
+  const std::size_t p = s.p;
+  s.summary.setup_time_s = s.clock();
+  s.exec_base = s.clock();
+  s.workload.reset(p, barrier_master_);
+
+  std::size_t largest = 0;
+  for (const auto& part : s.assignment->partitions) {
+    largest = std::max(largest, part.size());
+  }
+  const ExecutorOptions opts{
+      .chunk_records = spec_.checkpoint_records > 0
+                           ? spec_.checkpoint_records
+                           : std::max<std::size_t>(1, (largest + 7) / 8),
+      .per_node_slowdown = spec_.per_node_slowdown,
+      .seed = spec_.seed,
+      .fault = cluster_.fault_injector(),
+      .heartbeat_timeout_s = spec_.heartbeat_timeout_s};
+
+  // Per-node read cursor into the local partition list, so each
+  // chunk's payload fetch is network-costed like the monolithic
+  // execution's single lrange. The read is raw: a transport failure
+  // is a tolerated cost signal, not a reason to kill the chunk (the
+  // records themselves come from the in-memory dataset).
+  std::vector<std::size_t> cursor(p, 0);
+  PhaseExecutor executor(
+      cluster_, s.assignment->partitions,
+      [&](cluster::NodeContext& ctx, std::span<const std::uint32_t> indices) {
+        const std::uint32_t id = ctx.node().id;
+        if (!indices.empty()) {
+          const kvstore::Reply r = ctx.local().execute(
+              {.type = kvstore::CommandType::kLRange,
+               .key = core::kPartitionKey,
+               .arg0 = static_cast<std::int64_t>(cursor[id]),
+               .arg1 = static_cast<std::int64_t>(cursor[id] +
+                                                 indices.size() - 1)});
+          if (r.status != kvstore::Status::kOk) {
+            ++s.summary.tolerated_kv_failures;
+          }
+          cursor[id] += indices.size();
+        }
+        s.workload.run(ctx, s.dataset, indices);
+      },
+      opts);
+  s.executor = &executor;
+  s.chunk_records = opts.chunk_records;
+  s.replan_alpha =
+      spec_.strategy == core::Strategy::kHetEnergyAware ? spec_.alpha : 1.0;
+  s.lost.assign(p, 0);
+  // Chunk spans need each node's previous clock value.
+  std::vector<double> last_time(p, 0.0);
+  std::vector<std::size_t> last_done(p, 0);
+  executor.set_checkpoint([&](std::uint32_t node) {
+    const double now = executor.node_time(node);
+    const NodeProgress& prog = executor.progress(node);
+    trace_.add_span(
+        "chunk", "exec", node, s.exec_base + last_time[node],
+        now - last_time[node],
+        {{"records",
+          static_cast<double>(prog.records_done - last_done[node])},
+         {"done", static_cast<double>(prog.records_done)}});
+    last_time[node] = now;
+    last_done[node] = prog.records_done;
+    trace_.add_counter("records_remaining", TraceRecorder::kRuntimeLane,
+                       s.exec_base + now,
+                       static_cast<double>(executor.total_remaining()));
+    // Node loss first: reclaiming a dead node's partition is
+    // correctness, not optimization, so no straggler gate applies.
+    reclaim_lost_nodes(s, node, now);
+    rebalance_stragglers(s, now);
+  });
+
+  const ExecutorReport report = executor.run();
+  s.executor = nullptr;
+  s.exec_extra += report.makespan_s;
+  s.tally.makespan_s += report.makespan_s;
+  s.tally.work_units += report.total_work_units();
+  s.summary.processed.resize(p);
+  std::size_t processed_total = 0;
+  for (std::size_t i = 0; i < p; ++i) {
+    s.tally.busy_s[i] += report.per_node[i].busy_s();
+    s.summary.processed[i] = report.per_node[i].records_done;
+    processed_total += report.per_node[i].records_done;
+  }
+  // Extended no-work-lost audit: every ingested record is processed,
+  // stranded on a declared-dead node, or explicitly dropped by the
+  // partition phase — nothing disappears silently, even across
+  // phase retries and partial re-execution.
+  HETSIM_CHECK_EQ(
+      processed_total + report.unprocessed + s.summary.records_dropped, s.n);
+  if (report.unprocessed > 0) {
+    // Records stranded on dead nodes with no surviving copy to
+    // rescue them from. The old runtime threw here; the typed
+    // outcome states exactly what was lost.
+    return PhaseResult::data_unavailable(
+        "execute: " + std::to_string(report.unprocessed) +
+        " records stranded on lost nodes");
+  }
+  return PhaseResult::ok();
+}
+
+PhaseResult JobRuntime::global(JobState& s) {
+  core::run_global_phase(cluster_, s.workload, s.dataset, *s.assignment,
+                         s.tally);
+  return PhaseResult::ok();
+}
+
+void JobRuntime::reclaim_lost_nodes(JobState& s, std::uint32_t node,
+                                    double now) {
+  const fault::FaultInjector* inj = cluster_.fault_injector();
+  if (inj == nullptr || !inj->enabled() || s.p < 2) return;
+  PhaseExecutor& executor = *s.executor;
+  JobSummary& summary = s.summary;
+  for (std::uint32_t d = 0; d < s.p; ++d) {
+    if (s.lost[d] != 0 || d == node || executor.remaining(d) == 0 ||
+        now - executor.heartbeat(d) <= executor.heartbeat_timeout(node)) {
+      continue;
+    }
+    // `d` holds queued records but has shown no sign of life for
+    // longer than a live node possibly could: declare it lost and
+    // redistribute its in-flight partition over the survivors.
+    s.lost[d] = 1;
+    summary.degraded = true;
+    summary.nodes_lost.push_back(d);
+    trace_.add_instant("node-lost", "fault", d, s.exec_base + now,
+                       {{"heartbeat", executor.heartbeat(d)},
+                        {"timeout", executor.heartbeat_timeout(node)}});
+    if (router_ != nullptr) {
+      // Re-home the dead node's shards; reads via the router now skip
+      // it, and a seeded election picks the successor fronting its arcs.
+      const ha::ElectionRecord rec = router_->mark_down(d, now);
+      trace_.add_instant("election", "fault", d, s.exec_base + now,
+                         {{"promoted", static_cast<double>(rec.promoted)},
+                          {"term", static_cast<double>(rec.term)}});
+    } else if (d == master_) {
+      // Single-master plane and the master is gone: the canonical
+      // record copies are unreachable. Finish the survivors' work and
+      // report the typed outcome. The queue stays untouched, so the
+      // executor reports the stranded records as `unprocessed` — the
+      // honest accounting of what was lost.
+      summary.status = JobStatus::kDataUnavailable;
+      trace_.add_instant(
+          "data-unavailable", "fault", d, s.exec_base + now,
+          {{"records", static_cast<double>(executor.remaining(d))}});
+      continue;
+    }
+    std::vector<std::uint32_t> orphans = executor.take_all(d);
+    // At least `node` is alive, so there is always a survivor.
+    const Survivors surv = survivors(executor, s.lost, models_);
+    const std::vector<optimize::NodeModel> refit = refit_models(
+        surv.models, surv.obs, spec_.straggler.min_observed_records);
+    // Granularity floor: never hand a survivor less than one chunk of
+    // orphans. Sub-chunk slivers are poison for support-threshold
+    // workloads (SON over a handful of records admits nearly every
+    // candidate), so cap the recipient count and keep the survivors
+    // the LP rates highest (ties to the lower id).
+    std::vector<std::size_t> recipients(surv.ids.size());
+    std::iota(recipients.begin(), recipients.end(), std::size_t{0});
+    const std::size_t max_recipients = std::min(
+        surv.ids.size(),
+        std::max<std::size_t>(1, orphans.size() / s.chunk_records));
+    std::vector<optimize::NodeModel> kept = refit;
+    if (max_recipients < surv.ids.size()) {
+      const std::vector<std::size_t> probe =
+          optimize::solve_partition_sizes(refit, orphans.size(),
+                                          s.replan_alpha)
+              .sizes;
+      std::stable_sort(recipients.begin(), recipients.end(),
+                       [&](std::size_t a, std::size_t b) {
+                         return probe[a] > probe[b];
+                       });
+      recipients.resize(max_recipients);
+      std::sort(recipients.begin(), recipients.end());
+      kept.resize(max_recipients);
+      for (std::size_t k = 0; k < max_recipients; ++k) {
+        kept[k] = refit[recipients[k]];
+      }
+    }
+    const std::vector<std::size_t> shares =
+        optimize::solve_partition_sizes(kept, orphans.size(), s.replan_alpha)
+            .sizes;
+    std::size_t off = 0;
+    for (std::size_t k = 0; k < recipients.size(); ++k) {
+      // Last recipient absorbs any rounding remainder so every orphan
+      // lands somewhere.
+      const std::size_t cnt = k + 1 == recipients.size()
+                                  ? orphans.size() - off
+                                  : std::min(shares[k], orphans.size() - off);
+      if (cnt == 0) continue;
+      std::vector<std::uint32_t> slice(
+          orphans.begin() + static_cast<std::ptrdiff_t>(off),
+          orphans.begin() + static_cast<std::ptrdiff_t>(off + cnt));
+      off += cnt;
+      const std::size_t delivered =
+          transfer(s, std::move(slice), d, surv.ids[recipients[k]], "rescue",
+                   summary.replanned_bytes);
+      summary.replanned_records += delivered;
+      if (router_ != nullptr) summary.replica_rescued_records += delivered;
+    }
+    ++summary.node_loss_replans;
+  }
+}
+
+void JobRuntime::rebalance_stragglers(JobState& s, double now) {
+  PhaseExecutor& executor = *s.executor;
+  JobSummary& summary = s.summary;
+  if (!spec_.enable_replan || s.p < 2) return;
+  if (summary.replans >= spec_.straggler.max_replans) return;
+  const std::size_t total_rem = executor.total_remaining();
+  if (total_rem == 0 ||
+      static_cast<double>(total_rem) <
+          spec_.straggler.min_remaining_fraction * static_cast<double>(s.n)) {
+    return;
+  }
+  // Straggler machinery runs over survivors only: a lost node must
+  // never be detected as a straggler, donate, or receive migrated
+  // work. With no losses the survivors are every node and the
+  // computation is unchanged.
+  const Survivors surv = survivors(executor, s.lost, models_);
+  if (surv.ids.size() < 2) return;
+  const std::vector<std::uint32_t> stragglers =
+      detect_stragglers(surv.models, surv.obs, spec_.straggler);
+  if (stragglers.empty()) return;
+
+  ++summary.replans;
+  summary.stragglers_detected += stragglers.size();
+  const std::vector<double> observed = observed_slopes(
+      surv.models, surv.obs, spec_.straggler.min_observed_records);
+  for (const std::uint32_t k : stragglers) {
+    trace_.add_instant("straggler", "replan", surv.ids[k],
+                       s.exec_base + executor.node_time(surv.ids[k]),
+                       {{"observed_slope", observed[k]},
+                        {"model_slope", surv.models[k].slope}});
+  }
+
+  const std::vector<optimize::NodeModel> refit = refit_models(
+      surv.models, surv.obs, spec_.straggler.min_observed_records);
+  const std::vector<std::size_t> target =
+      replan_remaining(refit, surv.obs, s.replan_alpha);
+  std::vector<std::size_t> current;
+  for (const NodeObservation& o : surv.obs) current.push_back(o.remaining);
+  std::size_t moved_records = 0;
+  // Steps smaller than half a chunk can't shorten the straggler's tail
+  // by more than half a chunk's compute, but they would land as
+  // degenerate sub-chunk work on the receiver. Not worth the fabric
+  // round trip.
+  const std::size_t min_step = std::max<std::size_t>(1, s.chunk_records / 2);
+  for (const MigrationStep& step : plan_migrations(current, target)) {
+    if (step.count < min_step) continue;
+    const std::uint32_t from = surv.ids[step.from];
+    const std::uint32_t to = surv.ids[step.to];
+    std::vector<std::uint32_t> taken =
+        executor.take_from_tail(from, step.count);
+    if (taken.empty()) continue;
+    const std::size_t delivered = transfer(s, std::move(taken), from, to,
+                                           "migrate", summary.migrated_bytes);
+    summary.migrated_records += delivered;
+    ++summary.migration_steps;
+    moved_records += delivered;
+  }
+  // Adopt the refit models (survivor entries only) so detection
+  // re-baselines and a node is only re-flagged if it deviates *again*.
+  for (std::size_t k = 0; k < surv.ids.size(); ++k) {
+    models_[surv.ids[k]] = refit[k];
+  }
+  trace_.add_instant(
+      "replan", "replan", TraceRecorder::kRuntimeLane, s.exec_base + now,
+      {{"stragglers", static_cast<double>(stragglers.size())},
+       {"moved_records", static_cast<double>(moved_records)}});
+}
+
+// Move records to node `to`: the receiver pulls the canonical payloads
+// (replica walk when replicated, data master otherwise) and appends them
+// to its local partition list — the same path as the initial load,
+// costed through the client over the Fabric — then the delivered records
+// join its queue. Records no live copy can serve go back to the donor:
+// conservation first (taken == given), honesty second — on a dead donor
+// they surface as `unprocessed`, which is exactly what kDataUnavailable
+// means.
+std::size_t JobRuntime::transfer(JobState& s,
+                                 std::vector<std::uint32_t> taken,
+                                 std::uint32_t from, std::uint32_t to,
+                                 const char* span_name, double& bytes_moved) {
+  std::sort(taken.begin(), taken.end());
+  PhaseExecutor& executor = *s.executor;
+  cluster::NodeContext& ctx_to = executor.context(to);
+  Fetched got = fetch_records(
+      ctx_to, taken,
+      router_ != nullptr ? std::nullopt : std::optional(master_),
+      router_.get());
+  kvstore::Client& local = ctx_to.local();
+  double bytes = 0.0;
+  std::vector<std::uint32_t> delivered;
+  std::vector<std::uint32_t> undeliverable;
+  for (std::size_t k = 0; k < taken.size(); ++k) {
+    if (!got.blobs[k]) {
+      undeliverable.push_back(taken[k]);
+      continue;
+    }
+    bytes += static_cast<double>(got.blobs[k]->size());
+    local.enqueue({.type = kvstore::CommandType::kRPush,
+                   .key = core::kPartitionKey,
+                   .value = std::move(*got.blobs[k])});
+    delivered.push_back(taken[k]);
+  }
+  for (const kvstore::Reply& r : local.drain()) {
+    if (r.status != kvstore::Status::kOk) ++s.summary.tolerated_kv_failures;
+  }
+  const double start = executor.node_time(to);
+  const double charged = executor.sync_network(to);
+  executor.give(to, delivered);
+  if (!undeliverable.empty()) {
+    executor.give(from, undeliverable);
+    trace_.add_instant(
+        "transfer-unreadable", "fault", to, s.exec_base + start,
+        {{"records", static_cast<double>(undeliverable.size())},
+         {"from", static_cast<double>(from)}});
+  }
+  trace_.add_span(span_name, "replan", to, s.exec_base + start, charged,
+                  {{"records", static_cast<double>(delivered.size())},
+                   {"from", static_cast<double>(from)},
+                   {"bytes", bytes}});
+  bytes_moved += bytes;
+  return delivered.size();
 }
 
 }  // namespace hetsim::runtime

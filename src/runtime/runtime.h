@@ -2,15 +2,15 @@
 //
 // JobRuntime owns an analytics job end to end as a typed phase DAG
 // (ingest → stratify → estimate → forecast → optimize → partition →
-// execute → global), executes the data-parallel phase with per-node OS
-// threads under a deterministic virtual-time scheduler, watches
-// per-node progress at checkpoints, re-plans mid-job when a node's
-// observed rate deviates from its fitted m_i (re-fit, re-solve the LP
-// over remaining records, migrate the delta through kvstore clients
-// over the Fabric), and records everything as spans exportable as
-// Chrome-trace JSON. This is the subsystem the hand-wired benches and
-// examples lacked: one owner per job, reactive to estimator error, and
-// observable after the fact.
+// execute → global). The planning phases run the same core pipeline
+// functions as core::ParetoFramework. The data-parallel phase runs in
+// chunks on a single-threaded, deterministic virtual-time scheduler,
+// watches per-node progress at checkpoints, re-plans mid-job when a
+// node's observed rate deviates from its fitted m_i (re-fit, re-solve
+// the LP over remaining records, migrate the delta through kvstore
+// clients over the Fabric), and records everything as spans exportable
+// as Chrome-trace JSON. One owner per job, reactive to estimator error,
+// and observable after the fact.
 #pragma once
 
 #include <cstdint>
@@ -43,13 +43,10 @@ struct JobSpec {
   double alpha = 0.75;
   bool normalized_alpha = true;
 
-  // Pipeline configuration (same knobs as core::FrameworkConfig).
+  // Pipeline configuration.
   sketch::SketchConfig sketch{};
   stratify::KModesConfig kmodes{};
   estimator::SampleSpec sampling{};
-  double job_start_s = 10.0 * 3600.0;
-  double energy_window_s = 4.0 * 3600.0;
-  std::string partition_key = "partition";
 
   // Runtime behaviour.
   /// Records per execution chunk / checkpoint. 0 = auto: largest initial
@@ -193,7 +190,27 @@ class JobRuntime {
   }
 
  private:
-  [[nodiscard]] std::vector<std::size_t> plan_sizes(std::size_t total) const;
+  /// What the phases of one run() share; defined in runtime.cpp.
+  struct JobState;
+
+  // The Fig. 1 phases, in DAG declaration order.
+  PhaseResult ingest(JobState& s, const PhaseAttempt& at);
+  PhaseResult stratify(JobState& s);
+  PhaseResult estimate(JobState& s, const PhaseAttempt& at);
+  PhaseResult forecast(JobState& s);
+  PhaseResult optimize(JobState& s);
+  PhaseResult partition(JobState& s, const PhaseAttempt& at);
+  PhaseResult execute(JobState& s);
+  PhaseResult global(JobState& s);
+
+  // Execute-phase checkpoint handlers.
+  void reclaim_lost_nodes(JobState& s, std::uint32_t node, double now);
+  void rebalance_stragglers(JobState& s, double now);
+  /// Moves `taken` from node `from` to node `to`, adds the payload bytes
+  /// to `bytes_moved` and returns how many records were delivered.
+  std::size_t transfer(JobState& s, std::vector<std::uint32_t> taken,
+                       std::uint32_t from, std::uint32_t to,
+                       const char* span_name, double& bytes_moved);
 
   cluster::Cluster& cluster_;
   const energy::GreenEnergyEstimator& energy_;

@@ -8,7 +8,10 @@
 
 #include "check/ranked_mutex.h"
 #include "common/error.h"
+#include "core/compression_workload.h"
+#include "core/framework.h"
 #include "core/mining_workload.h"
+#include "core/report_io.h"
 #include "data/generators.h"
 #include "energy/estimator.h"
 #include "fault/fault.h"
@@ -711,6 +714,112 @@ TEST(JobRuntime, RejectsBadSpecs) {
   JobSpec bad_slowdown;
   bad_slowdown.per_node_slowdown = {1.0};  // 1 entry, 2 nodes
   EXPECT_THROW(JobRuntime(cluster, energy, bad_slowdown), common::ConfigError);
+}
+
+// ---- JobRuntime against core::ParetoFramework ------------------------------
+
+core::FrameworkConfig planning_config() {
+  core::FrameworkConfig cfg;
+  cfg.sampling.min_records = 40;
+  return cfg;
+}
+
+JobSpec planning_spec() {
+  JobSpec spec;
+  spec.sampling.min_records = 40;
+  spec.enable_replan = false;
+  return spec;
+}
+
+TEST(JobRuntime, RepeatedJobsOnOneClusterStartClean) {
+  // Every job appends to the master's sketch lists and data list; a job
+  // that left them behind made the next job's setup read them back.
+  // Rewinding the clock between jobs keeps float rounding of the
+  // absolute time out of the comparison.
+  const data::Dataset ds = data::generate_text_corpus(data::rcv1_like(0.25));
+  core::PatternMiningWorkload workload(
+      {.min_support = 0.08, .max_pattern_length = 3});
+  const auto energy = energy::GreenEnergyEstimator::standard(72);
+
+  cluster::Cluster fw_cluster(cluster::standard_cluster(8));
+  core::ParetoFramework framework(fw_cluster, energy, planning_config());
+  std::vector<double> fw_setup;
+  std::vector<std::string> reports;
+  for (int job = 0; job < 3; ++job) {
+    fw_cluster.reset_clock();
+    framework.prepare(ds, workload);
+    fw_setup.push_back(framework.setup_time_s());
+    reports.push_back(core::to_json(
+        framework.run(core::Strategy::kHetAware, ds, workload)));
+  }
+  EXPECT_EQ(fw_setup[1], fw_setup[0]);
+  EXPECT_EQ(fw_setup[2], fw_setup[0]);
+  EXPECT_EQ(reports[2], reports[0]);
+
+  cluster::Cluster rt_cluster(cluster::standard_cluster(8));
+  JobRuntime rt(rt_cluster, energy, planning_spec());
+  std::vector<double> rt_setup;
+  std::vector<std::string> summaries;
+  std::vector<std::string> traces;
+  for (int job = 0; job < 3; ++job) {
+    rt_cluster.reset_clock();
+    const JobSummary summary = rt.run(ds, workload);
+    rt_setup.push_back(summary.setup_time_s);
+    summaries.push_back(summary_json(summary));
+    traces.push_back(rt.trace().chrome_trace_json());
+  }
+  EXPECT_EQ(rt_setup[1], rt_setup[0]);
+  EXPECT_EQ(rt_setup[2], rt_setup[0]);
+  EXPECT_EQ(summaries[2], summaries[0]);
+  EXPECT_TRUE(traces[2] == traces[0]) << "trace of job 3 differs from job 1";
+}
+
+/// Plans one job through both entry points, each on a fresh cluster, and
+/// expects the same models and sizes (and the same quality if asked).
+void expect_same_plan(const data::Dataset& ds, core::Workload& workload,
+                      bool same_quality) {
+  const auto energy = energy::GreenEnergyEstimator::standard(72);
+  cluster::Cluster fw_cluster(cluster::standard_cluster(8));
+  core::ParetoFramework framework(fw_cluster, energy, planning_config());
+  framework.prepare(ds, workload);
+  const std::vector<std::size_t> fw_sizes =
+      framework.plan_sizes(core::Strategy::kHetAware, ds.size());
+  const std::span<const optimize::NodeModel> fw_models =
+      framework.node_models();
+  const double fw_quality =
+      framework.run(core::Strategy::kHetAware, ds, workload).quality;
+
+  cluster::Cluster rt_cluster(cluster::standard_cluster(8));
+  JobRuntime rt(rt_cluster, energy, planning_spec());
+  const JobSummary summary = rt.run(ds, workload);
+  ASSERT_EQ(summary.status, JobStatus::kOk);
+  const std::vector<optimize::NodeModel>& rt_models = rt.node_models();
+  ASSERT_EQ(rt_models.size(), fw_models.size());
+  for (std::size_t i = 0; i < rt_models.size(); ++i) {
+    EXPECT_EQ(rt_models[i].slope, fw_models[i].slope) << "node " << i;
+    EXPECT_EQ(rt_models[i].intercept, fw_models[i].intercept) << "node " << i;
+    EXPECT_EQ(rt_models[i].dirty_rate, fw_models[i].dirty_rate)
+        << "node " << i;
+  }
+  EXPECT_EQ(summary.initial_sizes, fw_sizes);
+  // Makespans differ by design: the runtime executes in chunks.
+  if (same_quality) {
+    EXPECT_EQ(summary.quality, fw_quality);
+  }
+}
+
+TEST(JobRuntime, PlansLikeTheFrameworkOnText) {
+  const data::Dataset ds = data::generate_text_corpus(data::rcv1_like(0.25));
+  core::PatternMiningWorkload workload(
+      {.min_support = 0.08, .max_pattern_length = 3});
+  expect_same_plan(ds, workload, /*same_quality=*/true);
+}
+
+TEST(JobRuntime, PlansLikeTheFrameworkOnWebgraph) {
+  const data::Dataset ds = data::generate_graph_corpus(data::uk_like(0.12));
+  core::CompressionWorkload workload(
+      core::CompressionWorkload::Algorithm::kWebGraph);
+  expect_same_plan(ds, workload, /*same_quality=*/false);
 }
 
 }  // namespace
