@@ -74,6 +74,24 @@ void BM_CompositeKModes(benchmark::State& state) {
 }
 BENCHMARK(BM_CompositeKModes)->Arg(1000)->Arg(100000)->UseRealTime();
 
+// A full solve on a webgraph corpus with 64-hash sketches and the
+// default config, run to convergence: most of the time is the update
+// step's per-stratum center rebuild, which the text bench above barely
+// reaches in its 4 iterations.
+void BM_CompositeKModesWebgraph(benchmark::State& state) {
+  const data::Dataset ds =
+      data::generate_graph_corpus(data::uk_like(0.25), "webgraph");
+  const sketch::MinHasher h({.num_hashes = 64});
+  const auto sketches = h.sketch_all(ds.records);
+  const stratify::KModesConfig kcfg;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(stratify::composite_kmodes(sketches, kcfg));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(sketches.size()));
+}
+BENCHMARK(BM_CompositeKModesWebgraph)->UseRealTime();
+
 void BM_Apriori(benchmark::State& state) {
   data::TextCorpusConfig cfg;
   cfg.num_docs = static_cast<std::size_t>(state.range(0));

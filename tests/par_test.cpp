@@ -4,8 +4,10 @@
 // must be byte-identical for every thread count and chunk size.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <numeric>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -235,6 +237,99 @@ TEST(ParDeterminism, SketchAllMatchesPerRecordSketch) {
   ASSERT_EQ(all.size(), ds.records.size());
   for (std::size_t i = 0; i < all.size(); ++i) {
     EXPECT_EQ(all[i], hasher.sketch(ds.records[i].items)) << "record " << i;
+  }
+}
+
+// ---- compositeKModes update-step fan-out ------------------------------------
+
+/// FNV-1a over an assignment: one pinned number instead of a golden vector.
+std::uint64_t assignment_hash(const std::vector<std::uint32_t>& assignment) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const std::uint32_t a : assignment) {
+    h ^= a;
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+TEST(KModes, UpdateFanOutPinnedAcrossThreadCounts) {
+  // 13 hashes: the update step gathers 8 attributes per block, so every
+  // center rebuild ends in a 5-attribute tail. 7 strata: no pool of 2,
+  // 3 or 4 lanes splits them evenly, and 16 lanes outnumber them. The
+  // pinned values are the serial update step's output.
+  const data::Dataset ds =
+      data::generate_graph_corpus(data::uk_like(0.05), "webgraph");
+  const sketch::MinHasher hasher({.num_hashes = 13, .seed = 17});
+  const std::vector<sketch::Sketch> sketches = hasher.sketch_all(ds.records);
+  for (const std::uint32_t threads : {1U, 2U, 3U, 4U, 16U}) {
+    par::ThreadPool pool(threads);
+    stratify::KModesConfig cfg;
+    cfg.num_strata = 7;
+    cfg.par = {.pool = &pool};
+    const stratify::Stratification strat =
+        stratify::composite_kmodes(sketches, cfg);
+    const std::string label = "threads=" + std::to_string(threads);
+    EXPECT_EQ(assignment_hash(strat.assignment), 0x5b8b8a6ca6cfb789ULL)
+        << label;
+    EXPECT_EQ(strat.stratum_sizes,
+              (std::vector<std::size_t>{224, 239, 205, 151, 160, 102, 119}))
+        << label;
+    EXPECT_EQ(strat.work_ops, 1599600U) << label;
+    EXPECT_EQ(strat.objective, 4686U) << label;
+    EXPECT_EQ(strat.iterations, 6U) << label;
+    EXPECT_EQ(strat.zero_match_assignments, 102U) << label;
+  }
+}
+
+TEST(KModes, EmptiedStratumKeepsItsCenterUnderParallelUpdate) {
+  // 80 distinct points scattered around 5 prototypes, clustered into 7
+  // strata with L = 1: surplus centers collapse onto the same clusters
+  // and lose their members. Every seed point matches only its own
+  // center in the first pass, so no stratum starts empty; an empty
+  // stratum after convergence was emptied mid-solve, and the update
+  // steps after that had to keep its old center.
+  common::Rng rng(13);
+  std::vector<sketch::Sketch> prototypes(5, sketch::Sketch(13));
+  for (auto& p : prototypes) {
+    for (auto& v : p) v = rng.bounded(8);
+  }
+  std::vector<sketch::Sketch> sketches(80);
+  for (auto& s : sketches) {
+    s = prototypes[rng.bounded(prototypes.size())];
+    for (int t = 0; t < 2; ++t) {
+      s[rng.bounded(s.size())] = 100 + rng.bounded(32);
+    }
+  }
+  ASSERT_EQ(std::set<sketch::Sketch>(sketches.begin(), sketches.end()).size(),
+            sketches.size());
+
+  stratify::KModesConfig cfg;
+  cfg.num_strata = 7;
+  cfg.composite_l = 1;
+  par::ThreadPool serial(1);
+  cfg.par = {.pool = &serial};
+  const stratify::Stratification want =
+      stratify::composite_kmodes(sketches, cfg);
+  ASSERT_LT(want.iterations, cfg.max_iterations);
+  ASSERT_NE(
+      std::count(want.stratum_sizes.begin(), want.stratum_sizes.end(), 0U), 0);
+  // Pinned so that dropping the kept center fails even on the serial pool.
+  EXPECT_EQ(assignment_hash(want.assignment), 0x552409f4662d71f2ULL);
+  EXPECT_EQ(want.work_ops, 33760U);
+  EXPECT_EQ(want.iterations, 7U);
+
+  for (const std::uint32_t threads : {2U, 3U, 4U, 7U}) {
+    par::ThreadPool pool(threads);
+    cfg.par = {.pool = &pool};
+    const stratify::Stratification got =
+        stratify::composite_kmodes(sketches, cfg);
+    const std::string label = "threads=" + std::to_string(threads);
+    EXPECT_EQ(got.assignment, want.assignment) << label;
+    EXPECT_EQ(got.stratum_sizes, want.stratum_sizes) << label;
+    EXPECT_EQ(got.work_ops, want.work_ops) << label;
+    EXPECT_EQ(got.objective, want.objective) << label;
+    EXPECT_EQ(got.iterations, want.iterations) << label;
+    EXPECT_EQ(got.zero_match_assignments, want.zero_match_assignments) << label;
   }
 }
 
