@@ -45,4 +45,11 @@ inline void require(bool cond, const std::string& message) {
   if (!cond) throw E(message);
 }
 
+/// Same for a literal message, which becomes a std::string only on
+/// failure: per-bit and per-code checks in hot loops stay cheap.
+template <typename E = Error>
+inline void require(bool cond, const char* message) {
+  if (!cond) throw E(message);
+}
+
 }  // namespace hetsim::common

@@ -1,48 +1,26 @@
 #include "compress/bitio.h"
 
-#include <bit>
-
-#include "common/error.h"
+#include <algorithm>
 
 namespace hetsim::compress {
 
 void BitWriter::write_bits(std::uint64_t bits, std::uint32_t count) {
   common::require<common::ConfigError>(count <= 64, "BitWriter: count > 64");
-  for (std::uint32_t i = count; i-- > 0;) {
-    const std::uint8_t bit = static_cast<std::uint8_t>((bits >> i) & 1u);
-    current_ = static_cast<std::uint8_t>((current_ << 1) | bit);
-    if (++filled_ == 8) {
+  bits_written_ += count;
+  // Top up the pending byte, then whole bytes, most significant first.
+  // Masking each piece to `take` bits drops anything above `count`.
+  while (count > 0) {
+    const std::uint32_t take = std::min(8 - filled_, count);
+    count -= take;
+    const auto piece = static_cast<std::uint32_t>(bits >> count) & ((1U << take) - 1);
+    current_ = static_cast<std::uint8_t>((current_ << take) | piece);
+    filled_ += take;
+    if (filled_ == 8) {
       buffer_.push_back(static_cast<char>(current_));
       current_ = 0;
       filled_ = 0;
     }
   }
-  bits_written_ += count;
-}
-
-void BitWriter::write_unary(std::uint32_t n) {
-  while (n >= 32) {
-    write_bits(0, 32);
-    n -= 32;
-  }
-  write_bits(1, n + 1);  // n zeros followed by a one
-}
-
-void BitWriter::write_gamma(std::uint64_t x) {
-  common::require<common::ConfigError>(x >= 1, "BitWriter: gamma needs x >= 1");
-  const auto width = static_cast<std::uint32_t>(std::bit_width(x));  // >= 1
-  write_unary(width - 1);
-  if (width > 1) write_bits(x & ((1ULL << (width - 1)) - 1), width - 1);
-}
-
-void BitWriter::write_zeta(std::uint64_t x, std::uint32_t k) {
-  common::require<common::ConfigError>(x >= 1 && k >= 1 && k <= 16,
-                                       "BitWriter: zeta needs x>=1, 1<=k<=16");
-  // Find h with 2^(hk) <= x < 2^((h+1)k).
-  std::uint32_t h = 0;
-  while ((h + 1) * k < 64 && x >= (1ULL << ((h + 1) * k))) ++h;
-  write_unary(h);
-  write_bits(x - (1ULL << (h * k)), h * k + k);
 }
 
 std::string BitWriter::finish() {
@@ -78,6 +56,8 @@ std::uint32_t BitReader::read_unary() {
 
 std::uint64_t BitReader::read_gamma() {
   const std::uint32_t extra = read_unary();
+  common::require<common::StoreError>(extra < 64,
+                                      "BitReader: gamma prefix too long");
   std::uint64_t x = 1;
   if (extra > 0) x = (1ULL << extra) | read_bits(extra);
   return x;
@@ -85,6 +65,8 @@ std::uint64_t BitReader::read_gamma() {
 
 std::uint64_t BitReader::read_zeta(std::uint32_t k) {
   const std::uint32_t h = read_unary();
+  common::require<common::StoreError>(h < 64 && h * k < 64,
+                                      "BitReader: zeta prefix too long");
   return (1ULL << (h * k)) + read_bits(h * k + k);
 }
 

@@ -3,16 +3,21 @@
 // Each vertex's sorted neighbour list is encoded either standalone or by
 // reference to one of the previous `ref_window` lists: a copy bitmap
 // selects inherited neighbours and the residuals are gap-encoded with
-// zeta_k codes. Reference selection tries every window candidate and
-// keeps the cheapest encoding — which is exactly why the SimilarTogether
-// partition layout helps: similar lists inside a partition make
-// references short and bitmaps dense.
+// zeta_k codes. Reference selection prices every window candidate with a
+// BitCounter (code lengths only, no bytes) and keeps the cheapest — which
+// is exactly why the SimilarTogether partition layout helps: similar
+// lists inside a partition make references short and bitmaps dense. A
+// list's choice reads only the input lists in its window, so the choices
+// are made in parallel over lists; the stream is then written serially
+// in list order, identical for every pool size.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "par/pool.h"
 
 namespace hetsim::compress {
 
@@ -28,6 +33,10 @@ struct WebGraphCodecConfig {
   /// link to consecutive neighbours. 0 or 1 disables; compressor and
   /// decompressor must agree.
   std::uint32_t min_interval = 0;
+  /// Fan-out for reference selection (chunks of lists, `par.chunk` lists
+  /// each). Speed only: bytes and stats are identical for every pool
+  /// size and chunk.
+  par::Options par{};
 };
 
 struct WebGraphStats {
@@ -36,7 +45,8 @@ struct WebGraphStats {
   std::uint64_t referenced_lists = 0;  // lists that used a reference
   std::uint64_t copied_edges = 0;
   std::uint64_t compressed_bits = 0;
-  /// Abstract work: per-candidate trial encodings + emitted symbols.
+  /// Abstract work of reference selection, by formula: list.size() + 1
+  /// for the standalone trial, list.size() + ref.size() per reference.
   std::uint64_t work_ops = 0;
 };
 
@@ -47,7 +57,8 @@ struct WebGraphStats {
     const WebGraphCodecConfig& config = {}, WebGraphStats* stats = nullptr);
 
 /// Decompress `num_lists` adjacency lists from a compress_adjacency
-/// stream (must use the same config).
+/// stream (must use the same config). A corrupt or truncated stream
+/// throws StoreError.
 [[nodiscard]] std::vector<std::vector<std::uint32_t>> decompress_adjacency(
     std::string_view data, std::size_t num_lists,
     const WebGraphCodecConfig& config = {});

@@ -1,7 +1,8 @@
 // Tests for hetsim::par — the deterministic parallel-for pool — and the
 // determinism contract of every pipeline kernel plumbed onto it: for a
-// fixed seed, sketches, stratification, samples and partition contents
-// must be byte-identical for every thread count and chunk size.
+// fixed seed, sketches, stratification, samples, partition contents and
+// webgraph-compressed bytes must be byte-identical for every thread
+// count and chunk size.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,6 +15,8 @@
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "compress/webgraph.h"
+#include "data/dataset.h"
 #include "data/generators.h"
 #include "par/pool.h"
 #include "partition/partitioner.h"
@@ -330,6 +333,95 @@ TEST(KModes, EmptiedStratumKeepsItsCenterUnderParallelUpdate) {
     EXPECT_EQ(got.objective, want.objective) << label;
     EXPECT_EQ(got.iterations, want.iterations) << label;
     EXPECT_EQ(got.zero_match_assignments, want.zero_match_assignments) << label;
+  }
+}
+
+// ---- webgraph codec: reference choice fans out over lists --------------------
+
+/// FNV-1a over a byte string.
+std::uint64_t bytes_hash(const std::string& bytes) {
+  std::uint64_t h = 14695981039346656037ULL;
+  for (const char c : bytes) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ULL;
+  }
+  return h;
+}
+
+/// Hand-built lists first (an empty list, lists whose window holds that
+/// empty reference, a short run, all at i < ref_window), then
+/// uk_like(0.054) in SimilarTogether order: partitions of whole strata,
+/// concatenated. 1302 lists make 41 chunks at the codec's default of 32
+/// lists: a short last chunk, and no even split over 2, 3, 4 or 16 lanes.
+std::vector<std::vector<std::uint32_t>> webgraph_corpus() {
+  std::vector<std::vector<std::uint32_t>> lists{
+      {}, {3, 4, 5, 6, 9}, {}, {3, 4, 5, 6, 7, 9, 40}, {1}, {3, 5, 6, 7, 8, 9, 40, 41}};
+  const data::Dataset ds =
+      data::generate_graph_corpus(data::uk_like(0.054), "webgraph");
+  const sketch::MinHasher hasher({.num_hashes = 13, .seed = 17});
+  stratify::KModesConfig kcfg;
+  kcfg.num_strata = 7;
+  const stratify::Stratification strat =
+      stratify::composite_kmodes(hasher.sketch_all(ds.records), kcfg);
+  const std::vector<std::size_t> sizes{300, 300, 300, ds.records.size() - 900};
+  const partition::PartitionAssignment similar = partition::make_partitions(
+      strat, sizes, partition::Layout::kSimilarTogether);
+  for (const auto& part : similar.partitions) {
+    for (const std::uint32_t r : part) {
+      lists.push_back(data::decode_items(ds.records[r].payload));
+    }
+  }
+  return lists;
+}
+
+TEST(WebGraph, CompressedBytesPinnedAcrossPools) {
+  // Pinned from the serial trial-encoding codec: reference choices made
+  // in parallel over lists must give the same bytes and stats for every
+  // pool, including pools with more lanes than chunks.
+  struct Pinned {
+    std::uint32_t ref_window;
+    std::uint32_t min_interval;
+    std::uint64_t bytes_hash;
+    std::uint64_t referenced_lists;
+    std::uint64_t copied_edges;
+    std::uint64_t compressed_bits;
+    std::uint64_t work_ops;
+  };
+  const Pinned pinned[] = {
+      {0, 0, 0x3145d5e09a262563ULL, 0, 0, 91998, 13103},
+      {0, 4, 0x57161171a69b0447ULL, 0, 0, 93322, 13103},
+      {1, 0, 0x215b8c8ee3d89463ULL, 572, 1969, 84937, 36635},
+      {1, 4, 0xb739607f13e6449aULL, 569, 1959, 86268, 36635},
+      {7, 0, 0x086be13bbec22939ULL, 994, 4531, 74929, 177575},
+      {7, 4, 0xb5d6daafc5ef8f3cULL, 995, 4517, 76252, 177575},
+  };
+  const std::vector<std::vector<std::uint32_t>> lists = webgraph_corpus();
+  ASSERT_EQ(lists.size(), 1302U);
+  for (const std::uint32_t threads : {1U, 2U, 3U, 4U, 16U}) {
+    par::ThreadPool pool(threads);
+    // chunk 0 = the codec's default; 5 makes chunks shorter than the window.
+    for (const std::size_t chunk : {std::size_t{0}, std::size_t{5}}) {
+      for (const Pinned& want : pinned) {
+        compress::WebGraphCodecConfig cfg;
+        cfg.ref_window = want.ref_window;
+        cfg.min_interval = want.min_interval;
+        cfg.par = {.pool = &pool, .chunk = chunk};
+        compress::WebGraphStats stats;
+        const std::string blob = compress::compress_adjacency(lists, cfg, &stats);
+        const std::string label =
+            "threads=" + std::to_string(threads) + " chunk=" + std::to_string(chunk) +
+            " ref_window=" + std::to_string(want.ref_window) +
+            " min_interval=" + std::to_string(want.min_interval);
+        EXPECT_EQ(bytes_hash(blob), want.bytes_hash) << label;
+        EXPECT_EQ(stats.lists, 1302U) << label;
+        EXPECT_EQ(stats.edges, 11801U) << label;
+        EXPECT_EQ(stats.referenced_lists, want.referenced_lists) << label;
+        EXPECT_EQ(stats.copied_edges, want.copied_edges) << label;
+        EXPECT_EQ(stats.compressed_bits, want.compressed_bits) << label;
+        EXPECT_EQ(stats.work_ops, want.work_ops) << label;
+        EXPECT_EQ(blob.size(), (want.compressed_bits + 7) / 8) << label;
+      }
+    }
   }
 }
 

@@ -1,5 +1,6 @@
 // Parameterized property suites (TEST_P) over the library's invariants:
-// codec round trips across configuration grids, estimator properties of
+// codec round trips across configuration grids, bit writers against a
+// bit-at-a-time reference, estimator properties of
 // minhash, optimality/feasibility of the LP solvers on random instances,
 // SON-equals-Apriori across partition counts, sampling proportionality,
 // barrier rendezvous across party counts, and trace invariants across
@@ -7,13 +8,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cmath>
 #include <map>
 #include <numeric>
 #include <set>
 #include <thread>
 
+#include "common/error.h"
 #include "common/rng.h"
+#include "compress/bitio.h"
 #include "compress/lz77.h"
 #include "compress/webgraph.h"
 #include "data/generators.h"
@@ -111,6 +115,136 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(WebGraphParam{0, 3}, WebGraphParam{1, 1},
                       WebGraphParam{3, 2}, WebGraphParam{7, 3},
                       WebGraphParam{15, 5}, WebGraphParam{7, 8}));
+
+// ---- Bit writers agree with a bit-at-a-time reference ------------------------
+
+/// The codes as first written: one bit per step, zeta's h found by search.
+class ReferenceBitWriter {
+ public:
+  void write_bits(std::uint64_t bits, std::uint32_t count) {
+    for (std::uint32_t i = count; i-- > 0;) {
+      current_ = static_cast<std::uint8_t>((current_ << 1) | ((bits >> i) & 1U));
+      if (++filled_ == 8) {
+        out_.push_back(static_cast<char>(current_));
+        current_ = 0;
+        filled_ = 0;
+      }
+    }
+    bits_ += count;
+  }
+  void write_unary(std::uint32_t n) {
+    for (; n >= 32; n -= 32) write_bits(0, 32);
+    write_bits(1, n + 1);
+  }
+  void write_gamma(std::uint64_t x) {
+    const auto width = static_cast<std::uint32_t>(std::bit_width(x));
+    write_unary(width - 1);
+    if (width > 1) write_bits(x & ((1ULL << (width - 1)) - 1), width - 1);
+  }
+  void write_zeta(std::uint64_t x, std::uint32_t k) {
+    std::uint32_t h = 0;
+    while ((h + 1) * k < 64 && x >= (1ULL << ((h + 1) * k))) ++h;
+    write_unary(h);
+    write_bits(x - (1ULL << (h * k)), h * k + k);
+  }
+  [[nodiscard]] std::uint64_t bit_count() const { return bits_; }
+  [[nodiscard]] std::string finish() {
+    if (filled_ > 0) {
+      out_.push_back(static_cast<char>(current_ << (8 - filled_)));
+      filled_ = 0;
+    }
+    return out_;
+  }
+
+ private:
+  std::string out_;
+  std::uint8_t current_ = 0;
+  std::uint32_t filled_ = 0;
+  std::uint64_t bits_ = 0;
+};
+
+class BitWriterEquivalence : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(BitWriterEquivalence, RandomCodeSequencesMatchReference) {
+  common::Rng rng(GetParam());
+  compress::BitWriter writer;
+  compress::BitCounter counter;
+  ReferenceBitWriter reference;
+  const auto apply = [&](auto&& op) {
+    op(writer);
+    op(counter);
+    op(reference);
+    ASSERT_EQ(writer.bit_count(), reference.bit_count());
+    ASSERT_EQ(counter.bit_count(), reference.bit_count());
+  };
+  // A value of random width in [1, 64], with its top bit set.
+  const auto value = [&] {
+    const auto width = static_cast<std::uint32_t>(1 + rng.bounded(64));
+    const std::uint64_t top = 1ULL << (width - 1);
+    return top | (rng() & (top - 1));
+  };
+  // The edges first: count 0 and 64 (with junk above the count), unary
+  // across the 32-bit split, the widest gamma, and k = 16 and k = 1.
+  apply([](auto& w) { w.write_bits(~0ULL, 0); });
+  apply([](auto& w) { w.write_bits(0xdeadbeefcafef00dULL, 64); });
+  apply([](auto& w) { w.write_bits(0xffULL, 3); });
+  apply([](auto& w) { w.write_unary(31); });
+  apply([](auto& w) { w.write_unary(32); });
+  apply([](auto& w) { w.write_unary(97); });
+  apply([](auto& w) { w.write_gamma(~0ULL); });
+  apply([](auto& w) { w.write_zeta(~0ULL, 16); });
+  apply([](auto& w) { w.write_zeta(~0ULL, 1); });
+  apply([](auto& w) { w.write_zeta(1, 16); });
+  for (int i = 0; i < 3000; ++i) {
+    switch (rng.bounded(4)) {
+      case 0: {
+        const std::uint64_t bits = rng();
+        const auto count = static_cast<std::uint32_t>(rng.bounded(65));
+        apply([&](auto& w) { w.write_bits(bits, count); });
+        break;
+      }
+      case 1: {
+        const auto n = static_cast<std::uint32_t>(rng.bounded(80));
+        apply([&](auto& w) { w.write_unary(n); });
+        break;
+      }
+      case 2: {
+        const std::uint64_t x = value();
+        apply([&](auto& w) { w.write_gamma(x); });
+        break;
+      }
+      default: {
+        const auto k = static_cast<std::uint32_t>(1 + rng.bounded(16));
+        std::uint64_t x = value();
+        // The fixed-width remainder must fit one write: h*k + k <= 64.
+        while ((static_cast<std::uint32_t>(std::bit_width(x)) - 1) / k * k + k > 64) {
+          x >>= 1;
+        }
+        apply([&](auto& w) { w.write_zeta(x, k); });
+        break;
+      }
+    }
+  }
+  EXPECT_EQ(writer.finish(), reference.finish());
+}
+
+TEST(BitCounter, KeepsTheWritersChecks) {
+  const auto both_reject = [](auto&& op) {
+    compress::BitWriter writer;
+    compress::BitCounter counter;
+    EXPECT_THROW(op(writer), common::ConfigError);
+    EXPECT_THROW(op(counter), common::ConfigError);
+  };
+  both_reject([](auto& w) { w.write_bits(0, 65); });
+  both_reject([](auto& w) { w.write_gamma(0); });
+  both_reject([](auto& w) { w.write_zeta(0, 3); });
+  both_reject([](auto& w) { w.write_zeta(1, 0); });
+  both_reject([](auto& w) { w.write_zeta(1, 17); });
+  both_reject([](auto& w) { w.write_zeta(~0ULL, 5); });  // remainder of 65 bits
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BitWriterEquivalence,
+                         ::testing::Values(1u, 2u, 3u, 4u, 5u, 6u, 7u, 8u));
 
 // ---- MinHash accuracy scales as 1/sqrt(k) -----------------------------------
 
