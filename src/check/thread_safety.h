@@ -1,17 +1,14 @@
 // Clang thread-safety-analysis attribute macros (-Wthread-safety), the
-// second, compiler-backed lock checker next to tools/hetsim_analyze.
+// compiler-backed lock checker for check::Mutex (check/mutex.h).
 //
 // The annotations are advisory metadata: GCC and MSVC see empty macros,
 // Clang's analysis proves at compile time that every GUARDED_BY member
-// is only touched while its capability is held and that REQUIRES
-// contracts hold at every call site. They complement (not replace) the
-// RankedMutex runtime rank checking: the runtime catches rank
-// *inversions* on executed paths, the static analysis catches *missing*
-// acquisitions on all paths.
+// is only touched while its capability is held — on all paths, not just
+// the ones a test executes.
 //
-// Naming follows the Clang documentation's canonical macro set, with a
-// HETSIM_ prefix so nothing collides if a vendored header defines the
-// plain names.
+// Naming follows the Clang documentation's canonical macros (the subset
+// hetsim uses), with a HETSIM_ prefix so nothing collides if a vendored
+// header defines the plain names.
 #pragma once
 
 #if defined(__clang__)
@@ -30,13 +27,6 @@
 /// Member may only be read or written while holding `x`.
 #define HETSIM_GUARDED_BY(x) HETSIM_TS_ATTR(guarded_by(x))
 
-/// Pointee may only be accessed while holding `x`.
-#define HETSIM_PT_GUARDED_BY(x) HETSIM_TS_ATTR(pt_guarded_by(x))
-
-/// Caller must hold the capability when invoking this function.
-#define HETSIM_REQUIRES(...) \
-  HETSIM_TS_ATTR(requires_capability(__VA_ARGS__))
-
 /// Function acquires the capability and does not release it.
 #define HETSIM_ACQUIRE(...) \
   HETSIM_TS_ATTR(acquire_capability(__VA_ARGS__))
@@ -45,16 +35,3 @@
 #define HETSIM_RELEASE(...) \
   HETSIM_TS_ATTR(release_capability(__VA_ARGS__))
 
-/// Function acquires the capability when it returns `b`.
-#define HETSIM_TRY_ACQUIRE(...) \
-  HETSIM_TS_ATTR(try_acquire_capability(__VA_ARGS__))
-
-/// Caller must NOT hold the capability (deadlock guard).
-#define HETSIM_EXCLUDES(...) HETSIM_TS_ATTR(locks_excluded(__VA_ARGS__))
-
-/// Function returns a reference to the given capability.
-#define HETSIM_RETURN_CAPABILITY(x) HETSIM_TS_ATTR(lock_returned(x))
-
-/// Opt a function out of the analysis (e.g. locking test helpers).
-#define HETSIM_NO_THREAD_SAFETY_ANALYSIS \
-  HETSIM_TS_ATTR(no_thread_safety_analysis)

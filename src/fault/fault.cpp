@@ -1,7 +1,5 @@
 #include "fault/fault.h"
 
-#include <mutex>
-
 #include "common/error.h"
 #include "common/rng.h"
 #include "fault/test_hooks.h"
@@ -101,22 +99,14 @@ double FaultInjector::draw(std::uint64_t stream,
 RoundTripFault FaultInjector::on_round_trip(HostId src, HostId dst) {
   RoundTripFault out;
   if (!enabled_) return out;
-  std::uint64_t trip = 0;
-  {
-    check::LockGuard lk(mu_);
-    trip = link_trips_[{src, dst}]++;
-  }
+  const std::uint64_t trip = link_trips_[{src, dst}]++;
   // Loopback never fails: it models in-process memory, not a network.
   if (src == dst) return out;
   for (const LinkPartition& p : plan_.partitions) {
     if ((p.a == src && p.b == dst) || (p.a == dst && p.b == src)) {
       // Count trips in both directions against the same budget.
-      std::uint64_t other = 0;
-      {
-        check::LockGuard lk(mu_);
-        const auto it = link_trips_.find({dst, src});
-        other = it == link_trips_.end() ? 0 : it->second;
-      }
+      const auto it = link_trips_.find({dst, src});
+      const std::uint64_t other = it == link_trips_.end() ? 0 : it->second;
       const std::uint64_t total = trip + other;
       if (total >= p.after_round_trips &&
           (p.heals_after_round_trips == 0 ||
@@ -148,11 +138,7 @@ StoreFault FaultInjector::on_store_op(HostId host) {
   const auto it = plan_.stores.find(host);
   if (it == plan_.stores.end()) return StoreFault::kNone;
   const StoreFaults& f = it->second;
-  std::uint64_t op = 0;
-  {
-    check::LockGuard lk(mu_);
-    op = store_ops_[host]++;
-  }
+  const std::uint64_t op = store_ops_[host]++;
   if (f.crash_at_op > 0 && op >= f.crash_at_op) return StoreFault::kDown;
   if (f.error_prob > 0.0 &&
       draw(stream_key(DrawKind::kStoreError, host, 0), op) < f.error_prob) {
@@ -196,13 +182,11 @@ std::vector<HostId> FaultInjector::failed_nodes_at(double now_s) const {
 }
 
 std::uint64_t FaultInjector::round_trips(HostId src, HostId dst) const {
-  check::LockGuard lk(mu_);
   const auto it = link_trips_.find({src, dst});
   return it == link_trips_.end() ? 0 : it->second;
 }
 
 std::uint64_t FaultInjector::store_ops(HostId host) const {
-  check::LockGuard lk(mu_);
   const auto it = store_ops_.find(host);
   return it == store_ops_.end() ? 0 : it->second;
 }

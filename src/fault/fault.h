@@ -7,23 +7,22 @@
 //   net      one consult per round trip (Client::execute / pipelined
 //            flush): message drop (request- or reply-lost), latency
 //            spike, permanent link partition after K round trips.
-//   kvstore  one consult per server interaction (RespServer::handle,
-//            or the simulated Client's round trip): injected error
-//            reply, stalled response, crash-at-op-K (store down for
-//            every later op).
-//   cluster  per-node fail-stop at virtual time T (the node's executor
-//            thread dies at the first chunk boundary at/after T) and a
-//            multiplicative slowdown factor.
+//   kvstore  one consult per store interaction (the simulated
+//            Client's round trip): injected error reply, stalled
+//            response, crash-at-op-K (store down for every later op).
+//   cluster  per-node fail-stop at virtual time T (the executor marks
+//            the node dead at its first chunk boundary at/after T and
+//            never schedules it again) and a multiplicative slowdown
+//            factor.
 //
 // Determinism contract: every probabilistic decision is a pure function
 // of (plan seed, interception stream, per-stream counter). Streams are
 // keyed by link / host / draw kind, and counters advance only when the
-// corresponding interception point is consulted — which the cooperative
-// virtual-time scheduler serializes — so a given (seed, plan, job)
-// replays the exact same fault sequence on any machine at any
-// HETSIM_THREADS. Counters are guarded by a RankedMutex (rank kFault)
-// so concurrent consults outside the scheduler (plain tests, the RESP
-// server) stay race-free.
+// corresponding interception point is consulted — which the
+// single-threaded virtual-time scheduler serializes — so a given (seed,
+// plan, job) replays the exact same fault sequence on any machine at any
+// HETSIM_THREADS. The counters hold no lock: only the simulator's
+// driving thread consults the injector (DESIGN.md §7).
 //
 // The injector is consulted through a nullable pointer everywhere; a
 // null injector (or an all-defaults plan, see enabled()) costs one
@@ -37,8 +36,6 @@
 #include <string_view>
 #include <utility>
 #include <vector>
-
-#include "check/ranked_mutex.h"
 
 namespace hetsim::common {
 struct JsonValue;
@@ -174,11 +171,8 @@ class FaultInjector {
 
   FaultPlan plan_;
   bool enabled_ = false;
-  mutable check::RankedMutex mu_{check::LockRank::kFault,
-                                 "fault::FaultInjector"};
-  std::map<std::pair<HostId, HostId>, std::uint64_t> link_trips_
-      HETSIM_GUARDED_BY(mu_);
-  std::map<HostId, std::uint64_t> store_ops_ HETSIM_GUARDED_BY(mu_);
+  std::map<std::pair<HostId, HostId>, std::uint64_t> link_trips_;
+  std::map<HostId, std::uint64_t> store_ops_;
 };
 
 [[nodiscard]] std::string_view store_fault_name(StoreFault f);

@@ -1,7 +1,6 @@
 #include "ha/router.h"
 
 #include <algorithm>
-#include <mutex>
 
 #include "common/error.h"
 #include "common/hash.h"
@@ -32,9 +31,9 @@ std::size_t ShardRouter::index_of(HostId node) const {
   return static_cast<std::size_t>(it - nodes.begin());
 }
 
-std::vector<HostId> ShardRouter::live_walk_locked(std::string_view key,
-                                                  std::size_t count,
-                                                  bool ignore_breaker) const {
+std::vector<HostId> ShardRouter::live_walk(std::string_view key,
+                                           std::size_t count,
+                                           bool ignore_breaker) const {
   ++walks_;
   const bool pin_primary = fault::test_hooks().router_pin_dead_primary;
   std::vector<HostId> out;
@@ -85,19 +84,16 @@ std::vector<HostId> ShardRouter::live_walk_locked(std::string_view key,
 std::vector<HostId> ShardRouter::route(std::string_view key) const {
   const std::size_t k =
       std::min(map_.config().replication, map_.nodes().size());
-  check::LockGuard lk(mu_);
-  return live_walk_locked(key, k, /*ignore_breaker=*/false);
+  return live_walk(key, k, /*ignore_breaker=*/false);
 }
 
 std::vector<HostId> ShardRouter::live_preference(std::string_view key,
                                                  bool ignore_breaker) const {
-  check::LockGuard lk(mu_);
-  return live_walk_locked(key, map_.nodes().size(), ignore_breaker);
+  return live_walk(key, map_.nodes().size(), ignore_breaker);
 }
 
 ElectionRecord ShardRouter::mark_down(HostId node, double at_s) {
   const std::size_t idx = index_of(node);
-  check::LockGuard lk(mu_);
   if (down_[idx]) {
     // Already dead: return the election that re-homed it, if any.
     for (auto it = elections_.rbegin(); it != elections_.rend(); ++it) {
@@ -137,7 +133,6 @@ ElectionRecord ShardRouter::mark_down(HostId node, double at_s) {
 
 void ShardRouter::mark_up(HostId node) {
   const std::size_t idx = index_of(node);
-  check::LockGuard lk(mu_);
   down_[idx] = 0;
   // A rejoined node starts with a clean bill of health; stale breaker
   // state from before the crash must not shed it.
@@ -146,41 +141,34 @@ void ShardRouter::mark_up(HostId node) {
 
 bool ShardRouter::is_down(HostId node) const {
   const std::size_t idx = index_of(node);
-  check::LockGuard lk(mu_);
   return down_[idx] != 0;
 }
 
 std::size_t ShardRouter::live_count() const {
-  check::LockGuard lk(mu_);
   return static_cast<std::size_t>(
       std::count(down_.begin(), down_.end(), 0));
 }
 
 std::vector<ElectionRecord> ShardRouter::elections() const {
-  check::LockGuard lk(mu_);
   return elections_;
 }
 
 RouterStats ShardRouter::stats() const {
-  check::LockGuard lk(mu_);
   return stats_;
 }
 
 void ShardRouter::note_read(bool fallback) {
-  check::LockGuard lk(mu_);
   ++stats_.routed_reads;
   if (fallback) ++stats_.fallback_reads;
 }
 
 void ShardRouter::note_write(std::uint64_t failed_replicas) {
-  check::LockGuard lk(mu_);
   ++stats_.routed_writes;
   stats_.write_failures += failed_replicas;
 }
 
 void ShardRouter::note_op_outcome(HostId node, bool ok) {
   const std::size_t idx = index_of(node);
-  check::LockGuard lk(mu_);
   NodeBreaker& b = breakers_[idx];
   if (ok) {
     b.consecutive_failures = 0;
@@ -200,7 +188,6 @@ void ShardRouter::note_op_outcome(HostId node, bool ok) {
 
 bool ShardRouter::breaker_open(HostId node) const {
   const std::size_t idx = index_of(node);
-  check::LockGuard lk(mu_);
   return breakers_[idx].open;
 }
 

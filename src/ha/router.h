@@ -11,18 +11,12 @@
 // wins. No messages, no quorum — the simulation has a global view — but
 // the record is byte-identical at any HETSIM_THREADS, which is what the
 // determinism harness asserts.
-//
-// Locking: mu_ has rank kHa (250), below kStore — the router only
-// mutates its own liveness/election state under the lock and returns
-// routing decisions by value; it NEVER issues store traffic while
-// holding mu_.
 #pragma once
 
 #include <cstdint>
 #include <string_view>
 #include <vector>
 
-#include "check/ranked_mutex.h"
 #include "ha/shard_map.h"
 
 namespace hetsim::ha {
@@ -132,22 +126,21 @@ class ShardRouter {
   };
 
   [[nodiscard]] std::size_t index_of(HostId node) const;
-  /// route()/live_preference() body; mu_ must be held. Advances the walk
-  /// counter and applies breaker shedding unless `ignore_breaker`.
-  [[nodiscard]] std::vector<HostId> live_walk_locked(
-      std::string_view key, std::size_t count,
-      bool ignore_breaker) const HETSIM_REQUIRES(mu_);
+  /// route()/live_preference() body. Advances the walk counter and
+  /// applies breaker shedding unless `ignore_breaker`.
+  [[nodiscard]] std::vector<HostId> live_walk(std::string_view key,
+                                              std::size_t count,
+                                              bool ignore_breaker) const;
 
   ShardMap map_;
   std::uint64_t election_seed_;
   BreakerConfig breaker_;
-  mutable check::RankedMutex mu_{check::LockRank::kHa, "ha::ShardRouter"};
   // parallel to map_.nodes()
-  std::vector<char> down_ HETSIM_GUARDED_BY(mu_);
-  mutable std::vector<NodeBreaker> breakers_ HETSIM_GUARDED_BY(mu_);
-  mutable std::uint64_t walks_ HETSIM_GUARDED_BY(mu_) = 0;
-  std::vector<ElectionRecord> elections_ HETSIM_GUARDED_BY(mu_);
-  mutable RouterStats stats_ HETSIM_GUARDED_BY(mu_);
+  std::vector<char> down_;
+  mutable std::vector<NodeBreaker> breakers_;
+  mutable std::uint64_t walks_ = 0;
+  std::vector<ElectionRecord> elections_;
+  mutable RouterStats stats_;
 };
 
 }  // namespace hetsim::ha

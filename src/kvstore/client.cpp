@@ -10,8 +10,8 @@ namespace hetsim::kvstore {
 
 namespace {
 
-// Wire sizes of the injected server error replies (what a RESP server
-// would actually put on the socket; see RespServer::handle).
+// The RESP2 error replies a store answers for an injected fault; their
+// lengths price the reply's bytes on the simulated wire.
 constexpr std::string_view kInjectedErrorReply = "-ERR FAULT injected error\r\n";
 constexpr std::string_view kStoreDownReply = "-ERR FAULT store down\r\n";
 

@@ -139,7 +139,11 @@ std::string encode(const Value& value) {
   return out;
 }
 
-Value decode(std::string_view data, std::size_t& offset) {
+namespace {
+
+/// decode() at array nesting `depth` (0 for a top-level value).
+Value decode_at(std::string_view data, std::size_t& offset,
+                std::size_t depth) {
   common::require<StoreError>(offset < data.size(), "resp: empty input");
   const char tag = data[offset++];
   switch (tag) {
@@ -165,18 +169,32 @@ Value decode(std::string_view data, std::size_t& offset) {
     }
     case '*': {
       const std::int64_t count = parse_int(read_line(data, offset));
+      if (count < 0) return Value::null();
+      common::require<StoreError>(depth < kMaxArrayDepth,
+                                  "resp: arrays nested too deep");
+      // Every element takes at least 3 bytes ("+\r\n"): a count the
+      // remaining bytes cannot hold is malformed, and must not size an
+      // allocation.
+      common::require<StoreError>(
+          static_cast<std::uint64_t>(count) <= (data.size() - offset) / 3,
+          "resp: array count exceeds the remaining bytes");
       Value v;
       v.type = ValueType::kArray;
-      if (count < 0) return Value::null();
       v.array.reserve(static_cast<std::size_t>(count));
       for (std::int64_t i = 0; i < count; ++i) {
-        v.array.push_back(decode(data, offset));
+        v.array.push_back(decode_at(data, offset, depth + 1));
       }
       return v;
     }
     default:
       throw StoreError("resp: unknown type tag");
   }
+}
+
+}  // namespace
+
+Value decode(std::string_view data, std::size_t& offset) {
+  return decode_at(data, offset, 0);
 }
 
 Value decode_all(std::string_view data) {

@@ -15,6 +15,7 @@
 // Commands are arrays of bulk strings, as sent by every Redis client.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -55,8 +56,14 @@ struct Value {
 /// Serialize a value to RESP2 bytes.
 [[nodiscard]] std::string encode(const Value& value);
 
+/// Most arrays decode() accepts nested inside one another. Commands and
+/// replies nest at most two deep; the cap bounds the decoder's recursion.
+inline constexpr std::size_t kMaxArrayDepth = 32;
+
 /// Parse one value from `data` starting at `offset`; advances `offset`
-/// past the value. Throws StoreError on malformed input or truncation.
+/// past the value. Throws StoreError on malformed input or truncation,
+/// on an array count the remaining bytes cannot hold, and on arrays
+/// nested deeper than kMaxArrayDepth.
 [[nodiscard]] Value decode(std::string_view data, std::size_t& offset);
 
 /// Parse exactly one value occupying the whole buffer.

@@ -27,13 +27,11 @@ std::pair<std::size_t, std::size_t> clamp_range(std::size_t n,
 }  // namespace
 
 void Store::set(std::string_view key, std::string_view value) {
-  check::LockGuard lock(mu_);
   ++ops_;
   data_.insert_or_assign(std::string(key), std::string(value));
 }
 
 std::optional<std::string> Store::get(std::string_view key) const {
-  check::LockGuard lock(mu_);
   ++ops_;
   const auto it = data_.find(key);
   if (it == data_.end()) return std::nullopt;
@@ -45,23 +43,18 @@ std::optional<std::string> Store::get(std::string_view key) const {
 bool Store::visit_get(
     std::string_view key,
     const std::function<void(std::string_view)>& visitor) const {
-  check::LockGuard lock(mu_);
   ++ops_;
   const auto it = data_.find(key);
   if (it == data_.end()) return false;
   const auto* s = std::get_if<std::string>(&it->second);
   common::require<StoreError>(s != nullptr, "GET on non-string key");
   // Deliberate zero-copy design: the callback observes the value bytes
-  // in place instead of copying a multi-megabyte partition blob per
-  // GET. The documented contract (the visitor must not touch any
-  // kvstore; the view dies with the callback) keeps the held leaf-rank
-  // lock safe.
-  visitor(*s);  // hetsim-analyze: allow(lock-blocking)
+  // in place instead of copying a multi-megabyte partition blob per GET.
+  visitor(*s);
   return true;
 }
 
 std::optional<std::size_t> Store::value_size(std::string_view key) const {
-  check::LockGuard lock(mu_);
   const auto it = data_.find(key);
   if (it == data_.end()) return std::nullopt;
   const auto* s = std::get_if<std::string>(&it->second);
@@ -70,7 +63,6 @@ std::optional<std::size_t> Store::value_size(std::string_view key) const {
 }
 
 std::size_t Store::rpush(std::string_view key, std::string_view element) {
-  check::LockGuard lock(mu_);
   ++ops_;
   auto [it, inserted] = data_.try_emplace(std::string(key),
                                           std::vector<std::string>{});
@@ -82,7 +74,6 @@ std::size_t Store::rpush(std::string_view key, std::string_view element) {
 
 std::vector<std::string> Store::lrange(std::string_view key, std::int64_t start,
                                        std::int64_t stop) const {
-  check::LockGuard lock(mu_);
   ++ops_;
   const auto it = data_.find(key);
   if (it == data_.end()) return {};
@@ -94,7 +85,6 @@ std::vector<std::string> Store::lrange(std::string_view key, std::int64_t start,
 }
 
 std::size_t Store::llen(std::string_view key) const {
-  check::LockGuard lock(mu_);
   ++ops_;
   const auto it = data_.find(key);
   if (it == data_.end()) return 0;
@@ -105,7 +95,6 @@ std::size_t Store::llen(std::string_view key) const {
 
 std::optional<std::string> Store::lindex(std::string_view key,
                                          std::int64_t index) const {
-  check::LockGuard lock(mu_);
   ++ops_;
   const auto it = data_.find(key);
   if (it == data_.end()) return std::nullopt;
@@ -118,7 +107,6 @@ std::optional<std::string> Store::lindex(std::string_view key,
 }
 
 std::int64_t Store::incrby(std::string_view key, std::int64_t delta) {
-  check::LockGuard lock(mu_);
   ++ops_;
   auto [it, inserted] = data_.try_emplace(std::string(key), std::int64_t{0});
   auto* counter = std::get_if<std::int64_t>(&it->second);
@@ -128,7 +116,6 @@ std::int64_t Store::incrby(std::string_view key, std::int64_t delta) {
 }
 
 std::int64_t Store::counter(std::string_view key) const {
-  check::LockGuard lock(mu_);
   ++ops_;
   const auto it = data_.find(key);
   if (it == data_.end()) return 0;
@@ -138,13 +125,11 @@ std::int64_t Store::counter(std::string_view key) const {
 }
 
 bool Store::exists(std::string_view key) const {
-  check::LockGuard lock(mu_);
   ++ops_;
   return data_.find(key) != data_.end();
 }
 
 bool Store::del(std::string_view key) {
-  check::LockGuard lock(mu_);
   ++ops_;
   const auto it = data_.find(key);
   if (it == data_.end()) return false;
@@ -153,28 +138,23 @@ bool Store::del(std::string_view key) {
 }
 
 void Store::flush_all() {
-  check::LockGuard lock(mu_);
   ++ops_;
   data_.clear();
 }
 
 void Store::fail_stop() {
-  check::LockGuard lock(mu_);
   down_ = true;
 }
 
 void Store::restart() {
-  check::LockGuard lock(mu_);
   down_ = false;
 }
 
 bool Store::is_down() const {
-  check::LockGuard lock(mu_);
   return down_;
 }
 
 std::vector<std::string> Store::keys() const {
-  check::LockGuard lock(mu_);
   std::vector<std::string> out;
   out.reserve(data_.size());
   for (const auto& [key, value] : data_) out.push_back(key);
@@ -216,14 +196,12 @@ std::string encode_variant(
 }  // namespace
 
 std::uint64_t Store::value_digest(std::string_view key) const {
-  check::LockGuard lock(mu_);
   const auto it = data_.find(key);
   if (it == data_.end()) return 0;
   return common::hash_bytes(encode_variant(it->second));
 }
 
 std::optional<std::string> Store::encode_value(std::string_view key) const {
-  check::LockGuard lock(mu_);
   const auto it = data_.find(key);
   if (it == data_.end()) return std::nullopt;
   return encode_variant(it->second);
@@ -269,12 +247,10 @@ void Store::restore_value(std::string_view key, std::string_view encoded) {
     default:
       throw StoreError("restore_value: unknown value tag");
   }
-  check::LockGuard lock(mu_);
   data_.insert_or_assign(std::string(key), std::move(value));
 }
 
 StoreStats Store::stats() const {
-  check::LockGuard lock(mu_);
   StoreStats s;
   s.keys = data_.size();
   s.ops = ops_;

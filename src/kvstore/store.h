@@ -1,10 +1,12 @@
 // In-memory key-value store modelled on the subset of Redis the paper's
-// middleware uses (section IV): string blobs, lists of blobs, and an
-// atomic counter supporting fetch-and-increment (their barrier primitive).
+// middleware uses (section IV): string blobs, lists of blobs, and a
+// counter supporting fetch-and-increment (the paper's barrier primitive;
+// here Cluster::run_phase is the barrier, in virtual time).
 //
 // One Store instance plays the role of one Redis server process. It is
-// thread-safe (coarse mutex — the simulated workloads batch access, so a
-// finer scheme buys nothing) and completely deterministic.
+// completely deterministic and holds no lock: the simulator reaches every
+// store from its one driving thread (pool lanes run pure kernels only;
+// DESIGN.md §7).
 #pragma once
 
 #include <cstdint>
@@ -15,8 +17,6 @@
 #include <string_view>
 #include <variant>
 #include <vector>
-
-#include "check/ranked_mutex.h"
 
 namespace hetsim::kvstore {
 
@@ -37,9 +37,9 @@ class Store {
   void set(std::string_view key, std::string_view value);
   /// nullopt if the key is absent. Throws StoreError on type mismatch.
   [[nodiscard]] std::optional<std::string> get(std::string_view key) const;
-  /// Zero-copy GET: runs `visitor` on the value bytes while the store
-  /// lock is held — the view is valid ONLY inside the callback, which
-  /// must not touch this (or any other) kvstore. Returns false when the
+  /// Zero-copy GET: runs `visitor` on the value bytes in place — the
+  /// view is valid ONLY inside the callback, which must not write to
+  /// this store (that could move the bytes). Returns false when the
   /// key is absent (visitor not called); throws StoreError on type
   /// mismatch. Counts as one served op, exactly like get().
   bool visit_get(std::string_view key,
@@ -64,7 +64,7 @@ class Store {
                                                   std::int64_t index) const;
 
   // ---- counters ------------------------------------------------------
-  /// Atomic fetch-and-add; creates the counter at 0. Returns the NEW value
+  /// Fetch-and-add; creates the counter at 0. Returns the NEW value
   /// (Redis INCRBY semantics).
   std::int64_t incrby(std::string_view key, std::int64_t delta);
   [[nodiscard]] std::int64_t counter(std::string_view key) const;
@@ -109,12 +109,9 @@ class Store {
  private:
   using Value = std::variant<std::string, std::vector<std::string>, std::int64_t>;
 
-  // Leaf of the lock hierarchy (check/ranked_mutex.h): store operations
-  // never call back out of the kvstore while holding it.
-  mutable check::RankedMutex mu_{check::LockRank::kStore, "kvstore::Store"};
-  std::map<std::string, Value, std::less<>> data_ HETSIM_GUARDED_BY(mu_);
-  mutable std::uint64_t ops_ HETSIM_GUARDED_BY(mu_) = 0;
-  bool down_ HETSIM_GUARDED_BY(mu_) = false;
+  std::map<std::string, Value, std::less<>> data_;
+  mutable std::uint64_t ops_ = 0;
+  bool down_ = false;
 };
 
 }  // namespace hetsim::kvstore

@@ -11,9 +11,11 @@
 // disjoint outputs, plus `parallel_reduce`'s ascending-chunk-order
 // combine, is then bit-identical for every thread count including 1.
 //
-// The pool's scheduler state is guarded by a check::RankedMutex at rank
-// kParPool (leaf-most): chunk bodies run with no pool lock held, so
-// they may freely acquire any other ranked mutex.
+// The pool's scheduler state is guarded by a check::Mutex, the only
+// mutex in hetsim. Chunk bodies run with no pool lock held and must be
+// pure kernels: they write only their own output slots and never reach
+// the kvstore, trace, router or fault injector, which hold no lock
+// (DESIGN.md §7).
 //
 // Thread-count resolution: the global pool sizes itself from the
 // HETSIM_THREADS environment variable when set (>= 1), else from
@@ -30,7 +32,7 @@
 #include <vector>
 
 #include "check/check.h"
-#include "check/ranked_mutex.h"
+#include "check/mutex.h"
 
 namespace hetsim::par {
 
@@ -100,7 +102,7 @@ class ThreadPool {
   const std::uint32_t lanes_;
   std::vector<std::thread> workers_;
 
-  check::RankedMutex mu_{check::LockRank::kParPool, "par::ThreadPool::mu_"};
+  check::Mutex mu_;
   std::condition_variable_any job_cv_;   // workers wait for a new epoch
   std::condition_variable_any done_cv_;  // caller waits for worker lanes
   std::uint64_t epoch_ HETSIM_GUARDED_BY(mu_) = 0;

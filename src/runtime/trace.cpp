@@ -25,13 +25,11 @@ const char* phase_letter(TraceEventKind kind) {
 }  // namespace
 
 void TraceRecorder::clear() {
-  check::LockGuard lock(mu_);
   events_.clear();
   lane_names_.clear();
 }
 
 void TraceRecorder::name_lane(std::int64_t lane, std::string name) {
-  check::LockGuard lock(mu_);
   for (auto& [id, existing] : lane_names_) {
     if (id == lane) {
       existing = std::move(name);
@@ -45,7 +43,6 @@ void TraceRecorder::add_span(std::string name, std::string category,
                              std::int64_t lane, double start_s,
                              double duration_s,
                              std::vector<std::pair<std::string, double>> args) {
-  check::LockGuard lock(mu_);
   events_.push_back({TraceEventKind::kComplete, std::move(name),
                      std::move(category), lane, start_s, duration_s,
                      std::move(args)});
@@ -54,32 +51,27 @@ void TraceRecorder::add_span(std::string name, std::string category,
 void TraceRecorder::add_instant(
     std::string name, std::string category, std::int64_t lane, double at_s,
     std::vector<std::pair<std::string, double>> args) {
-  check::LockGuard lock(mu_);
   events_.push_back({TraceEventKind::kInstant, std::move(name),
                      std::move(category), lane, at_s, 0.0, std::move(args)});
 }
 
 void TraceRecorder::add_counter(std::string name, std::int64_t lane,
                                 double at_s, double value) {
-  check::LockGuard lock(mu_);
   events_.push_back({TraceEventKind::kCounter, std::move(name), "counter",
                      lane, at_s, 0.0, {{"value", value}}});
 }
 
 std::vector<TraceEvent> TraceRecorder::events() const {
-  check::LockGuard lock(mu_);
   return events_;
 }
 
 std::size_t TraceRecorder::count(std::string_view name) const {
-  check::LockGuard lock(mu_);
   std::size_t n = 0;
   for (const auto& e : events_) n += e.name == name;
   return n;
 }
 
 std::string TraceRecorder::chrome_trace_json() const {
-  check::LockGuard lock(mu_);
   common::JsonWriter w;
   w.begin_object();
   w.key("traceEvents");

@@ -6,15 +6,15 @@
 // exports the Chrome trace event format (the JSON array consumed by
 // chrome://tracing and Perfetto). Because every timestamp is virtual
 // and every append happens in the deterministic scheduler order, two
-// runs with the same seed produce byte-identical trace files.
+// runs with the same seed produce byte-identical trace files. The
+// recorder holds no lock: only the simulator's driving thread records.
 #pragma once
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
-
-#include "check/ranked_mutex.h"
 
 namespace hetsim::runtime {
 
@@ -57,9 +57,8 @@ class TraceRecorder {
   void add_counter(std::string name, std::int64_t lane, double at_s,
                    double value);
 
-  /// Stable snapshot of all recorded events. Recording is internally
-  /// synchronized (kTrace rank), so this is safe to call concurrently
-  /// with writers; it copies, so prefer calling it after the run.
+  /// Snapshot (a copy) of all recorded events; prefer calling it after
+  /// the run.
   [[nodiscard]] std::vector<TraceEvent> events() const;
   /// Number of events of a given name (test/bench helper).
   [[nodiscard]] std::size_t count(std::string_view name) const;
@@ -72,14 +71,8 @@ class TraceRecorder {
   bool write_chrome_trace(const std::string& path) const;
 
  private:
-  /// Outermost rank: recording happens from executor checkpoints and
-  /// phase bodies with no lock held, and the recorder never calls into
-  /// the router or the kvstore while locked.
-  mutable check::RankedMutex mu_{check::LockRank::kTrace,
-                                 "runtime::TraceRecorder"};
-  std::vector<TraceEvent> events_ HETSIM_GUARDED_BY(mu_);
-  std::vector<std::pair<std::int64_t, std::string>> lane_names_
-      HETSIM_GUARDED_BY(mu_);
+  std::vector<TraceEvent> events_;
+  std::vector<std::pair<std::int64_t, std::string>> lane_names_;
 };
 
 }  // namespace hetsim::runtime

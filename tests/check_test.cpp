@@ -1,21 +1,14 @@
-// Tests for the correctness-tooling layer (src/check/): contract macros
-// and the ranked-mutex lock-order checker. The death tests prove the
-// fail-fast paths actually abort with a diagnosable message — a contract
-// that cannot fire is worse than no contract.
+// Tests for the correctness-tooling layer (src/check/): the contract
+// macros. The death tests prove the fail-fast paths actually abort with a
+// diagnosable message — a contract that cannot fire is worse than no
+// contract.
 #include <gtest/gtest.h>
 
-#include <mutex>  // std::lock_guard over RankedMutex
-#include <thread>
-
 #include "check/check.h"
-#include "check/ranked_mutex.h"
 #include "common/allocation.h"
 #include "common/error.h"
 
 namespace {
-
-using hetsim::check::LockRank;
-using hetsim::check::RankedMutex;
 
 // ---- contract macros -------------------------------------------------------
 
@@ -113,95 +106,5 @@ TEST(AllocationContract, EmptyWeightsStillThrowConfigError) {
   EXPECT_THROW(hetsim::common::proportional_allocation({}, 5),
                hetsim::common::ConfigError);
 }
-
-// ---- ranked mutex ----------------------------------------------------------
-
-TEST(RankedMutex, InOrderAcquisitionSucceeds) {
-  RankedMutex trace(LockRank::kTrace, "test-trace");
-  RankedMutex ha(LockRank::kHa, "test-ha");
-  RankedMutex store(LockRank::kStore, "test-store");
-  {
-    std::lock_guard a(trace);
-    std::lock_guard b(ha);
-    std::lock_guard c(store);
-    EXPECT_EQ(RankedMutex::held_by_this_thread(),
-              HETSIM_DCHECK_ENABLED ? 3u : 0u);
-  }
-  EXPECT_EQ(RankedMutex::held_by_this_thread(), 0u);
-  // Skipping ranks downward is fine — only inversions abort.
-  std::lock_guard a(trace);
-  std::lock_guard c(store);
-}
-
-TEST(RankedMutex, ReleaseAllowsReacquisitionAtLowerRank) {
-  RankedMutex store(LockRank::kStore, "test-store");
-  RankedMutex trace(LockRank::kTrace, "test-trace");
-  { std::lock_guard hold(store); }
-  std::lock_guard ok(trace);  // store was released: no held rank above
-}
-
-TEST(RankedMutex, TryLockRegistersAndReleases) {
-  RankedMutex store(LockRank::kStore, "test-store");
-  ASSERT_TRUE(store.try_lock());
-  EXPECT_EQ(RankedMutex::held_by_this_thread(),
-            HETSIM_DCHECK_ENABLED ? 1u : 0u);
-  store.unlock();
-  EXPECT_EQ(RankedMutex::held_by_this_thread(), 0u);
-}
-
-TEST(RankedMutex, IndependentThreadsHaveIndependentStacks) {
-  RankedMutex store(LockRank::kStore, "test-store");
-  std::lock_guard hold(store);
-  // Another thread holds nothing, so it may take any rank — including a
-  // lower one — without tripping this thread's stack.
-  std::thread other([] {
-    RankedMutex trace(LockRank::kTrace, "other-trace");
-    std::lock_guard ok(trace);
-    EXPECT_EQ(RankedMutex::held_by_this_thread(),
-              HETSIM_DCHECK_ENABLED ? 1u : 0u);
-  });
-  other.join();
-}
-
-#if HETSIM_DCHECK_ENABLED
-
-using RankedMutexDeathTest = ::testing::Test;
-
-TEST(RankedMutexDeathTest, RankInversionAborts) {
-  RankedMutex store(LockRank::kStore, "inv-store");
-  RankedMutex trace(LockRank::kTrace, "inv-trace");
-  std::lock_guard hold(store);
-  // Deliberate inversion: kTrace (200) while holding kStore (300).
-  EXPECT_DEATH(trace.lock(),
-               "HETSIM LOCK-ORDER failed: .*\"inv-trace\" \\(rank 200\\) "
-               "while holding \"inv-store\" \\(rank 300\\)");
-}
-
-TEST(RankedMutexDeathTest, EqualRankNestingAborts) {
-  RankedMutex a(LockRank::kStore, "store-a");
-  RankedMutex b(LockRank::kStore, "store-b");
-  std::lock_guard hold(a);
-  EXPECT_DEATH(b.lock(), "LOCK-ORDER failed");
-}
-
-TEST(RankedMutexDeathTest, SelfRelockAborts) {
-  RankedMutex a(LockRank::kTrace, "self");
-  std::lock_guard hold(a);
-  EXPECT_DEATH(a.lock(), "LOCK-ORDER failed");
-}
-
-TEST(RankedMutexDeathTest, TryLockCannotBypassTheHierarchy) {
-  RankedMutex store(LockRank::kStore, "try-store");
-  RankedMutex trace(LockRank::kTrace, "try-trace");
-  std::lock_guard hold(store);
-  EXPECT_DEATH((void)trace.try_lock(), "LOCK-ORDER failed");
-}
-
-TEST(RankedMutexDeathTest, ForeignUnlockAborts) {
-  RankedMutex a(LockRank::kTrace, "never-locked");
-  EXPECT_DEATH(a.unlock(), "unlock of a mutex this thread does not hold");
-}
-
-#endif  // HETSIM_DCHECK_ENABLED
 
 }  // namespace

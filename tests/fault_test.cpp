@@ -1,8 +1,8 @@
 // Tests for hetsim::fault and the failure handling built on it:
 // deterministic seeded fault draws, FaultPlan JSON IO, the kvstore
-// client's retry/timeout/backoff loop, RESP server fault replies,
-// barrier timeout diagnostics, and the runtime's node-loss graceful
-// degradation (fail-stop -> missed heartbeats -> survivor re-plan).
+// client's retry/timeout/backoff loop (including a crashed store), and
+// the runtime's node-loss graceful degradation (fail-stop -> missed
+// heartbeats -> survivor re-plan).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -16,10 +16,7 @@
 #include "data/generators.h"
 #include "energy/estimator.h"
 #include "fault/fault.h"
-#include "kvstore/barrier.h"
 #include "kvstore/client.h"
-#include "kvstore/resp.h"
-#include "kvstore/server.h"
 #include "kvstore/store.h"
 #include "net/fabric.h"
 #include "runtime/executor.h"
@@ -423,38 +420,29 @@ TEST(ClientRetry, RetryTimingIsDeterministic) {
   EXPECT_DOUBLE_EQ(run_once(), run_once());
 }
 
-// ---- RESP server fault replies ---------------------------------------------
-
-TEST(RespServerFaults, InjectedErrorAndCrashSurfaceAsErrorReplies) {
+TEST(ClientRetry, CrashAtOpServesThenRefusesEveryLaterOp) {
   FaultPlan plan;
-  plan.stores[3].crash_at_op = 1;
+  plan.stores[1].crash_at_op = 1;
   FaultInjector inj(plan);
-  kvstore::Store store;
-  kvstore::RespServer server(store);
-  server.inject_faults(&inj, 3);
-  const std::string wire = kvstore::resp::encode_command(
-      {.type = kvstore::CommandType::kSet, .key = "k", .value = "v"});
-  // First interaction is served, the second hits the crash.
-  EXPECT_EQ(server.handle(wire)[0], '+');
-  const std::string down = server.handle(wire);
-  EXPECT_EQ(down.rfind("-ERR FAULT", 0), 0u) << down;
-  EXPECT_TRUE(store.exists("k"));  // the pre-crash write landed
-}
-
-// ---- barrier timeout diagnostics -------------------------------------------
-
-TEST(BarrierTimeout, NamesTheMissingParties) {
-  kvstore::Store store;
-  kvstore::Barrier barrier(store, "phase", 3, {.timeout_polls = 50});
-  try {
-    (void)barrier.arrive_and_wait(/*party=*/1);
-    FAIL() << "expected TimeoutError";
-  } catch (const common::TimeoutError& e) {
-    const std::string msg = e.what();
-    EXPECT_NE(msg.find("timed out"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("1/3 arrived"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("missing parties: {0, 2}"), std::string::npos) << msg;
-  }
+  ClientRig rig;
+  kvstore::Client c = rig.client(&inj);
+  // First interaction is served, every later one hits the crash: the
+  // store answers the down reply, retried to exhaustion, never applied.
+  EXPECT_EQ(c.execute({.type = kvstore::CommandType::kSet,
+                       .key = "k",
+                       .value = "v"})
+                .status,
+            kvstore::Status::kOk);
+  EXPECT_EQ(c.execute({.type = kvstore::CommandType::kSet,
+                       .key = "late",
+                       .value = "v"})
+                .status,
+            kvstore::Status::kUnavailable);
+  const std::size_t attempts = kvstore::RetryPolicy{}.max_attempts;
+  EXPECT_EQ(inj.store_ops(1), 1 + attempts);
+  EXPECT_EQ(rig.fabric.retry_stats().failures, 1u);
+  EXPECT_TRUE(rig.store.exists("k"));  // the pre-crash write landed
+  EXPECT_FALSE(rig.store.exists("late"));
 }
 
 // ---- executor fail-stop + rescue -------------------------------------------

@@ -75,6 +75,50 @@ TEST_P(FuzzDecoders, RespToleratesMutatedValidStreams) {
   }
 }
 
+TEST_P(FuzzDecoders, RespToleratesHugeCountsAndDeepNesting) {
+  const auto both = [](const std::string& input) {
+    return tolerates(
+               [](const std::string& s) { (void)kvstore::resp::decode_all(s); },
+               input) &&
+           tolerates(
+               [](const std::string& s) {
+                 (void)kvstore::resp::decode_command(s);
+               },
+               input);
+  };
+  const auto nested = [](std::size_t depth) {
+    std::string s;
+    for (std::size_t i = 0; i < depth; ++i) s += "*1\r\n";
+    return s + ":1\r\n";
+  };
+  // An array count no allocation can satisfy (bad_alloc), one past
+  // max_size (length_error), and 30,000 nested arrays (stack overflow).
+  EXPECT_TRUE(both("*999999999999\r\n"));
+  EXPECT_TRUE(both("*4611686018427387903\r\n"));
+  EXPECT_TRUE(both(nested(30000)));
+
+  // Seeded: a count just past what the remaining bytes can hold throws;
+  // the same count of 3-byte elements, and the deepest legal nesting,
+  // still decode.
+  for (int i = 0; i < 20; ++i) {
+    const std::size_t n = rng_.bounded(200);
+    std::string elems;
+    for (std::size_t e = 0; e < n; ++e) elems += "+\r\n";
+    const std::string full = "*" + std::to_string(n) + "\r\n" + elems;
+    EXPECT_EQ(kvstore::resp::decode_all(full).array.size(), n);
+    const std::string over = "*" + std::to_string(n + 1) + "\r\n" + elems;
+    EXPECT_THROW((void)kvstore::resp::decode_all(over), common::StoreError);
+
+    const std::size_t depth = 1 + rng_.bounded(kvstore::resp::kMaxArrayDepth);
+    EXPECT_EQ(kvstore::resp::decode_all(nested(depth)).type,
+              kvstore::resp::ValueType::kArray);
+    const std::size_t too_deep =
+        kvstore::resp::kMaxArrayDepth + 1 + rng_.bounded(1000);
+    EXPECT_THROW((void)kvstore::resp::decode_all(nested(too_deep)),
+                 common::StoreError);
+  }
+}
+
 TEST_P(FuzzDecoders, Lz77ToleratesGarbage) {
   for (int i = 0; i < 200; ++i) {
     EXPECT_TRUE(tolerates(

@@ -1,15 +1,13 @@
 // Unit tests for the kvstore substrate: store semantics, codec framing,
-// pipelined client cost accounting, and the INCR-based barrier.
+// pipelined client cost accounting and fail-stopped stores.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
-#include "kvstore/barrier.h"
 #include "kvstore/client.h"
 #include "kvstore/codec.h"
 #include "kvstore/store.h"
@@ -95,21 +93,6 @@ TEST(Store, StatsTrackKeysAndBytes) {
   const StoreStats st = s.stats();
   EXPECT_EQ(st.keys, 2u);
   EXPECT_EQ(st.bytes, 3 + 5 + 4 + 3u);  // "key"+"12345"+"list"+"abc"
-}
-
-TEST(Store, ConcurrentIncrIsAtomic) {
-  Store s;
-  constexpr int kThreads = 4;
-  constexpr int kIncrements = 500;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&s] {
-      for (int i = 0; i < kIncrements; ++i) (void)s.incrby("c", 1);
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(s.counter("c"), kThreads * kIncrements);
 }
 
 TEST(Codec, FrameAndUnpackRoundTrip) {
@@ -444,59 +427,6 @@ TEST_F(ClientTest, NonPositiveBudgetFailsImmediatelyAtZeroCost) {
   ASSERT_EQ(replies.size(), 1u);
   EXPECT_EQ(replies[0].status, Status::kUnavailable);
   EXPECT_FALSE(store_.exists("q"));
-}
-
-TEST(Barrier, SingleThreadEpochsAdvance) {
-  Store s;
-  Barrier b(s, "test", 1);
-  EXPECT_EQ(b.arrive_and_wait(), 0u);
-  EXPECT_EQ(b.arrive_and_wait(), 0u);
-  EXPECT_EQ(s.counter("barrier:test"), 2);
-}
-
-TEST(Barrier, ThreadsRendezvous) {
-  Store s;
-  constexpr std::uint32_t kParties = 4;
-  Barrier b(s, "sync", kParties);
-  std::atomic<int> before{0};
-  std::atomic<int> after{0};
-  std::atomic<bool> ordering_ok{true};
-  std::vector<std::thread> threads;
-  for (std::uint32_t t = 0; t < kParties; ++t) {
-    threads.emplace_back([&] {
-      ++before;
-      b.arrive_and_wait();
-      // Everyone must have arrived before anyone proceeds.
-      if (before.load() != kParties) ordering_ok = false;
-      ++after;
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_TRUE(ordering_ok);
-  EXPECT_EQ(after.load(), static_cast<int>(kParties));
-}
-
-TEST(Barrier, ReusableAcrossEpochs) {
-  Store s;
-  constexpr std::uint32_t kParties = 3;
-  constexpr int kEpochs = 5;
-  Barrier b(s, "loop", kParties);
-  std::atomic<int> counter{0};
-  std::atomic<bool> ok{true};
-  std::vector<std::thread> threads;
-  for (std::uint32_t t = 0; t < kParties; ++t) {
-    threads.emplace_back([&] {
-      for (int e = 0; e < kEpochs; ++e) {
-        ++counter;
-        b.arrive_and_wait();
-        // After epoch e, exactly (e+1)*parties arrivals happened.
-        if (counter.load() < (e + 1) * static_cast<int>(kParties)) ok = false;
-        b.arrive_and_wait();  // second barrier so epochs don't overlap
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_TRUE(ok);
 }
 
 }  // namespace

@@ -3,17 +3,14 @@
 // bit-at-a-time reference, estimator properties of
 // minhash, optimality/feasibility of the LP solvers on random instances,
 // SON-equals-Apriori across partition counts, sampling proportionality,
-// barrier rendezvous across party counts, and trace invariants across
-// locations.
+// and trace invariants across locations.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <bit>
 #include <cmath>
 #include <map>
 #include <numeric>
 #include <set>
-#include <thread>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -22,7 +19,6 @@
 #include "compress/webgraph.h"
 #include "data/generators.h"
 #include "energy/solar.h"
-#include "kvstore/barrier.h"
 #include "mining/son.h"
 #include "optimize/pareto.h"
 #include "optimize/simplex.h"
@@ -452,31 +448,6 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(SampleParam{2, 100, 30}, SampleParam{4, 50, 60},
                       SampleParam{8, 25, 64}, SampleParam{16, 20, 100},
                       SampleParam{3, 7, 21}, SampleParam{5, 10, 500}));
-
-// ---- Barrier rendezvous across party counts ---------------------------------
-
-class BarrierParties : public ::testing::TestWithParam<std::uint32_t> {};
-
-TEST_P(BarrierParties, AllPartiesRendezvous) {
-  const std::uint32_t parties = GetParam();
-  kvstore::Store store;
-  kvstore::Barrier barrier(store, "prop", parties);
-  std::atomic<int> arrived{0};
-  std::atomic<bool> ok{true};
-  std::vector<std::thread> threads;
-  for (std::uint32_t t = 0; t < parties; ++t) {
-    threads.emplace_back([&] {
-      ++arrived;
-      barrier.arrive_and_wait();
-      if (arrived.load() != static_cast<int>(parties)) ok = false;
-    });
-  }
-  for (auto& t : threads) t.join();
-  EXPECT_TRUE(ok);
-}
-
-INSTANTIATE_TEST_SUITE_P(Parties, BarrierParties,
-                         ::testing::Values(1u, 2u, 3u, 4u, 8u));
 
 // ---- Energy trace invariants per location -----------------------------------
 

@@ -10,16 +10,11 @@
 namespace hetsim::analyze {
 
 struct Finding {
-  std::string rule;  // "lock-rank", "status-flow", ...
+  std::string rule;  // "status-flow", "naked-mutex", ...
   std::string rel;   // root-relative path
   int line = 0;
   std::string message;
 };
-
-/// lock-rank + lock-blocking: propagate held RankedMutex sets through
-/// guard scopes and the resolved call graph; report acquisitions that
-/// violate the rank order and blocking operations made under a lock.
-void check_locks(const Index& index, std::vector<Finding>& out);
 
 /// status-flow: kvstore::Status / Reply / WriteResult / ReadResult
 /// values must be consumed — discarded producer calls and locals that

@@ -27,12 +27,6 @@ struct RuleInfo {
 };
 
 constexpr RuleInfo kRules[] = {
-    {"lock-rank",
-     "RankedMutex acquisitions must strictly descend the lock hierarchy, "
-     "including ranks reachable through callees"},
-    {"lock-blocking",
-     "no blocking operation (kvstore/fabric traffic, barrier or condition "
-     "waits, sleeps, joins, opaque callbacks) while a lock is held"},
     {"status-flow",
      "kvstore Status/Reply, ha WriteResult/ReadResult and runtime JobStatus "
      "values must be consumed, not discarded or left unread"},
@@ -40,7 +34,7 @@ constexpr RuleInfo kRules[] = {
      "wall-clock, random, thread-id, pointer and unordered-iteration values "
      "must not reach trace events, bench JSON or common::hash inputs"},
     {"naked-mutex",
-     "std::mutex family outside src/check/ — use check::RankedMutex"},
+     "std::mutex family outside src/check/ — use check::Mutex"},
     {"raw-thread",
      "std::thread outside src/par/ — use par::ThreadPool"},
     {"nondeterminism",
@@ -172,7 +166,6 @@ Corpus load_corpus(const Options& opts) {
 
 std::vector<Finding> analyze(const Index& index) {
   std::vector<Finding> findings;
-  check_locks(index, findings);
   check_status(index, findings);
   check_taint(index, findings);
   check_lint_rules(index, findings);

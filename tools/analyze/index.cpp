@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <set>
 
 #include "analyze/index.h"
 
@@ -50,14 +51,7 @@ std::string join(const std::vector<Token>& toks, std::size_t b,
 
 class Builder {
  public:
-  explicit Builder(Index& index) : index_(index) {
-    // Canonical hierarchy (check/ranked_mutex.h); overridden by any
-    // `enum class LockRank` found in the file set so the table cannot
-    // silently drift.
-    index_.lock_ranks = {{"kTrace", 200}, {"kHa", 250},
-                         {"kStore", 300}, {"kFault", 350},
-                         {"kParPool", 400}};
-  }
+  explicit Builder(Index& index) : index_(index) {}
 
   void scan_file(int file_id) {
     const SourceFile& f = index_.files[file_id];
@@ -73,11 +67,11 @@ class Builder {
         continue;
       }
       if (is_ident(t[i], "enum")) {
-        i = scan_enum(t, i);
+        i = skip_enum(t, i);
         continue;
       }
       if (is_ident(t[i], "using")) {
-        i = scan_using(t, i);
+        i = skip_using(t, i);
         continue;
       }
       if ((is_ident(t[i], "class") || is_ident(t[i], "struct")) &&
@@ -100,8 +94,8 @@ class Builder {
         // Brace initializer (member/global `x{...}`, `= {...}`, lambda
         // body in an initializer): part of the statement, not a scope.
         // Skip it whole so the ';' handler sees the full declaration —
-        // resetting here would hide `RankedMutex mu_{LockRank::kX}`
-        // ranks from the mutex registry.
+        // resetting here would drop `Type x_{...};` from the member
+        // registry.
         i = match_brace(t, i) + 1;
         continue;
       }
@@ -148,41 +142,16 @@ class Builder {
     return j;  // `using namespace`, alias, or malformed — skip keyword
   }
 
-  std::size_t scan_enum(const std::vector<Token>& t, std::size_t i) {
-    // enum [class] NAME [: base] { k = v, ... };  — only LockRank matters.
+  std::size_t skip_enum(const std::vector<Token>& t, std::size_t i) {
+    // enum [class] NAME [: base] { ... };  — enumerators are not indexed.
     std::size_t j = i + 1;
-    if (j < t.size() && (is_ident(t[j], "class") || is_ident(t[j], "struct")))
-      ++j;
-    const std::string name = j < t.size() && t[j].kind == Tk::kIdent
-                                 ? t[j].text
-                                 : std::string();
     while (j < t.size() && !is_punct(t[j], "{") && !is_punct(t[j], ";")) ++j;
     if (j >= t.size() || is_punct(t[j], ";")) return j + 1;
-    const std::size_t close = match_brace(t, j);
-    if (name == "LockRank") {
-      for (std::size_t k = j + 1; k + 2 < close; ++k) {
-        if (t[k].kind == Tk::kIdent && is_punct(t[k + 1], "=") &&
-            t[k + 2].kind == Tk::kNumber) {
-          index_.lock_ranks[t[k].text] = std::stoi(t[k + 2].text);
-        }
-      }
-    }
-    return close + 1;
+    return match_brace(t, j) + 1;
   }
 
-  std::size_t scan_using(const std::vector<Token>& t, std::size_t i) {
-    // using NAME = ... function < ... > ;
-    if (i + 2 < t.size() && t[i + 1].kind == Tk::kIdent &&
-        is_punct(t[i + 2], "=")) {
-      std::size_t j = i + 3;
-      bool callable = false;
-      while (j < t.size() && !is_punct(t[j], ";")) {
-        if (is_ident(t[j], "function")) callable = true;
-        ++j;
-      }
-      if (callable) index_.callable_aliases.insert(t[i + 1].text);
-      return j + 1;
-    }
+  std::size_t skip_using(const std::vector<Token>& t, std::size_t i) {
+    // using-declarations and aliases: nothing the checkers need.
     std::size_t j = i + 1;
     while (j < t.size() && !is_punct(t[j], ";")) ++j;
     return j + 1;
@@ -288,7 +257,7 @@ class Builder {
   }
 
   /// Statement [begin, semi) at class/namespace scope that is not a
-  /// function definition: record data members and mutex declarations.
+  /// function definition: record data members.
   void scan_declaration(const std::vector<Token>& t, std::size_t begin,
                         std::size_t semi) {
     if (begin >= semi) return;
@@ -353,21 +322,6 @@ class Builder {
     decl.type_terminal = terminal;
     decl.type_full = join(t, begin, name_idx);
     index_.members[klass][name] = decl;
-    // RankedMutex member: pull the rank out of the initializer.
-    bool is_mutex = false;
-    for (std::size_t i = begin; i < name_idx; ++i) {
-      if (is_ident(t[i], "RankedMutex")) is_mutex = true;
-    }
-    if (is_mutex) {
-      for (std::size_t i = name_idx; i + 2 < semi; ++i) {
-        if (is_ident(t[i], "LockRank") && is_punct(t[i + 1], "::")) {
-          const auto it = index_.lock_ranks.find(t[i + 2].text);
-          if (it != index_.lock_ranks.end()) {
-            index_.mutexes[klass][name] = it->second;
-          }
-        }
-      }
-    }
   }
 
   Index& index_;
@@ -376,27 +330,6 @@ class Builder {
 };
 
 }  // namespace
-
-int Index::mutex_rank(const std::string& klass,
-                      const std::string& name) const {
-  const auto kit = mutexes.find(klass);
-  if (kit != mutexes.end()) {
-    const auto mit = kit->second.find(name);
-    if (mit != kit->second.end()) return mit->second;
-  }
-  // Unique cross-class fallback (covers `s.mu` style access where the
-  // receiver class was resolved, and file-local globals under "").
-  int found = -1;
-  int hits = 0;
-  for (const auto& [k, m] : mutexes) {
-    const auto mit = m.find(name);
-    if (mit != m.end()) {
-      found = mit->second;
-      ++hits;
-    }
-  }
-  return hits == 1 ? found : -1;
-}
 
 const MemberDecl* Index::member(const std::string& klass,
                                 const std::string& name) const {

@@ -1,20 +1,18 @@
 // hetsim_analyze — lightweight program index: function definitions with
-// body token ranges, class member/mutex declarations, callable aliases
-// and the LockRank table, extracted from the token streams.
+// body token ranges and class member declarations, extracted from the
+// token streams.
 //
 // This is deliberately not a full C++ front end. The extraction is a
 // scope-stack walk good enough for this codebase's idiom (and for the
 // fixture corpus): namespaces, classes/structs (including out-of-class
-// qualified method definitions), data members, `using X =
-// std::function<...>` aliases and RankedMutex declarations. Anything it
-// cannot resolve it leaves unresolved — the checkers treat unresolved
-// as "no knowledge", trading recall for a near-zero false-positive
-// rate, which is what lets the CTest gate run warnings-as-errors.
+// qualified method definitions) and data members. Anything it cannot
+// resolve it leaves unresolved — the checkers treat unresolved as "no
+// knowledge", trading recall for a near-zero false-positive rate, which
+// is what lets the CTest gate run warnings-as-errors.
 #pragma once
 
 #include <cstddef>
 #include <map>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -45,20 +43,8 @@ struct Index {
   std::vector<FunctionDef> funcs;
   /// terminal name -> func ids (overload sets + same-name methods).
   std::multimap<std::string, std::size_t> by_name;
-  /// class -> mutex member name -> rank value.
-  std::map<std::string, std::map<std::string, int>> mutexes;
   /// class -> data member name -> declared type.
   std::map<std::string, std::map<std::string, MemberDecl>> members;
-  /// Names aliased to std::function via `using X = std::function<...>`.
-  std::set<std::string> callable_aliases;
-  /// LockRank enumerator -> value, parsed from any `enum class LockRank`
-  /// in the file set (seeded with the canonical hierarchy as fallback).
-  std::map<std::string, int> lock_ranks;
-
-  /// Rank of mutex `name` as seen from class `klass` (walks to a unique
-  /// cross-class match when the class has no such member). -1 = unknown.
-  [[nodiscard]] int mutex_rank(const std::string& klass,
-                               const std::string& name) const;
 
   /// Member type lookup with "" fallback.
   [[nodiscard]] const MemberDecl* member(const std::string& klass,

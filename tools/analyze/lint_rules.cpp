@@ -148,9 +148,10 @@ void check_lint_rules(const Index& index, std::vector<Finding>& out) {
             out.push_back(
                 {"naked-mutex", file.rel, line,
                  std::string(tok) +
-                     " outside src/check/ — use check::RankedMutex (+ "
-                     "std::condition_variable_any) so the lock hierarchy "
-                     "is enforced; par::ThreadPool shows the pattern"});
+                     " outside src/check/ — use check::Mutex (+ "
+                     "std::condition_variable_any) so -Wthread-safety "
+                     "checks the guarded fields; par::ThreadPool shows the "
+                     "pattern"});
           }
         }
       }

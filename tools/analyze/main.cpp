@@ -1,6 +1,5 @@
 // hetsim_analyze — compile-commands-driven static analysis for the
-// hetsim codebase: lock-order + blocking-under-lock (lock-rank,
-// lock-blocking), Status/Reply consumption (status-flow), determinism
+// hetsim codebase: Status/Reply consumption (status-flow), determinism
 // taint (determinism-taint), plus the token-level repo rules. See
 // DESIGN.md §11.
 //

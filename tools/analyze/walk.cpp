@@ -27,6 +27,11 @@ bool punct(const Token& t, const char* s) {
   return t.kind == Tk::kPunct && t.text == s;
 }
 
+/// Idents that look like calls but are control flow / casts.
+bool is_call_keyword(const std::string& name) {
+  return kCallKeywords.count(name) != 0;
+}
+
 }  // namespace
 
 std::string terminal_before(const std::vector<Token>& t, std::size_t at) {
@@ -49,13 +54,8 @@ std::string terminal_before(const std::vector<Token>& t, std::size_t at) {
   return "";
 }
 
-bool is_call_keyword(const std::string& name) {
-  return kCallKeywords.count(name) != 0;
-}
-
 Resolver::Resolver(const Index& index) : index_(index) {
   for (const auto& [klass, _] : index_.members) class_keys_.insert(klass);
-  for (const auto& [klass, _] : index_.mutexes) class_keys_.insert(klass);
   for (const FunctionDef& fn : index_.funcs) {
     if (!fn.klass.empty()) class_keys_.insert(fn.klass);
   }

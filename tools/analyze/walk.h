@@ -37,12 +37,6 @@ class Resolver {
 
   const Index& index() const { return index_; }
 
-  /// Map a terminal type ident to a class key used by Index::members /
-  /// Index::mutexes / FunctionDef::klass ("State" ->
-  /// "PhaseExecutor::State" when unique). Returns `terminal` unchanged
-  /// when no better match exists.
-  [[nodiscard]] std::string class_key(const std::string& terminal) const;
-
   /// Collect parameter + local-variable types for `fn`.
   [[nodiscard]] LocalTypes collect_locals(const FunctionDef& fn) const;
 
@@ -57,19 +51,21 @@ class Resolver {
   [[nodiscard]] std::vector<std::size_t> callees(const FunctionDef& fn,
                                                  const CallSite& call) const;
 
+ private:
+  /// Map a terminal type ident to a class key used by Index::members /
+  /// FunctionDef::klass ("State" -> "PhaseExecutor::State" when unique).
+  /// Returns `terminal` unchanged when no better match exists.
+  [[nodiscard]] std::string class_key(const std::string& terminal) const;
+
   /// Terminal type of `name` as seen from `fn`: local/param first, then
   /// enclosing-class member. "" = unknown.
   [[nodiscard]] std::string type_of(const FunctionDef& fn,
                                     const LocalTypes& locals,
                                     const std::string& name) const;
 
- private:
   const Index& index_;
   std::set<std::string> class_keys_;
 };
-
-/// Idents that look like calls but are control flow / casts.
-[[nodiscard]] bool is_call_keyword(const std::string& name);
 
 /// Backward from token `at` (exclusive): skip `&` / `*`, then return
 /// the terminal type ident — the directly preceding ident, or for a
