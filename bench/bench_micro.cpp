@@ -17,6 +17,7 @@
 #include "data/generators.h"
 #include "kvstore/store.h"
 #include "mining/apriori.h"
+#include "mining/son.h"
 #include "mining/treeminer.h"
 #include "optimize/pareto.h"
 #include "par/pool.h"
@@ -106,6 +107,34 @@ void BM_Apriori(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * txns.size());
 }
 BENCHMARK(BM_Apriori)->Arg(1000)->Arg(4000);
+
+// SON phase 2 on the rcv1-like corpus: the union of the itemsets mined
+// from 8 interleaved chunks, counted over the whole corpus.
+void BM_CountSupport(benchmark::State& state) {
+  const data::Dataset ds = data::generate_text_corpus(data::rcv1_like(1.0));
+  std::vector<data::ItemSet> txns;
+  for (const auto& r : ds.records) txns.push_back(r.items);
+  constexpr std::size_t kChunks = 8;
+  const mining::AprioriConfig acfg{.min_support = 0.05,
+                                   .max_pattern_length = 3};
+  std::vector<mining::MiningResult> locals;
+  for (std::size_t c = 0; c < kChunks; ++c) {
+    std::vector<data::ItemSet> chunk;
+    for (std::size_t i = c; i < txns.size(); i += kChunks) {
+      chunk.push_back(txns[i]);
+    }
+    locals.push_back(mining::apriori(chunk, acfg));
+  }
+  const std::vector<data::ItemSet> candidates =
+      mining::candidate_union(locals);
+  for (auto _ : state) {
+    std::uint64_t ops = 0;
+    benchmark::DoNotOptimize(mining::count_support(txns, candidates, ops));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(txns.size()));
+}
+BENCHMARK(BM_CountSupport)->Unit(benchmark::kMillisecond);
 
 // SON phase 2 on a swissprot-like corpus: the union of the candidates
 // mined from 4 interleaved chunks, counted over the whole corpus.
