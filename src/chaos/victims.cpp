@@ -96,8 +96,7 @@ Violation run_churn(const fault::FaultPlan& plan, const Grammar& g,
       [&group](ha::HostId target) -> kvstore::Client& {
         return group.connection(0, target);
       },
-      [&group, &acks](ha::HostId target, const kvstore::Command& cmd) {
-        group.oplog(target).append(cmd);
+      [&acks](ha::HostId target, const kvstore::Command& cmd) {
         if (cmd.type == kvstore::CommandType::kSet) {
           acks[cmd.key].push_back(target);
         }
@@ -157,8 +156,8 @@ Violation run_churn(const fault::FaultPlan& plan, const Grammar& g,
 
   // acked-write-lost: control-plane inspection of every acked replica.
   // Replicas the trial crashed are exempt (their loss is what the
-  // election + repair path exists for); everything else must hold the
-  // exact acknowledged value.
+  // election and read fallback exist for); everything else must hold
+  // the exact acknowledged value.
   std::size_t live_acks = 0;
   for (const auto& [key, targets] : acks) {
     for (const ha::HostId target : targets) {

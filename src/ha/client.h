@@ -3,12 +3,12 @@
 //
 // Writes fan out to every live replica of the key (element 0 of the
 // route is the acting primary). The logical write succeeds when at
-// least one replica acknowledged; replicas that failed are counted as
-// write divergence for the anti-entropy repair pass to reconcile.
+// least one replica acknowledged; replicas that failed are counted in
+// the router's write_failures and are not retried later.
 // Reads walk the key's live preference order and fall back to the next
 // replica whenever the current one cannot answer — transport failure
 // (kError / kTimeout / kUnavailable) or a missing key (a replica that
-// was down during the write and has not been repaired yet).
+// missed the write).
 //
 // The client does not own connections: a ClientProvider maps a HostId
 // to the per-target kvstore::Client to use, so the same code runs over
@@ -40,8 +40,8 @@ namespace hetsim::ha {
 using ClientProvider = std::function<kvstore::Client&(HostId)>;
 
 /// Observes every replica write that was acknowledged (status kOk), in
-/// issue order. The recovery layer hooks this to append to the target
-/// node's op log.
+/// issue order. The chaos churn victim hooks this to record which
+/// replicas acked each key.
 using WriteObserver =
     std::function<void(HostId target, const kvstore::Command& cmd)>;
 

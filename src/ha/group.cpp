@@ -1,8 +1,6 @@
 #include "ha/group.h"
 
-#include <algorithm>
 #include <numeric>
-#include <string>
 
 #include "common/error.h"
 
@@ -29,8 +27,6 @@ NodeGroup::NodeGroup(NodeGroupConfig config)
   for (std::size_t i = 0; i < config.nodes; ++i) {
     stores_.push_back(std::make_unique<kvstore::Store>());
   }
-  oplogs_.resize(config.nodes);
-  snapshots_.resize(config.nodes);
 }
 
 void NodeGroup::check_node(HostId node) const {
@@ -41,16 +37,6 @@ void NodeGroup::check_node(HostId node) const {
 kvstore::Store& NodeGroup::store(HostId node) {
   check_node(node);
   return *stores_[node];
-}
-
-OpLog& NodeGroup::oplog(HostId node) {
-  check_node(node);
-  return oplogs_[node];
-}
-
-Snapshot& NodeGroup::snapshot(HostId node) {
-  check_node(node);
-  return snapshots_[node];
 }
 
 void NodeGroup::set_fault(const fault::FaultPlan& plan) {
@@ -78,9 +64,6 @@ Client& NodeGroup::client(HostId self) {
         router_,
         [this, self](HostId target) -> kvstore::Client& {
           return connection(self, target);
-        },
-        [this](HostId target, const kvstore::Command& cmd) {
-          oplogs_[target].append(cmd);
         });
   }
   return *slot;
@@ -96,41 +79,6 @@ ElectionRecord NodeGroup::crash(HostId node, double at_s) {
   stores_[node]->fail_stop();
   stores_[node]->flush_all();
   return router_.mark_down(node, at_s);
-}
-
-void NodeGroup::checkpoint(HostId node) {
-  check_node(node);
-  snapshots_[node] = take_snapshot(*stores_[node], oplogs_[node].last_seq());
-  oplogs_[node].trim(snapshots_[node].seq);
-}
-
-NodeGroup::RejoinReport NodeGroup::rejoin(HostId node) {
-  check_node(node);
-  RejoinReport report;
-  stores_[node]->restart();
-  report.recovery = recover(*stores_[node], snapshots_[node], oplogs_[node]);
-  router_.mark_up(node);
-  // Close the gap (writes accepted while down) peer by peer: for each
-  // live peer, reconcile only the keys whose current route contains
-  // both nodes — the arcs where the peer legitimately holds a copy of
-  // the rejoiner's data.
-  for (const HostId peer : router_.map().nodes()) {
-    if (peer == node || router_.is_down(peer)) continue;
-    const KeyFilter shared_arc = [this, node, peer](const std::string& key) {
-      const std::vector<HostId> route = router_.route(key);
-      const bool has_node =
-          std::find(route.begin(), route.end(), node) != route.end();
-      const bool has_peer =
-          std::find(route.begin(), route.end(), peer) != route.end();
-      return has_node && has_peer;
-    };
-    const RepairReport r = repair(*stores_[peer], *stores_[node], &fabric_,
-                                  config_.repair, shared_arc);
-    report.repair.copied += r.copied;
-    report.repair.deleted += r.deleted;
-    report.repair.payload_bytes += r.payload_bytes;
-  }
-  return report;
 }
 
 double NodeGroup::consumed_time() const {

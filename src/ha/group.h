@@ -1,23 +1,18 @@
 // NodeGroup: a self-contained replicated store group — the HA stack
-// wired end to end (fabric + per-node stores + shard router + op logs
-// + snapshots) without the job runtime around it.
+// wired end to end (fabric + per-node stores + shard router) without
+// the job runtime around it.
 //
-// This is the harness ha_test and bench_ha drive, and the reference
-// for how the pieces compose:
+// This is the harness ha_test, bench_ha and the chaos churn victim
+// drive, and the reference for how the pieces compose:
 //
 //   NodeGroup g({.nodes = 4, .shard = {.replication = 2}});
 //   g.client(0).put("k", "v");          // fans out to k replicas
 //   g.crash(2, /*at_s=*/1.0);           // election re-homes node 2's arcs
 //   g.client(0).get("k");               // falls back transparently
-//   g.checkpoint(2);                    // (before the crash) snapshot+trim
-//   g.rejoin(2);                        // snapshot+log replay, then IBF
-//                                       // repair from live peers
 //
-// Crash semantics: the in-memory store is wiped; the op log and
-// snapshot survive (they model durable storage). Writes accepted by
-// OTHER replicas while the node was down are closed by the rejoin's
-// anti-entropy pass, scoped per peer to the ring arcs the two nodes
-// share.
+// Crash semantics: the node fail-stops and its in-memory store is
+// wiped. A crashed node stays down for the rest of the group's life;
+// reads of its keys fall back to the surviving replicas.
 #pragma once
 
 #include <map>
@@ -26,8 +21,6 @@
 
 #include "fault/fault.h"
 #include "ha/client.h"
-#include "ha/recovery.h"
-#include "ha/repair.h"
 #include "ha/router.h"
 #include "kvstore/client.h"
 #include "kvstore/store.h"
@@ -42,7 +35,6 @@ struct NodeGroupConfig {
   std::size_t pipeline_width = 64;
   kvstore::RetryPolicy retry{};
   net::LinkSpec remote{};
-  RepairConfig repair{};
   BreakerConfig breaker{};
 };
 
@@ -54,8 +46,6 @@ class NodeGroup {
   [[nodiscard]] net::Fabric& fabric() noexcept { return fabric_; }
   [[nodiscard]] ShardRouter& router() noexcept { return router_; }
   [[nodiscard]] kvstore::Store& store(HostId node);
-  [[nodiscard]] OpLog& oplog(HostId node);
-  [[nodiscard]] Snapshot& snapshot(HostId node);
 
   /// Attach fault injection (copied plan, injector owned by the group).
   void set_fault(const fault::FaultPlan& plan);
@@ -63,28 +53,15 @@ class NodeGroup {
     return fault_.get();
   }
 
-  /// The replicated client as seen from `self`. Cached; its writes feed
-  /// the acked replicas' op logs.
+  /// The replicated client as seen from `self`. Cached.
   [[nodiscard]] Client& client(HostId self);
   /// The raw per-target connection (cached) — for tests that need to
   /// inspect a single replica.
   [[nodiscard]] kvstore::Client& connection(HostId self, HostId target);
 
   /// Fail-stop `node` at virtual time `at_s`: wipe its in-memory store
-  /// (log and snapshot survive) and run the failover election.
+  /// and run the failover election.
   ElectionRecord crash(HostId node, double at_s);
-
-  /// Durably checkpoint `node`: snapshot its store at the log head and
-  /// trim the covered log prefix.
-  void checkpoint(HostId node);
-
-  struct RejoinReport {
-    RecoveryReport recovery;
-    RepairReport repair;  // summed over the per-peer passes
-  };
-  /// Bring a crashed node back: snapshot+log replay, mark live, then
-  /// anti-entropy repair from every live peer over their shared arcs.
-  RejoinReport rejoin(HostId node);
 
   /// Simulated seconds consumed by all cached connections.
   [[nodiscard]] double consumed_time() const;
@@ -96,8 +73,6 @@ class NodeGroup {
   net::Fabric fabric_;
   std::unique_ptr<fault::FaultInjector> fault_;
   std::vector<std::unique_ptr<kvstore::Store>> stores_;
-  std::vector<OpLog> oplogs_;
-  std::vector<Snapshot> snapshots_;
   ShardRouter router_;
   std::map<std::pair<HostId, HostId>, std::unique_ptr<kvstore::Client>>
       connections_;

@@ -13,26 +13,11 @@ std::uint64_t OpLog::append(kvstore::Command cmd) {
 }
 
 std::vector<LogEntry> OpLog::tail(std::uint64_t from_seq) const {
-  // entries_ is sorted by seq (append-only, trim-from-front).
+  // entries_ is sorted by seq (append-only).
   const auto it = std::upper_bound(
       entries_.begin(), entries_.end(), from_seq,
       [](std::uint64_t seq, const LogEntry& e) { return seq < e.seq; });
   return std::vector<LogEntry>(it, entries_.end());
-}
-
-void OpLog::trim(std::uint64_t up_to_seq) {
-  const auto it = std::upper_bound(
-      entries_.begin(), entries_.end(), up_to_seq,
-      [](std::uint64_t seq, const LogEntry& e) { return seq < e.seq; });
-  entries_.erase(entries_.begin(), it);
-}
-
-std::size_t Snapshot::bytes() const {
-  std::size_t total = 8;  // seq
-  for (const auto& [key, encoded] : entries) {
-    total += 8 + key.size() + encoded.size();  // two length prefixes
-  }
-  return total;
 }
 
 Snapshot take_snapshot(const kvstore::Store& store, std::uint64_t seq) {

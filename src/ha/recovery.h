@@ -1,20 +1,17 @@
 // Crash recovery for a replica: snapshot + op-log replay.
 //
-// Each node keeps a durable OpLog of the replica writes it
-// acknowledged (appended by ha::Client's WriteObserver) and, after a
-// checkpoint, a Snapshot of its store's full contents at a log
-// sequence number. A crash wipes the in-memory kvstore::Store but not
-// the log or snapshot; rejoining replays snapshot-then-tail and lands
-// byte-identical to the pre-crash store:
+// A node's durable state is an OpLog of the writes it acknowledged and
+// a Snapshot of its store's full contents at a log sequence number.
+// Recovery replays snapshot-then-tail onto a wiped kvstore::Store and
+// lands byte-identical to the store the log was written against:
 //
 //   recover = restore(snapshot) ; replay(log entries with seq > snapshot.seq)
 //
-// Writes the cluster performed WHILE the node was down are by
-// definition in neither the snapshot nor the log — those are closed by
-// the anti-entropy repair pass (ha/repair.h) against a live replica.
-// Everything here is deterministic: the log is an ordered sequence and
-// replay applies it in order through the same kvstore::apply_command
-// path the live write took.
+// The chaos `recovery` victim drives this directly and checks the
+// rebuilt keyspace against the original. Everything here is
+// deterministic: the log is an ordered sequence and replay applies it
+// in order through the same kvstore::apply_command path the live write
+// took.
 #pragma once
 
 #include <cstdint>
@@ -43,12 +40,7 @@ class OpLog {
   /// Entries with seq > from_seq, in order.
   [[nodiscard]] std::vector<LogEntry> tail(std::uint64_t from_seq) const;
 
-  /// Drop entries with seq <= up_to_seq (they are covered by a
-  /// snapshot).
-  void trim(std::uint64_t up_to_seq);
-
   [[nodiscard]] std::uint64_t last_seq() const noexcept { return next_ - 1; }
-  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
  private:
   std::vector<LogEntry> entries_;
@@ -61,10 +53,6 @@ class OpLog {
 struct Snapshot {
   std::uint64_t seq = 0;
   std::vector<std::pair<std::string, std::string>> entries;  // key, encoded
-
-  [[nodiscard]] bool empty() const noexcept { return entries.empty(); }
-  /// Approximate durable size (for bench accounting).
-  [[nodiscard]] std::size_t bytes() const;
 };
 
 /// Capture the store at log position `seq` (keys in deterministic map
@@ -83,7 +71,7 @@ struct RecoveryReport {
   /// Log entries whose replay returned an error reply. A live write
   /// that was acknowledged cannot fail replay against the same store
   /// state, so any nonzero count means snapshot/log divergence — the
-  /// recovered store must not be trusted until repair runs.
+  /// recovered store must not be trusted.
   std::size_t failed_ops = 0;
 
   [[nodiscard]] bool diverged() const noexcept { return failed_ops != 0; }

@@ -131,14 +131,6 @@ ElectionRecord ShardRouter::mark_down(HostId node, double at_s) {
   return rec;
 }
 
-void ShardRouter::mark_up(HostId node) {
-  const std::size_t idx = index_of(node);
-  down_[idx] = 0;
-  // A rejoined node starts with a clean bill of health; stale breaker
-  // state from before the crash must not shed it.
-  breakers_[idx] = NodeBreaker{};
-}
-
 bool ShardRouter::is_down(HostId node) const {
   const std::size_t idx = index_of(node);
   return down_[idx] != 0;

@@ -36,8 +36,8 @@ struct RouterStats {
   std::uint64_t routed_writes = 0;
   /// Reads answered by a non-primary replica after fallback.
   std::uint64_t fallback_reads = 0;
-  /// Per-replica write attempts that did not come back kOk (divergence
-  /// that anti-entropy repair later reconciles).
+  /// Per-replica write attempts that did not come back kOk (replicas
+  /// left without that write).
   std::uint64_t write_failures = 0;
   /// Times a breaker-open node was shed from a route walk (its slot
   /// went to a healthy ring successor instead).
@@ -93,10 +93,6 @@ class ShardRouter {
   /// Idempotent: re-marking a dead node returns the original record
   /// without a new term.
   ElectionRecord mark_down(HostId node, double at_s);
-
-  /// Rejoin after recovery; the node resumes its ring arcs on the next
-  /// route() call (repair closes whatever it missed while away).
-  void mark_up(HostId node);
 
   [[nodiscard]] bool is_down(HostId node) const;
   [[nodiscard]] std::size_t live_count() const;

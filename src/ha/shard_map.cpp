@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <map>
 
-#include "check/check.h"
 #include "common/error.h"
 #include "common/hash.h"
 
@@ -32,11 +31,6 @@ ShardMap::ShardMap(std::vector<HostId> nodes, ShardMapConfig config)
   common::require<common::ConfigError>(
       std::adjacent_find(nodes_.begin(), nodes_.end()) == nodes_.end(),
       "ShardMap: duplicate node id");
-  rebuild();
-}
-
-void ShardMap::rebuild() {
-  ring_.clear();
   ring_.reserve(nodes_.size() * config_.virtual_nodes);
   for (const HostId node : nodes_) {
     for (std::size_t v = 0; v < config_.virtual_nodes; ++v) {
@@ -80,42 +74,6 @@ HostId ShardMap::primary(std::string_view key) const {
 
 std::vector<HostId> ShardMap::preference(std::string_view key) const {
   return walk(key_point(key), nodes_.size());
-}
-
-void ShardMap::add_node(HostId node) {
-  common::require<common::ConfigError>(
-      std::find(nodes_.begin(), nodes_.end(), node) == nodes_.end(),
-      "ShardMap: node already present");
-  nodes_.insert(std::upper_bound(nodes_.begin(), nodes_.end(), node), node);
-  rebuild();
-}
-
-void ShardMap::remove_node(HostId node) {
-  const auto it = std::find(nodes_.begin(), nodes_.end(), node);
-  common::require<common::ConfigError>(it != nodes_.end(),
-                                       "ShardMap: node not present");
-  common::require<common::ConfigError>(nodes_.size() > 1,
-                                       "ShardMap: cannot remove last node");
-  nodes_.erase(it);
-  rebuild();
-}
-
-std::uint64_t ShardMap::fingerprint() const {
-  std::uint64_t h = common::hash_u64(config_.seed);
-  h = common::hash_combine(h, common::hash_u64(config_.virtual_nodes));
-  h = common::hash_combine(h, common::hash_u64(config_.replication));
-  for (const HostId node : nodes_) {
-    h = common::hash_combine(h, common::hash_u64(node));
-  }
-  return h;
-}
-
-void ShardMap::check_compatible(const ShardMap& other) const {
-  HETSIM_CHECK(fingerprint() == other.fingerprint())
-      << " — conflicting shard maps: the two sides of this replication "
-         "exchange would route keys differently (seed/membership/"
-         "virtual_nodes mismatch; " << fingerprint() << " vs "
-      << other.fingerprint() << ")";
 }
 
 std::vector<std::vector<HostId>> ShardMap::replica_sets() const {

@@ -5,16 +5,15 @@
 // hashing: every node contributes `virtual_nodes` points on a 64-bit
 // ring, a key hashes to a ring position, and its replicas are the first
 // k *distinct* nodes encountered walking the ring clockwise. Virtual
-// nodes smooth the load (the per-node share concentrates around 1/n)
-// and bound re-mapping churn: adding or removing one node moves only
-// the arcs that node owned, i.e. an expected 1/n of the keys — the
-// property the node add/remove tests assert.
+// nodes smooth the load (the per-node share concentrates around 1/n),
+// and a node's ring points depend only on (seed, node), so two maps
+// whose memberships differ by one node disagree only on that node's
+// arcs, i.e. an expected 1/n of the keys.
 //
-// Everything is a pure function of (seed, membership, virtual_nodes):
-// two ShardMaps built from the same inputs route identically on any
-// machine at any thread count, and fingerprint() collapses the whole
-// placement into one value so split-brain configurations (two routers
-// with different maps) die loudly instead of scattering keys.
+// Membership is fixed at construction, and everything is a pure
+// function of (seed, membership, virtual_nodes): two ShardMaps built
+// from the same inputs route identically on any machine at any thread
+// count.
 #pragma once
 
 #include <cstdint>
@@ -36,8 +35,7 @@ struct ShardMapConfig {
   /// Copies kept of every key (clamped to the node count at routing
   /// time). 1 disables replication.
   std::size_t replication = 2;
-  /// Ring placement seed; both parties of a replicated exchange must
-  /// agree on it (it feeds fingerprint()).
+  /// Ring placement seed.
   std::uint64_t seed = 0;
 };
 
@@ -50,7 +48,7 @@ class ShardMap {
   [[nodiscard]] const ShardMapConfig& config() const noexcept {
     return config_;
   }
-  /// Current membership, ascending.
+  /// Membership, ascending.
   [[nodiscard]] const std::vector<HostId>& nodes() const noexcept {
     return nodes_;
   }
@@ -63,22 +61,6 @@ class ShardMap {
   /// count). The failover router walks this past dead entries.
   [[nodiscard]] std::vector<HostId> preference(std::string_view key) const;
 
-  /// Membership changes rebuild the ring deterministically; surviving
-  /// nodes keep their ring points, so only the touched arcs re-map.
-  /// Throws common::ConfigError on duplicate add / missing remove, or
-  /// when removal would empty the map.
-  void add_node(HostId node);
-  void remove_node(HostId node);
-
-  /// Stable digest of (seed, virtual_nodes, replication, membership) —
-  /// equal fingerprints mean identical routing for every key.
-  [[nodiscard]] std::uint64_t fingerprint() const;
-
-  /// Split-brain guard: aborts (HETSIM_CHECK) when `other` would route
-  /// any key differently, i.e. the fingerprints differ. Replication
-  /// partners must call this before exchanging data.
-  void check_compatible(const ShardMap& other) const;
-
   /// For each node i (by membership order): the nodes that hold the
   /// extra k-1 copies of keys primaried on i, weighted by how much of
   /// i's ring arc they back. This is the placement summary the Pareto
@@ -86,7 +68,6 @@ class ShardMap {
   [[nodiscard]] std::vector<std::vector<HostId>> replica_sets() const;
 
  private:
-  void rebuild();
   /// First distinct owners walking the ring from `point`.
   [[nodiscard]] std::vector<HostId> walk(std::uint64_t point,
                                          std::size_t count) const;

@@ -146,10 +146,6 @@ void Store::fail_stop() {
   down_ = true;
 }
 
-void Store::restart() {
-  down_ = false;
-}
-
 bool Store::is_down() const {
   return down_;
 }

@@ -76,23 +76,20 @@ class Store {
   void flush_all();
   [[nodiscard]] StoreStats stats() const;
 
-  // ---- fail-stop lifecycle (src/ha crash/rejoin) ---------------------
-  // A fail-stopped store refuses client traffic: Client::execute /
-  // drain time out against it instead of applying commands, so a
+  // ---- fail-stop (src/ha crash) ---------------------------------------
+  // A fail-stopped store refuses client traffic for good: Client::execute
+  // / drain time out against it instead of applying commands, so a
   // crashed replica can never hand out zombie acks between the crash
   // and the router noticing. Direct Store methods keep working — they
-  // model control-plane access (recovery restores onto the store
-  // after restart()), not the serving path.
+  // model control-plane access, not the serving path.
   void fail_stop();
-  void restart();
   [[nodiscard]] bool is_down() const;
 
-  // ---- replication / repair surface (src/ha) -------------------------
-  // The HA layer snapshots stores, replays op logs onto them and
-  // reconciles diverged replicas; all three need a stable, enumerable
-  // view of the keyspace. None of these count as served operations
-  // (ops_ untouched): they model control-plane access, not client
-  // traffic.
+  // ---- snapshot / inspection surface (src/ha, src/chaos) --------------
+  // Snapshots, op-log replay and the chaos invariants need a stable,
+  // enumerable view of the keyspace. None of these count as served
+  // operations (ops_ untouched): they model control-plane access, not
+  // client traffic.
   /// All keys, in map (lexicographic) order.
   [[nodiscard]] std::vector<std::string> keys() const;
   /// Stable 64-bit digest of the value under `key` (type-tagged, so a

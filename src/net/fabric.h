@@ -54,18 +54,6 @@ struct RetryStats {
   std::uint64_t failures = 0;  // operations that exhausted their retries
 };
 
-/// Traffic counters of the HA anti-entropy repair channel (src/ha). A
-/// repair exchange ships the invertible-Bloom-filter sketches plus the
-/// reconciled delta payload — the whole point of IBF reconciliation is
-/// that ibf_bytes + payload_bytes stays far below a full store copy, so
-/// the fabric tracks the two separately for benches to assert on.
-struct RepairStats {
-  std::uint64_t exchanges = 0;      // repair sessions completed
-  std::uint64_t ibf_bytes = 0;      // sketch bytes shipped
-  std::uint64_t payload_bytes = 0;  // delta key/value bytes shipped
-  std::uint64_t keys_repaired = 0;  // keys copied or deleted to converge
-};
-
 /// A deterministic network cost simulator.
 class Fabric {
  public:
@@ -118,20 +106,6 @@ class Fabric {
     return retry_stats_;
   }
 
-  // ---- HA repair channel ---------------------------------------------
-  /// Record one anti-entropy repair exchange between two replicas (the
-  /// HA layer charges virtual time separately via exchange_cost).
-  void note_repair(std::uint64_t ibf_bytes, std::uint64_t payload_bytes,
-                   std::uint64_t keys_repaired) noexcept {
-    ++repair_stats_.exchanges;
-    repair_stats_.ibf_bytes += ibf_bytes;
-    repair_stats_.payload_bytes += payload_bytes;
-    repair_stats_.keys_repaired += keys_repaired;
-  }
-  [[nodiscard]] const RepairStats& repair_stats() const noexcept {
-    return repair_stats_;
-  }
-
   [[nodiscard]] const LinkSpec& remote_spec() const noexcept { return remote_; }
   [[nodiscard]] const LinkSpec& local_spec() const noexcept { return local_; }
 
@@ -146,7 +120,6 @@ class Fabric {
   LinkSpec local_;
   std::map<std::pair<HostId, HostId>, LinkStats> stats_;
   RetryStats retry_stats_;
-  RepairStats repair_stats_;
   fault::FaultInjector* fault_ = nullptr;
 };
 

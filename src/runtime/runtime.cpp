@@ -419,9 +419,9 @@ PhaseResult JobRuntime::ingest(JobState& s, const PhaseAttempt& at) {
     }
     if (master_ok) {
       if (zero_ack > 0 || under_replicated > 0) {
-        // The master holds the canonical copy of every record;
-        // missing replica copies are write divergence for the
-        // anti-entropy repair pass, not a job failure.
+        // The master holds the canonical copy of every record, so
+        // a missing replica copy only lowers redundancy; it is not
+        // a job failure.
         s.summary.tolerated_kv_failures += zero_ack + under_replicated;
         result = PhaseResult::degraded(
             "ingest: " + std::to_string(zero_ack + under_replicated) +

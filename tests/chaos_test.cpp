@@ -13,6 +13,7 @@
 
 #include "chaos/chaos.h"
 #include "common/error.h"
+#include "common/hash.h"
 #include "common/json.h"
 #include "fault/fault.h"
 #include "fault/test_hooks.h"
@@ -112,6 +113,30 @@ TEST(ChaosSearch, CleanStackPassesAndTheTrialLogIsByteIdentical) {
     EXPECT_EQ(a.trials_run, 200u);
     EXPECT_FALSE(a.trial_log.empty());
     EXPECT_EQ(a.trial_log, b.trial_log);
+  }
+}
+
+TEST(ChaosSearch, TrialLogPinnedAcrossHaDeletion) {
+  // Run-against-run identity cannot see a change to churn or recovery
+  // behaviour, so pin the logs themselves: the constants are the
+  // hash and length of the trial logs the HA stack produced before
+  // its replica-rejoin mechanism was deleted.
+  struct Pinned {
+    std::uint64_t seed;
+    std::uint64_t trials;
+    std::uint64_t job_cadence;
+    std::uint64_t log_hash;
+    std::size_t log_size;
+  };
+  for (const Pinned& p : {Pinned{1, 200, 8, 0x1a7e4d7bc65c9df9ULL, 33315},
+                          Pinned{3, 60, 1, 0xebc4e7f31e80397dULL, 13506}}) {
+    chaos::SearchConfig config = quick_config(p.seed, p.trials);
+    config.job_cadence = p.job_cadence;
+    const chaos::SearchReport report = chaos::run_search(config);
+    EXPECT_FALSE(report.violated) << report.violation.invariant;
+    EXPECT_EQ(common::hash_bytes(report.trial_log), p.log_hash)
+        << "seed " << p.seed;
+    EXPECT_EQ(report.trial_log.size(), p.log_size) << "seed " << p.seed;
   }
 }
 

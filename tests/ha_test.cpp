@@ -1,15 +1,15 @@
-// Tests for hetsim::ha — the sharded, replicated, self-healing kvstore
-// layer: consistent-hash shard maps (determinism + bounded churn),
-// IBF set reconciliation (round trips + undecodable overload), the
+// Tests for hetsim::ha — the sharded, replicated kvstore layer:
+// consistent-hash shard maps (determinism + bounded churn), the
 // liveness-aware router's seeded failover elections, the replicated
 // client's write fan-out / read fallback for every transport status,
-// crash -> checkpoint -> rejoin recovery on a NodeGroup, and the job
-// runtime's replicated degraded mode driven by the example fault plan.
+// snapshot + op-log replay recovery, and the job runtime's replicated
+// degraded mode driven by the example fault plan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <numeric>
 #include <set>
@@ -25,9 +25,7 @@
 #include "fault/fault.h"
 #include "ha/client.h"
 #include "ha/group.h"
-#include "ha/ibf.h"
 #include "ha/recovery.h"
-#include "ha/repair.h"
 #include "ha/router.h"
 #include "ha/shard_map.h"
 #include "kvstore/client.h"
@@ -38,7 +36,6 @@ namespace hetsim {
 namespace {
 
 using ha::HostId;
-using ha::Ibf;
 using ha::NodeGroup;
 using ha::NodeGroupConfig;
 using ha::ShardMap;
@@ -64,7 +61,6 @@ TEST(ShardMap, SameInputsRouteIdentically) {
   const ShardMapConfig cfg{.virtual_nodes = 64, .replication = 3, .seed = 11};
   const ShardMap a(iota_nodes(5), cfg);
   const ShardMap b(iota_nodes(5), cfg);
-  EXPECT_EQ(a.fingerprint(), b.fingerprint());
   for (const std::string& key : sample_keys(500)) {
     EXPECT_EQ(a.replicas(key), b.replicas(key)) << key;
     EXPECT_EQ(a.preference(key), b.preference(key)) << key;
@@ -94,13 +90,13 @@ TEST(ShardMap, ReplicationClampsToTheNodeCount) {
 
 TEST(ShardMap, AddNodeMovesOnlyABoundedKeyFraction) {
   const ShardMapConfig cfg{.virtual_nodes = 64, .replication = 2, .seed = 5};
-  ShardMap map(iota_nodes(6), cfg);
+  const ShardMap six(iota_nodes(6), cfg);
   const std::vector<std::string> keys = sample_keys(2000);
   std::vector<HostId> before;
   before.reserve(keys.size());
-  for (const std::string& key : keys) before.push_back(map.primary(key));
+  for (const std::string& key : keys) before.push_back(six.primary(key));
 
-  map.add_node(6);
+  const ShardMap map(iota_nodes(7), cfg);
   std::size_t moved = 0;
   for (std::size_t i = 0; i < keys.size(); ++i) {
     const HostId now = map.primary(keys[i]);
@@ -118,13 +114,13 @@ TEST(ShardMap, AddNodeMovesOnlyABoundedKeyFraction) {
 
 TEST(ShardMap, RemoveNodeOnlyRehomesItsOwnKeys) {
   const ShardMapConfig cfg{.virtual_nodes = 64, .replication = 2, .seed = 5};
-  ShardMap map(iota_nodes(6), cfg);
+  const ShardMap six(iota_nodes(6), cfg);
   const std::vector<std::string> keys = sample_keys(2000);
   std::vector<HostId> before;
   before.reserve(keys.size());
-  for (const std::string& key : keys) before.push_back(map.primary(key));
+  for (const std::string& key : keys) before.push_back(six.primary(key));
 
-  map.remove_node(2);
+  const ShardMap map({0, 1, 3, 4, 5}, cfg);
   for (std::size_t i = 0; i < keys.size(); ++i) {
     if (before[i] != 2) {
       // Survivors keep their ring points, so untouched arcs stay put.
@@ -135,16 +131,6 @@ TEST(ShardMap, RemoveNodeOnlyRehomesItsOwnKeys) {
   }
 }
 
-TEST(ShardMap, AddThenRemoveRestoresTheOriginalPlacement) {
-  const ShardMapConfig cfg{.virtual_nodes = 32, .replication = 2, .seed = 9};
-  ShardMap map(iota_nodes(4), cfg);
-  const std::uint64_t original = map.fingerprint();
-  map.add_node(9);
-  EXPECT_NE(map.fingerprint(), original);
-  map.remove_node(9);
-  EXPECT_EQ(map.fingerprint(), original);
-}
-
 TEST(ShardMap, RejectsBadMembershipAndConfig) {
   EXPECT_THROW(ShardMap({}, {}), common::ConfigError);
   EXPECT_THROW(ShardMap({1, 1}, {}), common::ConfigError);
@@ -152,11 +138,6 @@ TEST(ShardMap, RejectsBadMembershipAndConfig) {
                common::ConfigError);
   EXPECT_THROW(ShardMap(iota_nodes(2), {.replication = 0}),
                common::ConfigError);
-  ShardMap map(iota_nodes(2), {});
-  EXPECT_THROW(map.add_node(1), common::ConfigError);
-  EXPECT_THROW(map.remove_node(7), common::ConfigError);
-  map.remove_node(1);
-  EXPECT_THROW(map.remove_node(0), common::ConfigError);
 }
 
 TEST(ShardMap, ReplicaSetsCoverEveryNode) {
@@ -168,99 +149,6 @@ TEST(ShardMap, ReplicaSetsCoverEveryNode) {
     EXPECT_FALSE(sets[i].empty()) << "node " << i;
     for (const HostId backer : sets[i]) EXPECT_NE(backer, i);
   }
-}
-
-using ShardMapDeathTest = ::testing::Test;
-
-TEST(ShardMapDeathTest, ConflictingMapsDieLoudlyNotSilently) {
-  const ShardMap a(iota_nodes(4), {.seed = 1});
-  const ShardMap b(iota_nodes(4), {.seed = 2});
-  EXPECT_DEATH(a.check_compatible(b), "conflicting shard maps");
-  const ShardMap c(iota_nodes(5), {.seed = 1});
-  EXPECT_DEATH(a.check_compatible(c), "conflicting shard maps");
-}
-
-// ---- Ibf -------------------------------------------------------------------
-
-std::uint64_t item_of(std::uint64_t i) { return 0x9e3779b9u * (i + 1); }
-
-TEST(Ibf, RejectsDegenerateGeometry) {
-  EXPECT_THROW(Ibf(Ibf::kHashes - 1, 0), common::ConfigError);
-}
-
-TEST(Ibf, SubtractDecodeRecoversTheSymmetricDifference) {
-  Ibf a(64, 7);
-  Ibf b(64, 7);
-  // 500 shared items dwarf the sketch size; only the difference counts.
-  for (std::uint64_t i = 0; i < 500; ++i) {
-    a.add(item_of(i));
-    b.add(item_of(i));
-  }
-  const std::vector<std::uint64_t> only_a = {item_of(1000), item_of(1001)};
-  const std::vector<std::uint64_t> only_b = {item_of(2000), item_of(2001),
-                                             item_of(2002)};
-  for (const std::uint64_t item : only_a) a.add(item);
-  for (const std::uint64_t item : only_b) b.add(item);
-
-  a.subtract(b);
-  const Ibf::Decode diff = a.decode();
-  ASSERT_TRUE(diff.ok);
-  std::vector<std::uint64_t> expect_extra = only_a;
-  std::vector<std::uint64_t> expect_missing = only_b;
-  std::sort(expect_extra.begin(), expect_extra.end());
-  std::sort(expect_missing.begin(), expect_missing.end());
-  EXPECT_EQ(diff.extra, expect_extra);
-  EXPECT_EQ(diff.missing, expect_missing);
-}
-
-TEST(Ibf, IdenticalSetsDecodeToEmpty) {
-  Ibf a(16, 3);
-  Ibf b(16, 3);
-  for (std::uint64_t i = 0; i < 100; ++i) {
-    a.add(item_of(i));
-    b.add(item_of(i));
-  }
-  a.subtract(b);
-  const Ibf::Decode diff = a.decode();
-  EXPECT_TRUE(diff.ok);
-  EXPECT_TRUE(diff.extra.empty());
-  EXPECT_TRUE(diff.missing.empty());
-}
-
-TEST(Ibf, AddRemoveCancelsExactly) {
-  Ibf a(32, 1);
-  a.add(item_of(1));
-  a.add(item_of(2));
-  a.remove(item_of(1));
-  Ibf b(32, 1);
-  b.add(item_of(2));
-  a.subtract(b);
-  const Ibf::Decode diff = a.decode();
-  EXPECT_TRUE(diff.ok);
-  EXPECT_TRUE(diff.extra.empty());
-  EXPECT_TRUE(diff.missing.empty());
-}
-
-TEST(Ibf, OverloadedSketchReportsUndecodable) {
-  // A 16-cell sketch cannot peel a 200-item difference.
-  Ibf a(16, 5);
-  Ibf b(16, 5);
-  for (std::uint64_t i = 0; i < 200; ++i) a.add(item_of(i));
-  a.subtract(b);
-  EXPECT_FALSE(a.decode().ok);
-}
-
-TEST(Ibf, MismatchedSketchesRefuseToSubtract) {
-  Ibf a(32, 1);
-  Ibf b(64, 1);
-  EXPECT_THROW(a.subtract(b), common::ConfigError);
-  Ibf c(32, 2);
-  EXPECT_THROW(a.subtract(c), common::ConfigError);
-}
-
-TEST(Ibf, WireBytesTrackTheCellCount) {
-  const Ibf a(64, 0);
-  EXPECT_EQ(a.wire_bytes(), 64 * Ibf::kCellBytes + 16);
 }
 
 // ---- ShardRouter: liveness + elections -------------------------------------
@@ -279,9 +167,6 @@ TEST(ShardRouter, RouteSkipsDeadPrimariesTransparently) {
   ASSERT_EQ(degraded.size(), 2u);
   EXPECT_EQ(degraded[0], pref[1]);  // next live node in ring order
   EXPECT_EQ(degraded[1], pref[2]);
-
-  router.mark_up(pref[0]);
-  EXPECT_EQ(router.route(key), healthy);
 }
 
 TEST(ShardRouter, LivePreferenceShrinksWithTheClusterAndNeverLies) {
@@ -335,7 +220,6 @@ TEST(ShardRouter, SameSeedElectionsReplayIdentically) {
     std::vector<ha::ElectionRecord> records;
     records.push_back(router.mark_down(4, 0.25));
     records.push_back(router.mark_down(1, 0.50));
-    router.mark_up(4);
     records.push_back(router.mark_down(2, 0.75));
     return records;
   };
@@ -392,12 +276,6 @@ TEST(Breaker, OpensAfterConsecutiveFailuresAndShedsFromWalks) {
   const std::vector<HostId> all =
       router.live_preference(key, /*ignore_breaker=*/true);
   EXPECT_EQ(all[0], primary);
-
-  // A success anywhere resets only that node's streak; an intervening
-  // success on the broken node is impossible while shed, so mark_up is
-  // the operator's reset.
-  router.mark_up(primary);
-  EXPECT_FALSE(router.breaker_open(primary));
 }
 
 TEST(Breaker, HalfOpenProbeClosesOnSuccessAndReArmsOnFailure) {
@@ -505,22 +383,65 @@ TEST(DeadlineBudget, WriteResultConservationHoldsUnderCrashes) {
   }
 }
 
-TEST(NodeGroup, PutFansOutToEveryReplicaAndFeedsTheirOpLogs) {
+TEST(NodeGroup, PutFansOutToEveryReplicaAndObservesExactlyTheAcks) {
   NodeGroup group({.nodes = 4, .shard = {.replication = 2, .seed = 31}});
-  const std::string key = "object:7";
-  const ha::WriteResult res = group.client(0).put(key, "v0");
-  EXPECT_EQ(res.status, kvstore::Status::kOk);
-  EXPECT_EQ(res.attempted, 2u);
-  EXPECT_EQ(res.acked, 2u);
+  const std::string healthy_key = "object:7";
+  const std::vector<HostId> healthy = group.router().route(healthy_key);
+  ASSERT_EQ(healthy.size(), 2u);
+  // An always-erroring node outside the healthy key's route, and a
+  // second key whose route runs through it.
+  HostId broken = 0;
+  while (std::find(healthy.begin(), healthy.end(), broken) != healthy.end()) {
+    ++broken;
+  }
+  std::string degraded_key;
+  std::vector<HostId> degraded;
+  for (int i = 0; degraded_key.empty(); ++i) {
+    const std::string key = "object:" + std::to_string(100 + i);
+    degraded = group.router().route(key);
+    if (std::find(degraded.begin(), degraded.end(), broken) !=
+        degraded.end()) {
+      degraded_key = key;
+    }
+  }
+  fault::FaultPlan plan;
+  plan.seed = 12;
+  plan.stores[broken].error_prob = 1.0;
+  group.set_fault(plan);
 
-  const std::vector<HostId> replicas = group.router().route(key);
-  ASSERT_EQ(replicas.size(), 2u);
+  std::map<std::string, std::vector<HostId>> observed;
+  ha::Client client(
+      group.router(),
+      [&group](HostId target) -> kvstore::Client& {
+        return group.connection(0, target);
+      },
+      [&observed](HostId target, const kvstore::Command& cmd) {
+        EXPECT_EQ(cmd.type, kvstore::CommandType::kSet);
+        observed[cmd.key].push_back(target);
+      });
+
+  const ha::WriteResult full = client.put(healthy_key, "v0");
+  EXPECT_EQ(full.status, kvstore::Status::kOk);
+  EXPECT_EQ(full.attempted, 2u);
+  EXPECT_EQ(full.acked, 2u);
+  EXPECT_EQ(observed[healthy_key], healthy);
   for (HostId node = 0; node < 4; ++node) {
     const bool holds =
-        std::find(replicas.begin(), replicas.end(), node) != replicas.end();
-    EXPECT_EQ(group.store(node).exists(key), holds) << "node " << node;
-    EXPECT_EQ(group.oplog(node).size(), holds ? 1u : 0u) << "node " << node;
+        std::find(healthy.begin(), healthy.end(), node) != healthy.end();
+    EXPECT_EQ(group.store(node).exists(healthy_key), holds) << "node " << node;
   }
+
+  // The erroring replica is attempted but never observed.
+  const ha::WriteResult partial = client.put(degraded_key, "v1");
+  EXPECT_EQ(partial.status, kvstore::Status::kOk);
+  EXPECT_EQ(partial.attempted, 2u);
+  EXPECT_EQ(partial.acked, 1u);
+  std::vector<HostId> acked;
+  for (const HostId node : degraded) {
+    if (node != broken) acked.push_back(node);
+  }
+  EXPECT_EQ(observed[degraded_key], acked);
+  EXPECT_FALSE(group.store(broken).exists(degraded_key));
 }
 
 TEST(NodeGroup, ReadFallsBackWhenThePrimaryIsDown) {
@@ -530,6 +451,8 @@ TEST(NodeGroup, ReadFallsBackWhenThePrimaryIsDown) {
   const std::vector<HostId> replicas = group.router().route(key);
 
   (void)group.crash(replicas[0], 0.5);
+  EXPECT_TRUE(group.store(replicas[0]).is_down());
+  EXPECT_EQ(group.store(replicas[0]).stats().keys, 0u);  // wiped
   const ha::ReadResult read = group.client(0).get(key);
   EXPECT_EQ(read.reply.status, kvstore::Status::kOk);
   EXPECT_TRUE(read.reply.ok);
@@ -544,7 +467,7 @@ TEST(NodeGroup, ReadFallsBackWhenThePrimaryIsDown) {
 TEST(NodeGroup, ErroringReplicaDivergesButTheWriteStillLands) {
   // Exhausted retries against the always-erroring store surface as
   // kUnavailable on that replica; the logical write succeeds on the
-  // healthy one and the divergence is counted for repair.
+  // healthy one and the divergence is counted in write_failures.
   NodeGroup group({.nodes = 3, .shard = {.replication = 2, .seed = 8}});
   const std::string key = "object:3";
   const std::vector<HostId> replicas = group.router().route(key);
@@ -692,237 +615,6 @@ TEST(Recovery, DelOfAbsentKeyIsALegitimateNoOpNotDivergence) {
   EXPECT_EQ(report.replayed_ops, 1u);
   EXPECT_EQ(report.failed_ops, 0u);
   EXPECT_FALSE(report.diverged());
-}
-
-TEST(Recovery, TrimDropsOnlyTheCoveredPrefix) {
-  ha::OpLog log;
-  for (int i = 0; i < 5; ++i) {
-    (void)log.append({.type = kvstore::CommandType::kSet,
-                      .key = "k" + std::to_string(i)});
-  }
-  log.trim(3);
-  EXPECT_EQ(log.size(), 2u);
-  EXPECT_EQ(log.last_seq(), 5u);  // sequence numbers never rewind
-  const std::vector<ha::LogEntry> tail = log.tail(0);
-  ASSERT_EQ(tail.size(), 2u);
-  EXPECT_EQ(tail[0].seq, 4u);
-  EXPECT_EQ(tail[1].seq, 5u);
-}
-
-// ---- repair: IBF anti-entropy ----------------------------------------------
-
-TEST(Repair, PlanFindsMissingDivergentAndOrphanedKeys) {
-  kvstore::Store authority;
-  kvstore::Store target;
-  for (int i = 0; i < 300; ++i) {
-    const std::string key = "k" + std::to_string(i);
-    authority.set(key, "v" + std::to_string(i));
-    if (i != 7) target.set(key, "v" + std::to_string(i));  // k7 missing
-  }
-  target.set("k3", "diverged");        // same key, different value
-  target.set("orphan", "stale");       // authority never had it
-
-  const ha::RepairPlan plan = ha::plan_repair(authority, target);
-  ASSERT_TRUE(plan.decoded);
-  // copy_keys follow the (deterministic) peel order, not key order.
-  std::vector<std::string> copies = plan.copy_keys;
-  std::sort(copies.begin(), copies.end());
-  EXPECT_EQ(copies, (std::vector<std::string>{"k3", "k7"}));
-  EXPECT_EQ(plan.delete_keys, (std::vector<std::string>{"orphan"}));
-  EXPECT_GT(plan.ibf_wire_bytes, 0u);
-
-  const ha::RepairReport report = ha::apply_repair(authority, target, plan);
-  EXPECT_EQ(report.copied, 2u);
-  EXPECT_EQ(report.deleted, 1u);
-  EXPECT_GT(report.payload_bytes, 0u);
-  EXPECT_EQ(target.keys(), authority.keys());
-  for (const std::string& key : authority.keys()) {
-    EXPECT_EQ(target.value_digest(key), authority.value_digest(key)) << key;
-  }
-
-  // Converged stores plan an empty repair in one round.
-  const ha::RepairPlan again = ha::plan_repair(authority, target);
-  EXPECT_TRUE(again.decoded);
-  EXPECT_EQ(again.rounds, 1u);
-  EXPECT_TRUE(again.copy_keys.empty());
-  EXPECT_TRUE(again.delete_keys.empty());
-}
-
-TEST(Repair, UndecodableOverloadDoublesCellsUntilItDecodes) {
-  kvstore::Store authority;
-  kvstore::Store target;  // empty: the difference is the whole keyspace
-  for (int i = 0; i < 400; ++i) {
-    authority.set("k" + std::to_string(i), std::string(20, 'x'));
-  }
-  ha::RepairConfig config;
-  config.initial_cells = 8;  // far below the 400-key difference
-  const ha::RepairPlan plan = ha::plan_repair(authority, target, config);
-  ASSERT_TRUE(plan.decoded);
-  EXPECT_GT(plan.rounds, 1u);
-  EXPECT_GT(plan.cells, config.initial_cells);
-  EXPECT_EQ(plan.copy_keys.size(), 400u);
-  // Every undecodable round still shipped its sketches.
-  EXPECT_GT(plan.ibf_wire_bytes,
-            plan.cells * Ibf::kCellBytes);
-}
-
-TEST(Repair, GivesUpLoudlyWhenTheDifferenceIsTheKeyspace) {
-  kvstore::Store authority;
-  kvstore::Store target;
-  for (int i = 0; i < 200; ++i) authority.set("k" + std::to_string(i), "v");
-  ha::RepairConfig config;
-  config.initial_cells = 8;
-  config.max_cells = 16;  // can never hold a 200-key difference
-  EXPECT_THROW((void)ha::plan_repair(authority, target, config),
-               common::ConfigError);
-}
-
-TEST(Repair, KeyFilterScopesTheReconciliation) {
-  kvstore::Store authority;
-  kvstore::Store target;
-  authority.set("shared:1", "v");
-  authority.set("private:1", "v");  // outside the filter: not copied
-  const ha::KeyFilter filter = [](const std::string& key) {
-    return key.starts_with("shared:");
-  };
-  const ha::RepairPlan plan =
-      ha::plan_repair(authority, target, {}, filter);
-  ASSERT_TRUE(plan.decoded);
-  EXPECT_EQ(plan.copy_keys, (std::vector<std::string>{"shared:1"}));
-  EXPECT_TRUE(plan.delete_keys.empty());
-}
-
-TEST(Repair, WireCostStaysProportionalToTheDeltaNotTheKeyspace) {
-  kvstore::Store authority;
-  kvstore::Store target;
-  std::size_t keyspace_bytes = 0;
-  for (int i = 0; i < 2000; ++i) {
-    const std::string key = "k" + std::to_string(i);
-    const std::string value(40, 'x');
-    authority.set(key, value);
-    if (i >= 10) target.set(key, value);  // 10 keys differ
-    keyspace_bytes += key.size() + value.size();
-  }
-  const ha::RepairReport report =
-      ha::repair(authority, target, /*fabric=*/nullptr);
-  EXPECT_EQ(report.copied, 10u);
-  // Sketches + delta payload come to a small fraction of shipping the
-  // 2000-key keyspace.
-  const ha::RepairPlan plan = ha::plan_repair(authority, target);
-  EXPECT_TRUE(plan.copy_keys.empty());
-  EXPECT_LT(report.payload_bytes, keyspace_bytes / 10);
-}
-
-// ---- NodeGroup: crash -> checkpoint -> rejoin ------------------------------
-
-TEST(NodeGroup, CrashCheckpointRejoinRestoresEveryReplicaByte) {
-  NodeGroup group({.nodes = 4, .shard = {.replication = 2, .seed = 4}});
-  ha::Client& client = group.client(0);
-  for (int i = 0; i < 40; ++i) {
-    ASSERT_GE(client.put("k" + std::to_string(i), "v" + std::to_string(i))
-                  .acked,
-              1u);
-  }
-  group.checkpoint(1);
-  for (int i = 40; i < 60; ++i) {  // post-checkpoint: only in the op log
-    ASSERT_GE(client.put("k" + std::to_string(i), "v" + std::to_string(i))
-                  .acked,
-              1u);
-  }
-
-  const ha::ElectionRecord election = group.crash(1, 1.0);
-  EXPECT_EQ(election.failed, 1u);
-  EXPECT_EQ(group.store(1).stats().keys, 0u);  // wiped
-  for (int i = 60; i < 80; ++i) {  // written while node 1 is down
-    ASSERT_GE(client.put("k" + std::to_string(i), "v" + std::to_string(i))
-                  .acked,
-              1u);
-  }
-
-  const NodeGroup::RejoinReport report = group.rejoin(1);
-  EXPECT_GT(report.recovery.snapshot_keys, 0u);
-  EXPECT_FALSE(group.router().is_down(1));
-
-  // Every key routed to node 1 must be back, byte-identical to a live
-  // peer's copy; keys NOT routed to it must not have been smuggled in.
-  std::size_t replicated_here = 0;
-  for (int i = 0; i < 80; ++i) {
-    const std::string key = "k" + std::to_string(i);
-    const std::vector<HostId> replicas = group.router().route(key);
-    const bool here =
-        std::find(replicas.begin(), replicas.end(), HostId{1}) !=
-        replicas.end();
-    if (!here) {
-      EXPECT_FALSE(group.store(1).exists(key)) << key;
-      continue;
-    }
-    ++replicated_here;
-    const HostId peer = replicas[0] == 1 ? replicas[1] : replicas[0];
-    EXPECT_EQ(group.store(1).value_digest(key),
-              group.store(peer).value_digest(key))
-        << key;
-  }
-  EXPECT_GT(replicated_here, 0u);
-
-  // And the rejoined node serves reads again as a first-class replica.
-  const ha::ReadResult read = group.client(2).get("k70");
-  EXPECT_TRUE(read.reply.ok);
-  EXPECT_EQ(read.reply.blob, "v70");
-}
-
-TEST(NodeGroup, RejoinRepairCopiesOnlyWhatWasMissedWhileDown) {
-  NodeGroup group({.nodes = 3, .shard = {.replication = 2, .seed = 6}});
-  ha::Client& client = group.client(0);
-  for (int i = 0; i < 30; ++i) {
-    (void)client.put("k" + std::to_string(i), "v");
-  }
-  (void)group.crash(2, 1.0);
-  std::size_t missed_here = 0;
-  for (int i = 30; i < 50; ++i) {
-    const std::string key = "k" + std::to_string(i);
-    (void)client.put(key, "v");
-    const std::vector<HostId> pref = group.router().map().preference(key);
-    // Keys whose healthy route includes node 2 were missed by it.
-    if (pref[0] == 2 || pref[1] == 2) ++missed_here;
-  }
-  const NodeGroup::RejoinReport report = group.rejoin(2);
-  // Replay restored the pre-crash writes; repair closed the missed ones
-  // (and nothing beyond them — the log made the rest exact).
-  EXPECT_EQ(report.repair.copied, missed_here);
-}
-
-TEST(NodeGroup, SameSeedRecoveryTracesAreIdentical) {
-  const auto run = [] {
-    NodeGroup group({.nodes = 4, .shard = {.replication = 2, .seed = 4}});
-    ha::Client& client = group.client(0);
-    for (int i = 0; i < 30; ++i) {
-      (void)client.put("k" + std::to_string(i), "v" + std::to_string(i));
-    }
-    group.checkpoint(1);
-    (void)group.crash(1, 1.0);
-    for (int i = 30; i < 45; ++i) {
-      (void)client.put("k" + std::to_string(i), "v" + std::to_string(i));
-    }
-    const NodeGroup::RejoinReport report = group.rejoin(1);
-    std::ostringstream trace;
-    for (const ha::ElectionRecord& e : group.router().elections()) {
-      trace << e.term << ':' << e.failed << "->" << e.promoted << '@'
-            << e.ballot << ';';
-    }
-    trace << report.recovery.snapshot_seq << ','
-          << report.recovery.snapshot_keys << ','
-          << report.recovery.replayed_ops << ',' << report.repair.copied
-          << ',' << report.repair.deleted << ','
-          << report.repair.payload_bytes << '|';
-    for (const std::string& key : group.store(1).keys()) {
-      trace << key << '=' << group.store(1).value_digest(key) << ';';
-    }
-    return trace.str();
-  };
-  const std::string a = run();
-  const std::string b = run();
-  EXPECT_FALSE(a.empty());
-  EXPECT_EQ(a, b);
 }
 
 // ---- runtime integration: replicated jobs ----------------------------------

@@ -203,8 +203,8 @@ void check_lint_rules(const Index& index, std::vector<Finding>& out) {
              "direct kvstore::Store access outside src/kvstore/, src/ha/ "
              "and src/cluster/ — route data-plane traffic through "
              "ha::Client / ha::ShardRouter (or kvstore::Client for "
-             "unreplicated paths) so replication, failover rescue, and "
-             "anti-entropy repair see the operation"});
+             "unreplicated paths) so replication and failover rescue "
+             "see the operation"});
       }
     }
   }
