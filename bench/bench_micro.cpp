@@ -136,11 +136,27 @@ void BM_CountSupport(benchmark::State& state) {
 }
 BENCHMARK(BM_CountSupport)->Unit(benchmark::kMillisecond);
 
-// SON phase 2 on a swissprot-like corpus: the union of the candidates
-// mined from 4 interleaved chunks, counted over the whole corpus.
+// One progressive-sampling estimator run of the tree job: FREQT-style
+// mining of a 94-tree swissprot-like sample.
+void BM_MineSubtrees(benchmark::State& state) {
+  const auto trees = data::generate_trees(data::swissprot_like(0.0625));
+  const mining::TreeMinerConfig cfg{.min_support = 0.08,
+                                    .max_pattern_nodes = 3};
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mining::mine_subtrees(trees, cfg));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(trees.size()));
+}
+BENCHMARK(BM_MineSubtrees)->Unit(benchmark::kMicrosecond);
+
+// SON phase 2 in the tree job's shape: 750 swissprot-like trees on 8
+// partitions, each mined as 5 chunks, so the union of the candidates
+// mined from 40 interleaved chunks (~1.6k patterns), counted over the
+// whole corpus.
 void BM_CountSubtreeSupport(benchmark::State& state) {
-  const auto trees = data::generate_trees(data::swissprot_like(0.05));
-  constexpr std::size_t kChunks = 4;
+  const auto trees = data::generate_trees(data::swissprot_like(0.5));
+  constexpr std::size_t kChunks = 8 * 5;
   const mining::TreeMinerConfig cfg{.min_support = 0.08,
                                     .max_pattern_nodes = 3};
   std::vector<mining::TreePattern> candidates;
@@ -161,6 +177,7 @@ void BM_CountSubtreeSupport(benchmark::State& state) {
     benchmark::DoNotOptimize(
         mining::count_subtree_support(trees, candidates, ops));
   }
+  state.counters["candidates"] = static_cast<double>(candidates.size());
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(trees.size()));
 }

@@ -1,9 +1,9 @@
 // Distributed frequent subtree mining workload: the SON two-phase scheme
-// with the FREQT-style miner as the local algorithm and embedding checks
-// as the global prune — the faithful version of the paper's "frequent
-// tree mining" workload (PatternMiningWorkload over LCA pivots is the
-// lightweight approximation; this one mines actual labelled subtrees of
-// the tree payloads).
+// with the FREQT-style miner as the local algorithm and prefix-shared
+// occurrence lists as the global prune — the faithful version of the
+// paper's "frequent tree mining" workload (PatternMiningWorkload over LCA
+// pivots is the lightweight approximation; this one mines actual
+// labelled subtrees of the tree payloads).
 #pragma once
 
 #include <cstdint>

@@ -1,8 +1,9 @@
 #include "mining/treeminer.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
-#include <map>
+#include <numeric>
 #include <sstream>
 
 #include "common/error.h"
@@ -11,136 +12,319 @@ namespace hetsim::mining {
 
 namespace {
 
-/// Preprocessed data tree: id-ordered children lists (the sibling order
-/// that makes the corpus trees *ordered* trees).
-struct IndexedTree {
-  std::vector<std::vector<std::uint32_t>> children;
-  const std::vector<std::uint32_t>* label = nullptr;
+/// The corpus as one CSR forest. Tree t's node v has the global id
+/// base[t] + v; node u's children are child[child_begin[u] ..
+/// child_begin[u + 1]) in ascending id order (the sibling order that
+/// makes the corpus trees *ordered* trees).
+struct Forest {
+  std::vector<std::uint32_t> base;  // per tree, then the node count
+  std::vector<std::uint32_t> child_begin;
+  std::vector<std::uint32_t> child;
+  std::vector<std::uint32_t> label;
+
+  [[nodiscard]] std::uint32_t nodes() const noexcept { return base.back(); }
 };
 
-IndexedTree index_tree(const data::LabeledTree& tree) {
-  IndexedTree ix;
-  ix.children.resize(tree.size());
-  ix.label = &tree.label;
-  const std::uint32_t root = tree.root();
-  for (std::uint32_t v = 0; v < tree.size(); ++v) {
-    if (v != root) ix.children[tree.parent[v]].push_back(v);
+Forest index_forest(std::span<const data::LabeledTree> corpus) {
+  Forest f;
+  f.base.reserve(corpus.size() + 1);
+  std::uint32_t n = 0;
+  for (const data::LabeledTree& tree : corpus) {
+    f.base.push_back(n);
+    n += static_cast<std::uint32_t>(tree.size());
   }
-  for (auto& c : ix.children) std::sort(c.begin(), c.end());
-  return ix;
-}
-
-/// A rightmost-path embedding: the data nodes mapped to the pattern's
-/// rightmost path, root first.
-struct Occurrence {
-  std::uint32_t tid = 0;
-  std::vector<std::uint32_t> path;
-
-  auto operator<=>(const Occurrence&) const = default;
-};
-
-/// Extension key: (depth of the new rightmost leaf, its label).
-using ExtKey = std::pair<std::uint32_t, std::uint32_t>;
-
-/// Compute the rightmost extensions of `occs` over `corpus`, grouped by
-/// (depth, label). Every child list the full pass scans is charged to
-/// work_ops, filtered or not; with `only` set, occurrences are built for
-/// that key alone, so the result is the full pass's entry for `only`.
-std::map<ExtKey, std::vector<Occurrence>> extensions(
-    std::span<const IndexedTree> corpus, const std::vector<Occurrence>& occs,
-    std::uint64_t& work_ops, const ExtKey* only = nullptr) {
-  std::map<ExtKey, std::vector<Occurrence>> ext;
-  for (const Occurrence& occ : occs) {
-    const IndexedTree& tree = corpus[occ.tid];
-    const std::size_t depth_of_leaf = occ.path.size() - 1;
-    for (std::uint32_t d = 1; d <= depth_of_leaf + 1; ++d) {
-      const std::vector<std::uint32_t>& children =
-          tree.children[occ.path[d - 1]];
-      work_ops += children.size();
-      if (only != nullptr && d != only->first) continue;
-      for (const std::uint32_t w : children) {
-        // For depths on the existing rightmost path the new leaf must be
-        // a *later* sibling branch than the current one; at depth
-        // depth_of_leaf + 1 any child of the rightmost leaf qualifies.
-        if (d <= depth_of_leaf && w <= occ.path[d]) continue;
-        const std::uint32_t label = (*tree.label)[w];
-        if (only != nullptr && label != only->second) continue;
-        Occurrence next;
-        next.tid = occ.tid;
-        next.path.assign(occ.path.begin(),
-                         occ.path.begin() + static_cast<long>(d));
-        next.path.push_back(w);
-        ext[{d, label}].push_back(std::move(next));
+  f.base.push_back(n);
+  f.label.reserve(n);
+  f.child_begin.assign(n + 1, 0);
+  for (std::size_t t = 0; t < corpus.size(); ++t) {
+    const data::LabeledTree& tree = corpus[t];
+    const std::uint32_t root = tree.root();
+    for (std::uint32_t v = 0; v < tree.size(); ++v) {
+      if (v != root) ++f.child_begin[f.base[t] + tree.parent[v] + 1];
+    }
+    f.label.insert(f.label.end(), tree.label.begin(), tree.label.end());
+  }
+  std::partial_sum(f.child_begin.begin(), f.child_begin.end(),
+                   f.child_begin.begin());
+  f.child.resize(f.child_begin.back());
+  std::vector<std::uint32_t> next(f.child_begin.begin(),
+                                  f.child_begin.end() - 1);
+  for (std::size_t t = 0; t < corpus.size(); ++t) {
+    const data::LabeledTree& tree = corpus[t];
+    const std::uint32_t root = tree.root();
+    for (std::uint32_t v = 0; v < tree.size(); ++v) {
+      if (v != root) {
+        f.child[next[f.base[t] + tree.parent[v]]++] = f.base[t] + v;
       }
     }
   }
-  // Dedupe: distinct internal embeddings can share a rightmost path.
-  for (auto& [key, list] : ext) {
-    std::sort(list.begin(), list.end());
-    list.erase(std::unique(list.begin(), list.end()), list.end());
-  }
-  return ext;
+  return f;
 }
 
-std::uint32_t distinct_tids(const std::vector<Occurrence>& occs) {
+// An occurrence list is a flat u32 array of rows with a fixed stride:
+// the tid, then the data nodes mapped to the pattern's rightmost path,
+// root first (depth + 1 of them, depth being the last pattern node's).
+// Lists are sorted and free of duplicates, so equal tids are adjacent.
+
+std::size_t stride_of(std::uint32_t leaf_depth) { return leaf_depth + 2; }
+
+std::uint32_t distinct_tids(std::span<const std::uint32_t> occs,
+                            std::size_t stride) {
   std::uint32_t count = 0;
   std::uint32_t last = UINT32_MAX;
-  for (const Occurrence& o : occs) {  // occurrence lists are tid-sorted
-    if (o.tid != last) {
+  for (std::size_t i = 0; i < occs.size(); i += stride) {
+    if (occs[i] != last) {
       ++count;
-      last = o.tid;
+      last = occs[i];
     }
   }
   return count;
 }
 
+/// Stable LSD radix sort of `items` by the u64 `key(item)`, a byte per
+/// pass, skipping the bytes every key shares. `tmp` is working space.
+template <typename T, typename Key>
+void radix_sort(std::vector<T>& items, std::vector<T>& tmp, Key key) {
+  std::uint64_t any = 0;
+  std::uint64_t all = ~std::uint64_t{0};
+  for (const T& item : items) {
+    any |= key(item);
+    all &= key(item);
+  }
+  tmp.resize(items.size());
+  for (int shift = 0; shift < 64; shift += 8) {
+    if ((((any ^ all) >> shift) & 0xFFU) == 0) continue;
+    std::array<std::size_t, 257> next{};
+    for (const T& item : items) ++next[((key(item) >> shift) & 0xFFU) + 1];
+    std::partial_sum(next.begin(), next.end(), next.begin());
+    for (const T& item : items) {
+      tmp[next[(key(item) >> shift) & 0xFFU]++] = item;
+    }
+    items.swap(tmp);
+  }
+}
+
+/// Extension key: (depth of the new rightmost leaf, its label).
+using ExtKey = std::pair<std::uint32_t, std::uint32_t>;
+
+/// Occurrence lists grouped by key in ascending key order: the lists of
+/// the single-node patterns, or the rightmost extensions of one list.
+/// Group g's rows lie in rows[begin[g] .. begin[g + 1]).
+struct Groups {
+  std::vector<ExtKey> keys;
+  std::vector<std::size_t> begin;
+  std::vector<std::uint32_t> rows;
+  /// Child-list entries scanned to build the groups.
+  std::uint64_t scan = 0;
+
+  [[nodiscard]] std::span<const std::uint32_t> group(std::size_t g) const {
+    return std::span(rows).subspan(begin[g], begin[g + 1] - begin[g]);
+  }
+  /// The list for `key`; empty when no occurrence has that extension.
+  [[nodiscard]] std::span<const std::uint32_t> find(ExtKey key) const {
+    const auto it = std::lower_bound(keys.begin(), keys.end(), key);
+    if (it == keys.end() || *it != key) return {};
+    return group(static_cast<std::size_t>(it - keys.begin()));
+  }
+};
+
+/// One new rightmost leaf `w` hung under the first `key.first` path
+/// nodes of the occurrence starting at occs[src].
+struct Emitted {
+  ExtKey key;
+  std::uint32_t src = 0;
+  std::uint32_t w = 0;
+};
+
+/// extend's working buffers, reused across calls.
+struct EmitBuffers {
+  std::vector<Emitted> emitted;
+  std::vector<Emitted> spare;
+};
+
+/// The single-node patterns' lists: one row (tid, node) per corpus node,
+/// grouped by label. Labels are keyed at depth 0.
+void root_postings(const Forest& f, Groups& out) {
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> rows;
+  rows.reserve(f.nodes());
+  for (std::uint32_t t = 0; t + 1 < f.base.size(); ++t) {
+    for (std::uint32_t u = f.base[t]; u < f.base[t + 1]; ++u) {
+      rows.emplace_back(t, u);
+    }
+  }
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> tmp;
+  radix_sort(rows, tmp, [&](const auto& row) { return f.label[row.second]; });
+  out.keys.clear();
+  out.begin.clear();
+  out.rows.clear();
+  for (const auto& [t, u] : rows) {
+    if (out.keys.empty() || out.keys.back().second != f.label[u]) {
+      out.keys.emplace_back(0, f.label[u]);
+      out.begin.push_back(out.rows.size());
+    }
+    out.rows.push_back(t);
+    out.rows.push_back(u);
+  }
+  out.begin.push_back(out.rows.size());
+  out.scan = 0;
+}
+
+/// Rightmost extension of `occs` (rows of depth `leaf_depth`): for every
+/// occurrence, scan the child list of each node on its rightmost path,
+/// charging each list's full size to out.scan. A child of path[d - 1]
+/// becomes a new leaf at depth d if it is a later sibling than path[d]
+/// (any child when d is one below the rightmost leaf).
+///
+/// Because `occs` is sorted, rows sharing path[0..d) are adjacent and the
+/// first of them has the smallest path[d], so its depth-d extensions
+/// cover the others': emitting only those keeps every group sorted and
+/// free of duplicates.
+void extend(const Forest& f, std::span<const std::uint32_t> occs,
+            std::uint32_t leaf_depth, EmitBuffers& buf, Groups& out) {
+  std::vector<Emitted>& emitted = buf.emitted;
+  const std::size_t stride = stride_of(leaf_depth);
+  emitted.clear();
+  out.scan = 0;
+  for (std::size_t i = 0; i < occs.size(); i += stride) {
+    const std::uint32_t* path = occs.data() + i + 1;
+    std::uint32_t shared = 0;  // leading path nodes equal to the last row's
+    if (i != 0) {
+      const std::uint32_t* prev = path - stride;
+      while (shared <= leaf_depth && prev[shared] == path[shared]) ++shared;
+    }
+    for (std::uint32_t d = 1; d <= leaf_depth + 1; ++d) {
+      const std::uint32_t parent = path[d - 1];
+      const std::uint32_t* first = f.child.data() + f.child_begin[parent];
+      const std::uint32_t* last = f.child.data() + f.child_begin[parent + 1];
+      out.scan += static_cast<std::uint64_t>(last - first);
+      if (d <= shared) continue;
+      if (d <= leaf_depth) first = std::upper_bound(first, last, path[d]);
+      for (; first != last; ++first) {
+        emitted.push_back(
+            {{d, f.label[*first]}, static_cast<std::uint32_t>(i), *first});
+      }
+    }
+  }
+  // Emission order is (src, w) ascending within each key; keep it.
+  radix_sort(emitted, buf.spare, [](const Emitted& e) {
+    return (std::uint64_t{e.key.first} << 32) | e.key.second;
+  });
+  out.keys.clear();
+  out.begin.clear();
+  out.rows.clear();
+  for (const Emitted& e : emitted) {
+    if (out.keys.empty() || out.keys.back() != e.key) {
+      out.keys.push_back(e.key);
+      out.begin.push_back(out.rows.size());
+    }
+    const std::uint32_t* src = occs.data() + e.src;
+    out.rows.insert(out.rows.end(), src, src + 1 + e.key.first);
+    out.rows.push_back(e.w);
+  }
+  out.begin.push_back(out.rows.size());
+}
+
 struct MinerState {
-  std::span<const IndexedTree> corpus;
+  const Forest* forest = nullptr;
   std::uint32_t min_count = 0;
   std::uint32_t max_nodes = 0;
+  EmitBuffers buffers;
+  /// level[0] holds the single-node lists; level[k] the extensions of
+  /// the k-node pattern being grown.
+  std::vector<Groups> level;
   TreeMiningResult result;
 };
 
-void grow(TreePattern& pattern, const std::vector<Occurrence>& occs,
-          MinerState& state) {
-  state.result.frequent.push_back(
-      FrequentSubtree{pattern, distinct_tids(occs)});
+void grow(TreePattern& pattern, std::span<const std::uint32_t> occs,
+          std::uint32_t support, MinerState& state) {
+  state.result.frequent.push_back(FrequentSubtree{pattern, support});
   if (pattern.size() >= state.max_nodes) return;
-  const auto ext = extensions(state.corpus, occs, state.result.work_ops);
-  for (const auto& [key, list] : ext) {
+  Groups& ext = state.level[pattern.size()];
+  extend(*state.forest, occs, pattern.nodes.back().first, state.buffers,
+         ext);
+  state.result.work_ops += ext.scan;
+  for (std::size_t g = 0; g < ext.keys.size(); ++g) {
     ++state.result.candidates_generated;
-    if (distinct_tids(list) < state.min_count) continue;
-    pattern.nodes.emplace_back(key.first, key.second);
-    grow(pattern, list, state);
+    const std::span<const std::uint32_t> list = ext.group(g);
+    const std::uint32_t count =
+        distinct_tids(list, stride_of(ext.keys[g].first));
+    if (count < state.min_count) continue;
+    pattern.nodes.push_back(ext.keys[g]);
+    grow(pattern, list, count, state);
     pattern.nodes.pop_back();
   }
 }
 
 void require_well_formed(const TreePattern& pattern, const char* what) {
-  common::require<common::ConfigError>(
-      !pattern.nodes.empty() && pattern.nodes[0].first == 0, what);
+  bool ok = !pattern.nodes.empty() && pattern.nodes[0].first == 0;
+  for (std::size_t i = 1; ok && i < pattern.nodes.size(); ++i) {
+    const std::uint32_t depth = pattern.nodes[i].first;
+    ok = depth >= 1 && depth <= pattern.nodes[i - 1].first + 1;
+  }
+  common::require<common::ConfigError>(ok, what);
 }
 
-/// Does the single indexed tree in `one_tree` embed `pattern`? Grows the
-/// root's occurrences one pattern node at a time, extending only toward
-/// that node's key; charges what contains_subtree always has.
-bool contains_indexed(std::span<const IndexedTree> one_tree,
-                      const TreePattern& pattern, std::uint64_t& work_ops) {
-  const std::vector<std::uint32_t>& label = *one_tree[0].label;
-  std::vector<Occurrence> occs;
-  for (std::uint32_t v = 0; v < label.size(); ++v) {
-    ++work_ops;
-    if (label[v] == pattern.nodes[0].second) {
-      occs.push_back(Occurrence{0, {v}});
+/// Supports of well-formed `patterns` over `corpus`, walking them in
+/// sorted order as a prefix trie: each prefix's occurrence list is
+/// extended once, and its children's lists are looked up in the result.
+std::vector<std::uint32_t> count_by_prefix(
+    std::span<const data::LabeledTree> corpus,
+    std::span<const TreePattern> patterns, std::uint64_t& work_ops) {
+  std::vector<std::uint32_t> counts(patterns.size(), 0);
+  if (corpus.empty()) return counts;
+  const Forest forest = index_forest(corpus);
+  Groups roots;
+  root_postings(forest, roots);
+
+  std::vector<std::size_t> order(patterns.size());
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return patterns[a].nodes < patterns[b].nodes;
+                   });
+
+  // path[k] is the current (k + 1)-node prefix; its extensions, once
+  // computed, are ext[k].
+  struct Prefix {
+    ExtKey node;
+    std::span<const std::uint32_t> occs;
+    std::uint64_t charge = 0;  // corpus nodes + scans of shorter prefixes
+    bool extended = false;
+  };
+  std::size_t longest = 0;
+  for (const TreePattern& pattern : patterns) {
+    longest = std::max(longest, pattern.size());
+  }
+  std::vector<Prefix> path;
+  std::vector<Groups> ext(longest);
+  EmitBuffers buffers;
+  for (const std::size_t p : order) {
+    const auto& nodes = patterns[p].nodes;
+    std::size_t keep = 0;
+    while (keep < path.size() && keep < nodes.size() &&
+           path[keep].node == nodes[keep]) {
+      ++keep;
     }
+    path.resize(keep);
+    while (path.size() < nodes.size()) {
+      const std::size_t k = path.size();
+      if (k == 0) {
+        path.push_back({nodes[0], roots.find(nodes[0]), forest.nodes()});
+        continue;
+      }
+      Prefix& parent = path[k - 1];
+      if (!parent.extended) {
+        extend(forest, parent.occs, parent.node.first, buffers, ext[k - 1]);
+        parent.extended = true;
+      }
+      path.push_back({nodes[k], ext[k - 1].find(nodes[k]),
+                      parent.charge + ext[k - 1].scan});
+    }
+    counts[p] = distinct_tids(path.back().occs,
+                              stride_of(path.back().node.first));
+    work_ops += path.back().charge;
   }
-  for (std::size_t k = 1; k < pattern.nodes.size() && !occs.empty(); ++k) {
-    const ExtKey key = pattern.nodes[k];
-    auto ext = extensions(one_tree, occs, work_ops, &key);
-    occs = ext.empty() ? std::vector<Occurrence>{}
-                       : std::move(ext.begin()->second);
-  }
-  return !occs.empty();
+  return counts;
 }
 
 }  // namespace
@@ -166,26 +350,22 @@ TreeMiningResult mine_subtrees(std::span<const data::LabeledTree> corpus,
       1.0,
       std::ceil(config.min_support * static_cast<double>(corpus.size()))));
   state.max_nodes = config.max_pattern_nodes;
-
-  std::vector<IndexedTree> indexed;
-  indexed.reserve(corpus.size());
-  for (const auto& t : corpus) indexed.push_back(index_tree(t));
-  state.corpus = indexed;
+  const Forest forest = index_forest(corpus);
+  state.forest = &forest;
+  state.level.resize(state.max_nodes + 1);
 
   // Single-node patterns: one occurrence per (tree, node) of each label.
-  std::map<std::uint32_t, std::vector<Occurrence>> singles;
-  for (std::uint32_t tid = 0; tid < corpus.size(); ++tid) {
-    for (std::uint32_t v = 0; v < corpus[tid].size(); ++v) {
-      ++state.result.work_ops;
-      singles[corpus[tid].label[v]].push_back(Occurrence{tid, {v}});
-    }
-  }
-  for (const auto& [label, occs] : singles) {
+  Groups& roots = state.level[0];
+  root_postings(forest, roots);
+  state.result.work_ops += forest.nodes();
+  for (std::size_t g = 0; g < roots.keys.size(); ++g) {
     ++state.result.candidates_generated;
-    if (distinct_tids(occs) < state.min_count) continue;
+    const std::span<const std::uint32_t> list = roots.group(g);
+    const std::uint32_t count = distinct_tids(list, stride_of(0));
+    if (count < state.min_count) continue;
     TreePattern pattern;
-    pattern.nodes.emplace_back(0, label);
-    grow(pattern, occs, state);
+    pattern.nodes.push_back(roots.keys[g]);
+    grow(pattern, list, count, state);
   }
 
   std::sort(state.result.frequent.begin(), state.result.frequent.end(),
@@ -201,8 +381,7 @@ TreeMiningResult mine_subtrees(std::span<const data::LabeledTree> corpus,
 bool contains_subtree(const data::LabeledTree& tree, const TreePattern& pattern,
                       std::uint64_t& work_ops) {
   require_well_formed(pattern, "contains_subtree: malformed pattern");
-  const IndexedTree ix = index_tree(tree);
-  return contains_indexed({&ix, 1}, pattern, work_ops);
+  return count_by_prefix({&tree, 1}, {&pattern, 1}, work_ops)[0] != 0;
 }
 
 std::vector<std::uint32_t> count_subtree_support(
@@ -211,14 +390,7 @@ std::vector<std::uint32_t> count_subtree_support(
   for (const TreePattern& pattern : patterns) {
     require_well_formed(pattern, "count_subtree_support: malformed pattern");
   }
-  std::vector<std::uint32_t> counts(patterns.size(), 0);
-  for (const data::LabeledTree& tree : corpus) {
-    const IndexedTree ix = index_tree(tree);
-    for (std::size_t p = 0; p < patterns.size(); ++p) {
-      if (contains_indexed({&ix, 1}, patterns[p], work_ops)) ++counts[p];
-    }
-  }
-  return counts;
+  return count_by_prefix(corpus, patterns, work_ops);
 }
 
 }  // namespace hetsim::mining

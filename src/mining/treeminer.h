@@ -7,7 +7,9 @@
 // path — attaching a new rightmost leaf at each allowed depth — which
 // enumerates every ordered tree exactly once. Occurrences are tracked as
 // rightmost-path embeddings into the data trees, so support counting is
-// incremental (no re-matching from scratch per level).
+// incremental (no re-matching from scratch per level): a pattern's
+// occurrence list is derived from its parent's by one extension pass.
+// Both entry points share that pass over a CSR index of the corpus.
 //
 // Support is per-transaction: the number of distinct trees containing at
 // least one embedding, as in itemset mining.
@@ -58,21 +60,29 @@ struct TreeMiningResult {
 [[nodiscard]] TreeMiningResult mine_subtrees(
     std::span<const data::LabeledTree> corpus, const TreeMinerConfig& config);
 
-/// Does `tree` contain at least one embedding of `pattern`? Used by the
-/// SON global-prune scan for distributed tree mining. Adds the matching
-/// steps to `work_ops`: one per tree node for the root match, then, per
-/// pattern node, every child list the full rightmost-extension pass
-/// scans (the metered model), although only the extensions toward that
-/// node are built.
+/// Does `tree` contain at least one embedding of `pattern`? The
+/// single-tree case of count_subtree_support, metered the same way.
+/// Throws ConfigError for a malformed pattern.
 [[nodiscard]] bool contains_subtree(const data::LabeledTree& tree,
                                     const TreePattern& pattern,
                                     std::uint64_t& work_ops);
 
-/// Exact per-corpus supports of the given patterns (SON phase 2).
-/// Indexes each tree once and matches every pattern against it; the
-/// counts and `work_ops` equal those of calling contains_subtree per
-/// (tree, pattern) pair. Every pattern is validated before any tree is
-/// read, so a malformed one throws ConfigError even on an empty corpus.
+/// Exact per-corpus supports of the given patterns (SON phase 2), in the
+/// order given. The patterns are walked in sorted order as a prefix
+/// trie: each prefix's occurrence list is extended once and its
+/// children's lists are derived from it. The set need not be closed
+/// under prefixes; a missing prefix is computed but neither reported nor
+/// charged, and a duplicate is counted and charged once per copy.
+///
+/// Each pattern P adds to `work_ops`
+///   (corpus node count) + sum over P's strict prefixes Q of scan(occ(Q)),
+/// where scan(occ(Q)) is the total size of the child lists along the
+/// rightmost path of every occurrence of Q: one step per node for the
+/// root match, then one full extension pass per prefix. An empty list
+/// scans nothing, so this equals the sum of contains_subtree's charge
+/// over every (tree, pattern) pair. Every pattern is validated before
+/// any tree is read, so a malformed one throws ConfigError even on an
+/// empty corpus.
 [[nodiscard]] std::vector<std::uint32_t> count_subtree_support(
     std::span<const data::LabeledTree> corpus,
     std::span<const TreePattern> patterns, std::uint64_t& work_ops);

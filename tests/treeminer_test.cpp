@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <map>
+#include <span>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -221,6 +223,204 @@ TEST(TreeMiner, SupportCountingPinnedAcrossRewrite) {
   EXPECT_EQ(ops, kPinnedWorkOps);
   EXPECT_EQ(sum, kPinnedSupportSum);
   EXPECT_EQ(fnv, kPinnedSupportFnv);
+}
+
+/// FNV-1a over the little-endian bytes of `v`.
+std::uint64_t fnv_u32(std::uint64_t h, std::uint32_t v) {
+  for (int byte = 0; byte < 4; ++byte) {
+    h = (h ^ ((v >> (8 * byte)) & 0xFFU)) * 1099511628211ULL;
+  }
+  return h;
+}
+constexpr std::uint64_t kFnvBasis = 14695981039346656037ULL;
+
+/// SON phase 1 on `trees`: the sorted, deduplicated union of the
+/// patterns mined from `chunks` interleaved chunks.
+std::vector<TreePattern> chunked_union(
+    const std::vector<data::LabeledTree>& trees, std::size_t chunks,
+    const TreeMinerConfig& cfg) {
+  std::vector<TreePattern> candidates;
+  for (std::size_t c = 0; c < chunks; ++c) {
+    std::vector<data::LabeledTree> chunk;
+    for (std::size_t i = c; i < trees.size(); i += chunks) {
+      chunk.push_back(trees[i]);
+    }
+    for (auto& f : mine_subtrees(chunk, cfg).frequent) {
+      candidates.push_back(std::move(f.pattern));
+    }
+  }
+  std::sort(candidates.begin(), candidates.end());
+  candidates.erase(std::unique(candidates.begin(), candidates.end()),
+                   candidates.end());
+  return candidates;
+}
+
+/// What mine_subtrees reports, reduced to four numbers.
+struct MinePin {
+  std::uint64_t work_ops = 0;
+  std::uint64_t candidates = 0;
+  std::size_t frequent = 0;
+  std::uint64_t fnv = 0;  // over (size, nodes, support) per pattern
+
+  bool operator==(const MinePin&) const = default;
+};
+
+void PrintTo(const MinePin& p, std::ostream* os) {
+  *os << "{" << p.work_ops << ", " << p.candidates << ", " << p.frequent
+      << ", " << p.fnv << "ULL}";
+}
+
+MinePin pin_of(const TreeMiningResult& r) {
+  MinePin pin{r.work_ops, r.candidates_generated, r.frequent.size(),
+              kFnvBasis};
+  for (const auto& f : r.frequent) {
+    pin.fnv = fnv_u32(pin.fnv, static_cast<std::uint32_t>(f.pattern.size()));
+    for (const auto& [depth, label] : f.pattern.nodes) {
+      pin.fnv = fnv_u32(fnv_u32(pin.fnv, depth), label);
+    }
+    pin.fnv = fnv_u32(pin.fnv, f.support);
+  }
+  return pin;
+}
+
+// MiningPinnedAcrossRewrite's expected values, captured from the miner
+// that built a heap path per embedding and a std::map of lists per
+// extension; one row per (corpus, min_support, max_pattern_nodes), in
+// loop order.
+constexpr MinePin kPinnedMining[] = {
+    {6996, 2713, 247, 12423519338686049987ULL},
+    {7985, 3108, 247, 12423519338686049987ULL},
+    {7985, 3108, 247, 12423519338686049987ULL},
+    {6706, 2450, 153, 5221934733310066902ULL},
+    {6942, 2553, 153, 5221934733310066902ULL},
+    {6942, 2553, 153, 5221934733310066902ULL},
+    {4947, 1100, 30, 9718884252172970747ULL},
+    {4947, 1100, 30, 9718884252172970747ULL},
+    {4947, 1100, 30, 9718884252172970747ULL},
+    {5078, 2374, 190, 13447182443566213903ULL},
+    {5156, 2404, 190, 13447182443566213903ULL},
+    {5156, 2404, 190, 13447182443566213903ULL},
+    {4542, 1880, 88, 8039001663646363051ULL},
+    {4542, 1880, 88, 8039001663646363051ULL},
+    {4542, 1880, 88, 8039001663646363051ULL},
+    {3641, 1108, 21, 2516501134735874484ULL},
+    {3641, 1108, 21, 2516501134735874484ULL},
+    {3641, 1108, 21, 2516501134735874484ULL},
+};
+
+TEST(TreeMiner, MiningPinnedAcrossRewrite) {
+  const std::vector<std::vector<data::LabeledTree>> corpora{
+      data::generate_trees(data::swissprot_like(0.05)),
+      data::generate_trees(data::treebank_like(0.05)),
+  };
+  std::size_t row = 0;
+  for (const auto& trees : corpora) {
+    for (const double support : {0.05, 0.08, 0.2}) {
+      for (const std::uint32_t nodes : {2U, 3U, 4U}) {
+        const TreeMinerConfig cfg{.min_support = support,
+                                  .max_pattern_nodes = nodes};
+        const MinePin actual = pin_of(mine_subtrees(trees, cfg));
+        ASSERT_LT(row, std::size(kPinnedMining));
+        EXPECT_EQ(actual, kPinnedMining[row])
+            << "row " << row << ": support " << support << ", nodes "
+            << nodes;
+        ++row;
+      }
+    }
+  }
+  EXPECT_EQ(row, std::size(kPinnedMining));
+}
+
+/// What count_subtree_support reports, reduced to three numbers.
+struct CountPin {
+  std::uint64_t work_ops = 0;
+  std::size_t patterns = 0;
+  std::uint64_t fnv = 0;  // over the counts, in the order given
+
+  bool operator==(const CountPin&) const = default;
+};
+
+void PrintTo(const CountPin& p, std::ostream* os) {
+  *os << "{" << p.work_ops << ", " << p.patterns << ", " << p.fnv << "ULL}";
+}
+
+CountPin count_pin(std::span<const data::LabeledTree> trees,
+                   std::span<const TreePattern> patterns,
+                   std::vector<std::uint32_t>& counts) {
+  CountPin pin{0, patterns.size(), kFnvBasis};
+  counts = count_subtree_support(trees, patterns, pin.work_ops);
+  for (const std::uint32_t c : counts) pin.fnv = fnv_u32(pin.fnv, c);
+  return pin;
+}
+
+// SupportCountingOverOpenCandidateSets' expected values, captured from
+// the implementation that matched every (tree, pattern) pair from the
+// root.
+constexpr CountPin kPinnedOpen{858124, 237, 5487812003252792402ULL};
+constexpr CountPin kPinnedShuffled{1031889, 285,
+                                   13355126771938388687ULL};
+
+TEST(TreeMiner, SupportCountingOverOpenCandidateSets) {
+  // A candidate set need not be closed under prefixes: drop every 2-node
+  // pattern from the SON union, so no 3-node candidate has its parent.
+  const auto trees = data::generate_trees(data::swissprot_like(0.05));
+  const TreeMinerConfig cfg{.min_support = 0.08, .max_pattern_nodes = 3};
+  std::vector<TreePattern> open = chunked_union(trees, 4, cfg);
+  std::erase_if(open, [](const TreePattern& p) { return p.size() == 2; });
+  ASSERT_TRUE(std::any_of(open.begin(), open.end(), [](const auto& p) {
+    return p.size() == 3;
+  }));
+  std::vector<std::uint32_t> counts;
+  EXPECT_EQ(count_pin(trees, open, counts), kPinnedOpen);
+  std::map<TreePattern, std::uint32_t> by_pattern;
+  for (std::size_t i = 0; i < open.size(); ++i) by_pattern[open[i]] = counts[i];
+
+  // The same set shuffled, with every fifth pattern repeated: each copy
+  // is counted and charged on its own.
+  std::vector<TreePattern> shuffled = open;
+  for (std::size_t i = 0; i < open.size(); i += 5) {
+    shuffled.push_back(open[i]);
+  }
+  common::Rng rng(21);
+  for (std::size_t i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1], shuffled[rng.bounded(i)]);
+  }
+  EXPECT_EQ(count_pin(trees, shuffled, counts), kPinnedShuffled);
+  for (std::size_t i = 0; i < shuffled.size(); ++i) {
+    EXPECT_EQ(counts[i], by_pattern.at(shuffled[i]))
+        << shuffled[i].to_string();
+  }
+
+  // No trees: every count is zero and nothing is charged.
+  EXPECT_EQ(count_pin({}, shuffled, counts),
+            (CountPin{0, shuffled.size(), [&] {
+                        std::uint64_t h = kFnvBasis;
+                        for (std::size_t i = 0; i < shuffled.size(); ++i) {
+                          h = fnv_u32(h, 0);
+                        }
+                        return h;
+                      }()}));
+  EXPECT_TRUE(std::all_of(counts.begin(), counts.end(),
+                          [](std::uint32_t c) { return c == 0; }));
+}
+
+TEST(TreeMiner, RejectsMalformedDepths) {
+  // Each depth after the root must be in [1, previous depth + 1].
+  const std::vector<data::LabeledTree> corpus{make_tree({0, 0}, {1, 2})};
+  std::uint64_t ops = 0;
+  for (const TreePattern& bad : {pattern({{0, 1}, {2, 2}}),
+                                 pattern({{0, 1}, {1, 2}, {0, 2}}),
+                                 pattern({{1, 1}})}) {
+    EXPECT_THROW((void)contains_subtree(corpus[0], bad, ops),
+                 common::ConfigError)
+        << bad.to_string();
+    // Checked before any tree is read, so an empty corpus throws too.
+    const std::vector<TreePattern> patterns{pattern({{0, 1}}), bad};
+    EXPECT_THROW((void)count_subtree_support({}, patterns, ops),
+                 common::ConfigError)
+        << bad.to_string();
+  }
+  EXPECT_EQ(ops, 0u);
 }
 
 TEST(TreeMiner, MaxNodesCapsPatternSize) {
