@@ -14,8 +14,8 @@ std::uint64_t minhash_min_run_scalar(std::uint64_t a, std::uint64_t b,
                                      std::uint64_t acc);
 std::size_t equal_count_u64_scalar(const std::uint64_t* a,
                                    const std::uint64_t* b, std::size_t n);
-std::int64_t find_sorted_u64_scalar(const std::uint64_t* vals,
-                                    std::uint32_t len, std::uint64_t want);
+std::size_t find_above_u32_scalar(const std::uint32_t* row, std::size_t len,
+                                  std::uint32_t threshold);
 
 #if defined(HETSIM_SIMD_HAVE_AVX2)
 std::uint64_t minhash_min_run_avx2(std::uint64_t a, std::uint64_t b,
@@ -23,8 +23,8 @@ std::uint64_t minhash_min_run_avx2(std::uint64_t a, std::uint64_t b,
                                    std::uint64_t acc);
 std::size_t equal_count_u64_avx2(const std::uint64_t* a, const std::uint64_t* b,
                                  std::size_t n);
-std::int64_t find_sorted_u64_avx2(const std::uint64_t* vals, std::uint32_t len,
-                                  std::uint64_t want);
+std::size_t find_above_u32_avx2(const std::uint32_t* row, std::size_t len,
+                                std::uint32_t threshold);
 #endif
 
 #if defined(HETSIM_SIMD_HAVE_NEON)
@@ -33,8 +33,8 @@ std::uint64_t minhash_min_run_neon(std::uint64_t a, std::uint64_t b,
                                    std::uint64_t acc);
 std::size_t equal_count_u64_neon(const std::uint64_t* a, const std::uint64_t* b,
                                  std::size_t n);
-std::int64_t find_sorted_u64_neon(const std::uint64_t* vals, std::uint32_t len,
-                                  std::uint64_t want);
+std::size_t find_above_u32_neon(const std::uint32_t* row, std::size_t len,
+                                std::uint32_t threshold);
 #endif
 
 }  // namespace hetsim::simd::detail

@@ -120,43 +120,37 @@ std::size_t equal_count_u64_avx2(const std::uint64_t* a, const std::uint64_t* b,
   return match;
 }
 
-std::int64_t find_sorted_u64_avx2(const std::uint64_t* vals, std::uint32_t len,
-                                  std::uint64_t want) {
-  // Halve down to a bounded window first so very long segments keep
-  // the O(log n) shape, then replace the serially-dependent cmov chain
-  // with independent 8-wide equality scans (the common k-modes segment
-  // of strata·L ≲ 64 values skips the halving entirely). Equality is
-  // sign-agnostic, so sentinel values need no special casing.
-  const std::uint64_t* base = vals;
-  std::uint32_t l = len;
-  while (l > 64) {
-    const std::uint32_t half = l / 2;
-    base += (base[half - 1] < want) ? half : 0;
-    l -= half;
-  }
-  const __m256i w = set1_u64(want);
-  std::uint32_t i = 0;
-  for (; i + 8 <= l; i += 8) {
-    const __m256i v0 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(base + i));
-    const __m256i v1 =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(base + i + 4));
-    const __m256i e0 = _mm256_cmpeq_epi64(v0, w);
-    const __m256i e1 = _mm256_cmpeq_epi64(v1, w);
-    const __m256i any = _mm256_or_si256(e0, e1);
+std::size_t find_above_u32_avx2(const std::uint32_t* row, std::size_t len,
+                                std::uint32_t threshold) {
+  // Unsigned `>` through the same sign flip as the u64 kernels: XOR with
+  // 2^31 maps unsigned order onto signed order, so vpcmpgtd applies.
+  // Two independent 8-wide compares per step; the first hit's lane comes
+  // from the two movemasks.
+  const __m256i sign = _mm256_set1_epi32(static_cast<int>(0x80000000U));
+  const __m256i t =
+      _mm256_set1_epi32(static_cast<int>(threshold ^ 0x80000000U));
+  std::size_t i = 0;
+  for (; i + 16 <= len; i += 16) {
+    const __m256i v0 = _mm256_xor_si256(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + i)), sign);
+    const __m256i v1 = _mm256_xor_si256(
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + i + 8)),
+        sign);
+    const __m256i g0 = _mm256_cmpgt_epi32(v0, t);
+    const __m256i g1 = _mm256_cmpgt_epi32(v1, t);
+    const __m256i any = _mm256_or_si256(g0, g1);
     if (!_mm256_testz_si256(any, any)) {
       const auto m0 = static_cast<std::uint32_t>(
-          _mm256_movemask_pd(_mm256_castsi256_pd(e0)));
+          _mm256_movemask_ps(_mm256_castsi256_ps(g0)));
       const auto m1 = static_cast<std::uint32_t>(
-          _mm256_movemask_pd(_mm256_castsi256_pd(e1)));
-      return (base - vals) + i +
-             static_cast<std::int64_t>(__builtin_ctz(m0 | (m1 << 4)));
+          _mm256_movemask_ps(_mm256_castsi256_ps(g1)));
+      return i + static_cast<std::size_t>(__builtin_ctz(m0 | (m1 << 8)));
     }
   }
-  for (; i < l; ++i) {
-    if (base[i] == want) return (base - vals) + i;
+  for (; i < len; ++i) {
+    if (row[i] > threshold) return i;
   }
-  return -1;
+  return len;
 }
 
 }  // namespace hetsim::simd::detail

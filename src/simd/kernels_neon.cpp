@@ -88,36 +88,31 @@ std::size_t equal_count_u64_neon(const std::uint64_t* a, const std::uint64_t* b,
   return match;
 }
 
-std::int64_t find_sorted_u64_neon(const std::uint64_t* vals, std::uint32_t len,
-                                  std::uint64_t want) {
-  // Same shape as the AVX2 lane: halve to a bounded window, then
-  // 4-wide equality scans with a single movemask-style reduction.
-  const std::uint64_t* base = vals;
-  std::uint32_t l = len;
-  while (l > 64) {
-    const std::uint32_t half = l / 2;
-    base += (base[half - 1] < want) ? half : 0;
-    l -= half;
-  }
-  const uint64x2_t w = vdupq_n_u64(want);
-  std::uint32_t i = 0;
-  for (; i + 4 <= l; i += 4) {
-    const uint64x2_t e0 = vceqq_u64(vld1q_u64(base + i), w);
-    const uint64x2_t e1 = vceqq_u64(vld1q_u64(base + i + 2), w);
-    // Pack each 64-bit mask into one bit: narrow to 32, shift-right
-    // accumulate gives a 4-bit mask in the low nibble.
-    const uint32x4_t both = vcombine_u32(vmovn_u64(e0), vmovn_u64(e1));
-    const std::uint64_t mask =
-        vget_lane_u64(vreinterpret_u64_u16(vshrn_n_u32(both, 16)), 0);
-    if (mask != 0) {
-      return (base - vals) + i +
-             static_cast<std::int64_t>(__builtin_ctzll(mask) / 16);
+std::size_t find_above_u32_neon(const std::uint32_t* row, std::size_t len,
+                                std::uint32_t threshold) {
+  // Native unsigned compares, two 4-wide vectors per step. On a hit,
+  // narrowing a vector's all-ones lane masks to 16 bits packs them into
+  // one u64 whose lowest set bit / 16 is the first hit's lane.
+  const uint32x4_t t = vdupq_n_u32(threshold);
+  std::size_t i = 0;
+  for (; i + 8 <= len; i += 8) {
+    const uint32x4_t g0 = vcgtq_u32(vld1q_u32(row + i), t);
+    const uint32x4_t g1 = vcgtq_u32(vld1q_u32(row + i + 4), t);
+    if (vmaxvq_u32(vorrq_u32(g0, g1)) != 0) {
+      const std::uint64_t m0 =
+          vget_lane_u64(vreinterpret_u64_u16(vmovn_u32(g0)), 0);
+      if (m0 != 0) {
+        return i + static_cast<std::size_t>(__builtin_ctzll(m0) / 16);
+      }
+      const std::uint64_t m1 =
+          vget_lane_u64(vreinterpret_u64_u16(vmovn_u32(g1)), 0);
+      return i + 4 + static_cast<std::size_t>(__builtin_ctzll(m1) / 16);
     }
   }
-  for (; i < l; ++i) {
-    if (base[i] == want) return (base - vals) + i;
+  for (; i < len; ++i) {
+    if (row[i] > threshold) return i;
   }
-  return -1;
+  return len;
 }
 
 }  // namespace hetsim::simd::detail

@@ -39,18 +39,12 @@ std::size_t equal_count_u64_scalar(const std::uint64_t* a,
   return match;
 }
 
-std::int64_t find_sorted_u64_scalar(const std::uint64_t* vals,
-                                    std::uint32_t len, std::uint64_t want) {
-  if (len == 0) return -1;
-  // Branchless lower bound (conditional moves, no data-dependent
-  // branches), then one equality probe — the PR-3 k-modes inner loop.
-  const std::uint64_t* base = vals;
-  while (len > 1) {
-    const std::uint32_t half = len / 2;
-    base += (base[half - 1] < want) ? half : 0;
-    len -= half;
+std::size_t find_above_u32_scalar(const std::uint32_t* row, std::size_t len,
+                                  std::uint32_t threshold) {
+  for (std::size_t i = 0; i < len; ++i) {
+    if (row[i] > threshold) return i;
   }
-  return (*base == want) ? base - vals : -1;
+  return len;
 }
 
 }  // namespace hetsim::simd::detail

@@ -14,7 +14,7 @@ constexpr Kernels kScalarKernels{
     Isa::kScalar,
     &detail::minhash_min_run_scalar,
     &detail::equal_count_u64_scalar,
-    &detail::find_sorted_u64_scalar,
+    &detail::find_above_u32_scalar,
 };
 
 #if defined(HETSIM_SIMD_HAVE_AVX2)
@@ -22,7 +22,7 @@ constexpr Kernels kAvx2Kernels{
     Isa::kAvx2,
     &detail::minhash_min_run_avx2,
     &detail::equal_count_u64_avx2,
-    &detail::find_sorted_u64_avx2,
+    &detail::find_above_u32_avx2,
 };
 #endif
 
@@ -31,7 +31,7 @@ constexpr Kernels kNeonKernels{
     Isa::kNeon,
     &detail::minhash_min_run_neon,
     &detail::equal_count_u64_neon,
-    &detail::find_sorted_u64_neon,
+    &detail::find_above_u32_neon,
 };
 #endif
 

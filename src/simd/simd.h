@@ -7,7 +7,7 @@
 //
 // Determinism contract: every kernel computes the *exact* same values
 // on every ISA — the modular arithmetic is exact (no floating point,
-// no reassociation that changes results), searches return the same
+// no reassociation that changes results), scans return the same
 // index, counts are exact. `HETSIM_SIMD=avx2|neon|scalar` forces a
 // lane (aborting if it is not runnable here), which is how the
 // equivalence tests and the A/B benches pin each side.
@@ -72,11 +72,10 @@ struct Kernels {
   std::size_t (*equal_count_u64)(const std::uint64_t* a,
                                  const std::uint64_t* b, std::size_t n);
 
-  /// Index of `want` in the ascending, duplicate-free `vals[0, len)`,
-  /// or -1 when absent. Any u64 values, including the all-ones sketch
-  /// sentinel, compare correctly (unsigned order).
-  std::int64_t (*find_sorted_u64)(const std::uint64_t* vals,
-                                  std::uint32_t len, std::uint64_t want);
+  /// Index of the first `row[i]` in [0, len) with row[i] > threshold
+  /// (unsigned order), or `len` when there is none.
+  std::size_t (*find_above_u32)(const std::uint32_t* row, std::size_t len,
+                                std::uint32_t threshold);
 };
 
 /// Kernel table for a specific ISA; aborts (HETSIM_CHECK) when `isa`

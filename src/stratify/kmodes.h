@@ -25,10 +25,10 @@ struct KModesConfig {
   std::uint32_t composite_l = 3;
   std::uint32_t max_iterations = 20;
   std::uint64_t seed = 23;
-  /// Fan-out for the assignment step (chunked by `par.chunk`) and the
-  /// update step (one run of strata per pool lane; the serial update
-  /// was 80% of the solve on a 64-hash webgraph). Speed only: the
-  /// result is identical for every pool size and chunk.
+  /// Fan-out for the assignment step (chunked by `par.chunk`) and for
+  /// the sketch encoding and the update step (one run of attributes per
+  /// pool lane). Speed only: the result is identical for every pool size
+  /// and chunk.
   par::Options par{};
 };
 

@@ -69,7 +69,7 @@ std::vector<std::uint32_t> stratified_sample(const Stratification& strat,
                   pool.begin() + static_cast<long>(want));
   }
   // Rounding against small strata may leave a shortfall; top up from the
-  // largest strata's unsampled tails.
+  // strata's unsampled tails in ascending stratum id order.
   for (std::uint32_t c = 0; sample.size() < count && c < strat.num_strata; ++c) {
     auto& pool = members[c];
     for (std::size_t i = std::min(take[c], pool.size());

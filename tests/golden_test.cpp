@@ -14,6 +14,8 @@
 
 #include "cluster/cluster.h"
 #include "common/hash.h"
+#include "core/compression_workload.h"
+#include "core/mining_workload.h"
 #include "core/subtree_workload.h"
 #include "data/generators.h"
 #include "energy/estimator.h"
@@ -39,13 +41,13 @@ void PrintTo(const JobDigest& d, std::ostream* os) {
 
 /// `hetsim_cli run-job` with its defaults: 8 partitions, het strategy,
 /// alpha 0.75, 40-record sampling floor, auto checkpoints, re-planning on.
-JobDigest run_job(const data::Dataset& dataset, core::Workload& workload,
-                  std::uint64_t seed) {
+JobDigest run_job(const std::string& name, const data::Dataset& dataset,
+                  core::Workload& workload, std::uint64_t seed) {
   cluster::Cluster cluster(cluster::standard_cluster(8));
   const energy::GreenEnergyEstimator energy =
       energy::GreenEnergyEstimator::standard(72);
   runtime::JobSpec spec;
-  spec.name = "tree-job";
+  spec.name = name + "-job";
   spec.strategy = core::Strategy::kHetAware;
   spec.alpha = 0.75;
   spec.sampling.min_records = 40;
@@ -64,7 +66,27 @@ TEST(Golden, TreeJobSeed9) {
       mining::TreeMinerConfig{.min_support = 0.08, .max_pattern_nodes = 3});
   const JobDigest expected{0x975351fc4ed0c777ULL, 737, 0xc2a1e6b3105295d9ULL,
                            10875};
-  EXPECT_EQ(run_job(dataset, workload, 9), expected);
+  EXPECT_EQ(run_job("tree", dataset, workload, 9), expected);
+}
+
+TEST(Golden, TextJobSeed9) {
+  const data::Dataset dataset =
+      data::generate_text_corpus(data::rcv1_like(0.5), "rcv1");
+  core::PatternMiningWorkload workload(
+      mining::AprioriConfig{.min_support = 0.08, .max_pattern_length = 3});
+  const JobDigest expected{0x91ee37a9d8fa12a2ULL, 748, 0x202434f5a7e75a71ULL,
+                           11002};
+  EXPECT_EQ(run_job("text", dataset, workload, 9), expected);
+}
+
+TEST(Golden, GraphJobSeed9) {
+  const data::Dataset dataset =
+      data::generate_graph_corpus(data::uk_like(0.5), "webgraph");
+  core::CompressionWorkload workload(
+      core::CompressionWorkload::Algorithm::kWebGraph);
+  const JobDigest expected{0x4d98df482097119fULL, 765, 0x8f593d6f9830a54eULL,
+                           11076};
+  EXPECT_EQ(run_job("graph", dataset, workload, 9), expected);
 }
 
 }  // namespace

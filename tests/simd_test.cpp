@@ -150,31 +150,55 @@ TEST(SimdKernels, EqualCountMatchesReferenceOnEveryIsa) {
   }
 }
 
-TEST(SimdKernels, FindSortedMatchesReferenceOnEveryIsa) {
+std::size_t find_above_reference(const std::vector<std::uint32_t>& row,
+                                 std::size_t offset, std::size_t len,
+                                 std::uint32_t threshold) {
+  for (std::size_t i = 0; i < len; ++i) {
+    if (row[offset + i] > threshold) return i;
+  }
+  return len;
+}
+
+TEST(SimdKernels, FindAboveMatchesReferenceOnEveryIsa) {
+  // Every lane must return the scalar reference's index for every row
+  // length 0-67 (each vector width's body and tail), from aligned and
+  // unaligned starts, at the extreme thresholds 0 and UINT32_MAX, at
+  // values taken from the row itself (the `>` boundary) and at random
+  // ones. Rows mix zeros, the all-ones value and counts that straddle
+  // the sign bit the AVX2 lane flips.
   common::Rng rng(13);
   for (const Isa isa : runnable_isas()) {
     const simd::Kernels& kern = simd::kernels_for(isa);
-    for (int trial = 0; trial < 200; ++trial) {
-      std::vector<std::uint64_t> vals(rng.bounded(200));
-      for (auto& v : vals) v = rng.bounded(1ULL << 62);
-      if (!vals.empty() && trial % 4 == 0) vals.back() = ~0ULL;  // sentinel
-      std::sort(vals.begin(), vals.end());
-      vals.erase(std::unique(vals.begin(), vals.end()), vals.end());
-      const auto len = static_cast<std::uint32_t>(vals.size());
-      // Probe every present value plus absent ones (including ~0).
-      for (std::uint32_t i = 0; i < len; ++i) {
-        EXPECT_EQ(kern.find_sorted_u64(vals.data(), len, vals[i]),
-                  static_cast<std::int64_t>(i))
-            << simd::isa_name(isa) << " trial " << trial;
-      }
-      for (int probe = 0; probe < 8; ++probe) {
-        const std::uint64_t want =
-            probe == 0 ? ~0ULL : rng.bounded(1ULL << 62);
-        const auto it = std::find(vals.begin(), vals.end(), want);
-        const std::int64_t expect =
-            it == vals.end() ? -1 : it - vals.begin();
-        EXPECT_EQ(kern.find_sorted_u64(vals.data(), len, want), expect)
-            << simd::isa_name(isa) << " trial " << trial;
+    for (std::size_t len = 0; len <= 67; ++len) {
+      for (int trial = 0; trial < 6; ++trial) {
+        std::vector<std::uint32_t> row(len + 1);
+        for (auto& v : row) {
+          switch (rng.bounded(5)) {
+            case 0:
+              v = UINT32_MAX;
+              break;
+            case 1:
+              v = 0x80000000U + static_cast<std::uint32_t>(rng.bounded(4)) - 2;
+              break;
+            case 2:
+              v = static_cast<std::uint32_t>(rng.bounded(1ULL << 32));
+              break;
+            default:
+              v = trial < 3 ? 0 : static_cast<std::uint32_t>(rng.bounded(9));
+          }
+        }
+        std::vector<std::uint32_t> thresholds{
+            0, UINT32_MAX, 0x7fffffffU, 0x80000000U,
+            static_cast<std::uint32_t>(rng.bounded(1ULL << 32))};
+        if (len > 0) thresholds.push_back(row[rng.bounded(len)]);
+        for (const std::size_t offset : {0u, 1u}) {
+          for (const std::uint32_t t : thresholds) {
+            EXPECT_EQ(kern.find_above_u32(row.data() + offset, len, t),
+                      find_above_reference(row, offset, len, t))
+                << simd::isa_name(isa) << " len " << len << " offset "
+                << offset << " threshold " << t;
+          }
+        }
       }
     }
   }

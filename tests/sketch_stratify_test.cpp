@@ -7,8 +7,10 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <string_view>
 
 #include "common/error.h"
+#include "common/hash.h"
 #include "common/rng.h"
 #include "data/generators.h"
 #include "sketch/minhash.h"
@@ -288,6 +290,194 @@ TEST(KModes, TieBreakStableAcrossThreadCounts) {
 TEST(KModes, RejectsRaggedInput) {
   std::vector<Sketch> bad{{1, 2}, {1}};
   EXPECT_THROW((void)stratify::composite_kmodes(bad, {}), common::ConfigError);
+}
+
+TEST(KModes, RejectsZeroIterations) {
+  // With no iteration nothing assigns the points, so there is no
+  // stratification to report.
+  const std::vector<Sketch> sketches(4, Sketch{1, 2});
+  stratify::KModesConfig cfg;
+  cfg.max_iterations = 0;
+  EXPECT_THROW((void)stratify::composite_kmodes(sketches, cfg),
+               common::ConfigError);
+}
+
+TEST(KModes, AcceptsCompositeLAboveAnyCenterSize) {
+  // An L above every attribute's distinct count keeps every member value
+  // in its center; UINT32_MAX must behave like any other such L.
+  const auto sketches = topical_sketches(120, 3, nullptr);
+  stratify::KModesConfig wide;
+  wide.num_strata = 3;
+  wide.composite_l = 70000;
+  stratify::KModesConfig all = wide;
+  all.composite_l = UINT32_MAX;
+  const auto a = stratify::composite_kmodes(sketches, wide);
+  const auto b = stratify::composite_kmodes(sketches, all);
+  EXPECT_EQ(a.assignment, b.assignment);
+  EXPECT_EQ(a.work_ops, b.work_ops);
+  EXPECT_EQ(a.objective, b.objective);
+}
+
+// ---- compositeKModes pinning grid ------------------------------------------
+
+struct PinnedSolve {
+  std::uint64_t assignment_hash = 0;
+  std::uint64_t work_ops = 0;
+  std::uint64_t objective = 0;
+  std::uint64_t zero_match = 0;
+  std::uint32_t iterations = 0;
+
+  bool operator==(const PinnedSolve&) const = default;
+};
+
+void PrintTo(const PinnedSolve& p, std::ostream* os) {
+  *os << "{0x" << std::hex << p.assignment_hash << std::dec << "ULL, "
+      << p.work_ops << "ULL, " << p.objective << ", " << p.zero_match << ", "
+      << p.iterations << "}";
+}
+
+PinnedSolve pinned_solve(const std::vector<Sketch>& sketches,
+                         std::uint32_t strata, std::uint32_t l,
+                         std::uint64_t seed, par::ThreadPool& pool) {
+  stratify::KModesConfig cfg;
+  cfg.num_strata = strata;
+  cfg.composite_l = l;
+  cfg.seed = seed;
+  cfg.par = {.pool = &pool};
+  const auto s = stratify::composite_kmodes(sketches, cfg);
+  const std::string_view bytes(
+      reinterpret_cast<const char*>(s.assignment.data()),
+      s.assignment.size() * sizeof(std::uint32_t));
+  return {common::hash_bytes(bytes), s.work_ops, s.objective,
+          s.zero_match_assignments, s.iterations};
+}
+
+/// The three job corpora at reduced scale, sketched with the job's
+/// default 64 hashes.
+std::vector<std::vector<Sketch>> pinned_corpora() {
+  const MinHasher h(SketchConfig{});
+  std::vector<std::vector<Sketch>> out;
+  out.push_back(h.sketch_all(
+      data::generate_graph_corpus(data::uk_like(0.05), "webgraph").records));
+  out.push_back(h.sketch_all(
+      data::generate_text_corpus(data::rcv1_like(0.2), "rcv1").records));
+  out.push_back(h.sketch_all(
+      data::generate_tree_corpus(data::swissprot_like(0.5), "trees").records));
+  return out;
+}
+
+/// 70,000 points over three attributes. With `wide`, attribute 0 holds a
+/// distinct value per point (more than 16-bit codes can number);
+/// otherwise every attribute draws from a small alphabet. Attributes 1
+/// and 2 follow a latent group, so the clustering has structure.
+std::vector<Sketch> many_point_sketches(bool wide) {
+  common::Rng rng(41);
+  std::vector<Sketch> out(70000);
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const std::uint64_t group = i % 8;
+    out[i] = {wide ? (i * 0x9E3779B97F4A7C15ULL) >> 3 : rng.bounded(900),
+              group * 100 + rng.bounded(4), group * 1000 + rng.bounded(30)};
+  }
+  return out;
+}
+
+// KModes.PinnedAcrossDictionaryRewrite's expected values, captured from
+// the implementation that scored points by binary search over a sorted
+// center index and counted each stratum's values in a hash table. Grid
+// order: corpus (graph, text, tree) x strata x L x seed.
+constexpr PinnedSolve kPinnedSolves[] = {
+    {0xc165de1cd6b9c26aULL, 4071600ULL, 9925, 134, 11},
+    {0xee03f2ec5b2f9deULL, 3674400ULL, 9281, 155, 10},
+    {0x3c707e042d4d8503ULL, 6871200ULL, 18274, 46, 8},
+    {0x2db639c9f05ef22bULL, 4908000ULL, 17885, 54, 6},
+    {0x90b0315bea0c0032ULL, 9138000ULL, 23483, 29, 7},
+    {0x10713427b3bc933aULL, 13816800ULL, 23915, 35, 10},
+    {0xe88bd264553c0eb2ULL, 13024800ULL, 18059, 43, 11},
+    {0xbdd84f03a88b8cb6ULL, 15480000ULL, 17836, 38, 13},
+    {0x1cfebb6cb755311bULL, 36634800ULL, 32173, 17, 12},
+    {0xc566899035d7d1abULL, 27705600ULL, 32635, 18, 9},
+    {0xe2e878af06cfacddULL, 58572000ULL, 41280, 5, 12},
+    {0x3eb592016975d1ebULL, 38004000ULL, 41169, 8, 8},
+    {0x99d9eaeb1b07e50cULL, 26740800ULL, 28595, 12, 7},
+    {0x1d01b62e256d4b56ULL, 41557200ULL, 28351, 11, 11},
+    {0x8f58aa17e5b448deULL, 115963200ULL, 48395, 2, 13},
+    {0x71722cfb4b389314ULL, 51158400ULL, 48353, 2, 6},
+    {0x5365ff561780132eULL, 97477200ULL, 58236, 0, 8},
+    {0x6633a36e0ebf0daULL, 100136400ULL, 58803, 1, 8},
+    {0x519521be3d57981aULL, 4375200ULL, 10636, 31, 13},
+    {0x9ea73953d67a3e68ULL, 3408000ULL, 10266, 43, 10},
+    {0xcb03b087859a1f89ULL, 8931600ULL, 18602, 11, 11},
+    {0x3780383f25515ea6ULL, 6334800ULL, 18431, 17, 8},
+    {0xff9d16ea4b1bd83cULL, 9745200ULL, 24050, 8, 8},
+    {0x2ccc3cc511f53f11ULL, 9854400ULL, 23419, 10, 8},
+    {0xefb5499205273a4cULL, 12985200ULL, 16568, 6, 13},
+    {0xc89e9b25462d64c5ULL, 16767600ULL, 16613, 11, 16},
+    {0xf8d9a38bd894be47ULL, 31207200ULL, 27475, 4, 12},
+    {0xe3ae65e461aa29feULL, 35491200ULL, 27849, 1, 13},
+    {0x2bc460dbcd493b85ULL, 54405600ULL, 33617, 3, 13},
+    {0x543459f91dca1da1ULL, 56736000ULL, 34362, 1, 13},
+    {0xc21f25f6480f9d67ULL, 36655200ULL, 20928, 2, 12},
+    {0x51e1fd5fb7f7772cULL, 27969600ULL, 21043, 2, 9},
+    {0xd0ce90fea47a3ebaULL, 46222800ULL, 35025, 0, 6},
+    {0xfb691affc58c7309ULL, 45900000ULL, 35202, 0, 6},
+    {0xa3a1adb2c0315c4ULL, 126994800ULL, 44393, 0, 10},
+    {0xbf6a8b81f19c7953ULL, 56937600ULL, 44083, 0, 5},
+    {0x9d47bb69ed73dcacULL, 2018250ULL, 2786, 76, 9},
+    {0xfa7424c9c6127017ULL, 2059500ULL, 2875, 67, 9},
+    {0x7d11bd254fef766ULL, 4881750ULL, 5856, 8, 9},
+    {0x9d1b2163f2644cb9ULL, 3777000ULL, 6001, 6, 7},
+    {0x389336e2ea8cdf31ULL, 7684500ULL, 7908, 3, 9},
+    {0xbd4e7c09474b1a5dULL, 4897500ULL, 8121, 2, 6},
+    {0xf9424dcba0e5b97ULL, 5064750ULL, 4583, 7, 7},
+    {0x40e10f0b3ff53d19ULL, 5835000ULL, 4535, 12, 8},
+    {0x6200a4d0504b9fe8ULL, 16440000ULL, 9042, 0, 9},
+    {0xb7062eacb59bae87ULL, 8736750ULL, 8854, 0, 5},
+    {0x346f081869b3dbaeULL, 13447500ULL, 11883, 0, 5},
+    {0xe9b0b5da724fe91dULL, 16934250ULL, 11813, 0, 6},
+    {0x6321b26b935ed870ULL, 15959250ULL, 7575, 0, 6},
+    {0x9af9f22168d68e39ULL, 15660750ULL, 7483, 0, 6},
+    {0x30426f6592732191ULL, 17211000ULL, 16260, 0, 3},
+    {0x652eebc6de98fca0ULL, 16952250ULL, 16122, 0, 3},
+    {0x742509b4f1a8c971ULL, 14077500ULL, 23135, 0, 2},
+    {0xbd6e4b5787414452ULL, 13980750ULL, 23074, 0, 2},
+};
+// The 70,000-point cases: a column wider than 16-bit codes, then one
+// where every column fits them.
+constexpr PinnedSolve kPinnedManyPoints[] = {
+    {0x78f69861dc07c8a8ULL, 8960000ULL, 29130, 42326, 4},
+    {0x25e7cc9962864881ULL, 8960000ULL, 29964, 41901, 4},
+};
+
+TEST(KModes, PinnedAcrossDictionaryRewrite) {
+  // Assignments, metered work, objective, fallbacks and iterations must
+  // not drift from the pins at any pool width.
+  const std::vector<std::vector<Sketch>> corpora = pinned_corpora();
+  par::ThreadPool one(1);
+  par::ThreadPool four(4);
+  std::vector<PinnedSolve> solves;
+  for (const auto& sketches : corpora) {
+    for (const std::uint32_t strata : {4u, 16u, 64u}) {
+      for (const std::uint32_t l : {1u, 3u, 5u}) {
+        for (const std::uint64_t seed : {23u, 7u}) {
+          const PinnedSolve serial =
+              pinned_solve(sketches, strata, l, seed, one);
+          EXPECT_EQ(pinned_solve(sketches, strata, l, seed, four), serial)
+              << "strata=" << strata << " l=" << l << " seed=" << seed;
+          solves.push_back(serial);
+        }
+      }
+    }
+  }
+  ASSERT_EQ(solves.size(), std::size(kPinnedSolves));
+  for (std::size_t i = 0; i < solves.size(); ++i) {
+    EXPECT_EQ(solves[i], kPinnedSolves[i]) << "grid case " << i;
+  }
+  for (const bool wide : {true, false}) {
+    const std::vector<Sketch> sketches = many_point_sketches(wide);
+    const PinnedSolve serial = pinned_solve(sketches, 4, 3, 23, one);
+    EXPECT_EQ(pinned_solve(sketches, 4, 3, 23, four), serial);
+    EXPECT_EQ(serial, kPinnedManyPoints[wide ? 0 : 1]) << "wide=" << wide;
+  }
 }
 
 // ---- stratified sampling ---------------------------------------------------
