@@ -19,7 +19,7 @@ int main() {
       energy::GreenEnergyEstimator::standard(72);
   const data::Dataset trees =
       data::generate_tree_corpus(data::swissprot_like(1.5), "protein-trees");
-  std::cout << "corpus: " << trees.size() << " trees (Prufer-pivot item "
+  std::cout << "corpus: " << trees.size() << " trees (LCA-pivot item "
             << "sets, see src/data/tree.h)\n\n";
 
   core::PatternMiningWorkload workload(

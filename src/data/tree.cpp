@@ -1,7 +1,6 @@
 #include "data/tree.h"
 
 #include <algorithm>
-#include <queue>
 
 #include "common/error.h"
 #include "common/hash.h"
@@ -66,100 +65,6 @@ std::uint32_t lca(const LabeledTree& tree, const std::vector<std::uint32_t>& dep
     v = tree.parent[v];
   }
   return u;
-}
-
-std::vector<std::uint32_t> prufer_encode(const LabeledTree& tree) {
-  const std::size_t n = tree.size();
-  common::require<common::ConfigError>(n >= 2,
-                                       "prufer_encode: need >= 2 nodes");
-  // Undirected degrees from the parent array.
-  std::vector<std::uint32_t> degree(n, 0);
-  const std::uint32_t root = tree.root();
-  for (std::uint32_t v = 0; v < n; ++v) {
-    if (v == root) continue;
-    ++degree[v];
-    ++degree[tree.parent[v]];
-  }
-  // Adjacency for neighbour lookup during removal: child lists + parent.
-  std::vector<std::vector<std::uint32_t>> children(n);
-  for (std::uint32_t v = 0; v < n; ++v) {
-    if (v != root) children[tree.parent[v]].push_back(v);
-  }
-  std::vector<bool> removed(n, false);
-  const auto live_neighbor = [&](std::uint32_t v) -> std::uint32_t {
-    if (v != root && !removed[tree.parent[v]]) return tree.parent[v];
-    for (const std::uint32_t c : children[v]) {
-      if (!removed[c]) return c;
-    }
-    throw common::ConfigError("prufer_encode: leaf with no live neighbour");
-  };
-  std::priority_queue<std::uint32_t, std::vector<std::uint32_t>,
-                      std::greater<>> leaves;
-  for (std::uint32_t v = 0; v < n; ++v) {
-    if (degree[v] == 1) leaves.push(v);
-  }
-  std::vector<std::uint32_t> seq;
-  seq.reserve(n - 2);
-  while (seq.size() < n - 2) {
-    const std::uint32_t leaf = leaves.top();
-    leaves.pop();
-    const std::uint32_t nb = live_neighbor(leaf);
-    seq.push_back(nb);
-    removed[leaf] = true;
-    if (--degree[nb] == 1) leaves.push(nb);
-  }
-  return seq;
-}
-
-LabeledTree prufer_decode(const std::vector<std::uint32_t>& seq) {
-  const std::size_t n = seq.size() + 2;
-  std::vector<std::uint32_t> degree(n, 1);
-  for (const std::uint32_t v : seq) {
-    common::require<common::ConfigError>(v < n, "prufer_decode: id out of range");
-    ++degree[v];
-  }
-  std::priority_queue<std::uint32_t, std::vector<std::uint32_t>,
-                      std::greater<>> leaves;
-  for (std::uint32_t v = 0; v < n; ++v) {
-    if (degree[v] == 1) leaves.push(v);
-  }
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> edges;
-  edges.reserve(n - 1);
-  for (const std::uint32_t v : seq) {
-    const std::uint32_t leaf = leaves.top();
-    leaves.pop();
-    edges.emplace_back(leaf, v);
-    if (--degree[v] == 1) leaves.push(v);
-  }
-  const std::uint32_t a = leaves.top();
-  leaves.pop();
-  const std::uint32_t b = leaves.top();
-  edges.emplace_back(a, b);
-  // Root at `b` (the highest-id survivor, matching the classic statement
-  // that node n-1 is never removed) and orient edges by BFS.
-  std::vector<std::vector<std::uint32_t>> adj(n);
-  for (const auto& [x, y] : edges) {
-    adj[x].push_back(y);
-    adj[y].push_back(x);
-  }
-  LabeledTree tree;
-  tree.parent.assign(n, UINT32_MAX);
-  tree.label.resize(n);
-  for (std::uint32_t v = 0; v < n; ++v) tree.label[v] = v;
-  std::queue<std::uint32_t> bfs;
-  tree.parent[b] = b;
-  bfs.push(b);
-  while (!bfs.empty()) {
-    const std::uint32_t u = bfs.front();
-    bfs.pop();
-    for (const std::uint32_t w : adj[u]) {
-      if (tree.parent[w] == UINT32_MAX) {
-        tree.parent[w] = u;
-        bfs.push(w);
-      }
-    }
-  }
-  return tree;
 }
 
 namespace {

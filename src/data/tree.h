@@ -1,10 +1,11 @@
-// Labelled rooted trees, Prüfer codec, and LCA pivot extraction.
+// Labelled rooted trees and LCA pivot extraction.
 //
 // The paper's stratifier represents trees via Prüfer sequences [13] and
 // extracts pivots using the least-common-ancestor relation: a pivot
 // (a, p, q) records that label `a` is the LCA of nodes labelled `p` and
-// `q` (section III-C step 1). Pivot triples are hashed to item ids so a
-// tree becomes an ItemSet.
+// `q` (section III-C step 1). Here the pivots are computed straight from
+// the parent and depth arrays; no Prüfer sequence is built. Pivot
+// triples are hashed to item ids so a tree becomes an ItemSet.
 #pragma once
 
 #include <cstdint>
@@ -26,17 +27,6 @@ struct LabeledTree {
   /// self-parent, no cycles); throws ConfigError otherwise.
   void validate() const;
 };
-
-/// Prüfer encoding of the tree's *shape* (labels are not part of the
-/// sequence). Defined for trees with >= 2 nodes; the sequence has n-2
-/// entries. Follows the classic algorithm: repeatedly remove the
-/// smallest-id leaf and record its neighbour.
-[[nodiscard]] std::vector<std::uint32_t> prufer_encode(const LabeledTree& tree);
-
-/// Rebuild a tree shape from a Prüfer sequence over n = seq.size() + 2
-/// nodes, rooted at the node that remains last. Node labels are set to
-/// node ids; callers relabel as needed.
-[[nodiscard]] LabeledTree prufer_decode(const std::vector<std::uint32_t>& seq);
 
 /// Depth of every node (root = 0).
 [[nodiscard]] std::vector<std::uint32_t> node_depths(const LabeledTree& tree);

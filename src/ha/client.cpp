@@ -124,28 +124,9 @@ WriteResult Client::put(std::string_view key, std::string_view value) {
                               std::string(value), 0, 0});
 }
 
-WriteResult Client::del(std::string_view key) {
-  return fan_out(key, Command{CommandType::kDel, std::string(key), "", 0, 0});
-}
-
-WriteResult Client::rpush(std::string_view key, std::string_view element) {
-  return fan_out(key, Command{CommandType::kRPush, std::string(key),
-                              std::string(element), 0, 0});
-}
-
-WriteResult Client::incrby(std::string_view key, std::int64_t delta) {
-  return fan_out(key, Command{CommandType::kIncrBy, std::string(key), "",
-                              delta, 0});
-}
-
 ReadResult Client::get(std::string_view key) {
   return read_with_fallback(
       key, Command{CommandType::kGet, std::string(key), "", 0, 0});
-}
-
-ReadResult Client::counter(std::string_view key) {
-  return read_with_fallback(
-      key, Command{CommandType::kCounter, std::string(key), "", 0, 0});
 }
 
 std::vector<WriteResult> Client::put_many(

@@ -83,11 +83,7 @@ class Client {
 
   // ---- single-key -----------------------------------------------------
   WriteResult put(std::string_view key, std::string_view value);
-  WriteResult del(std::string_view key);
-  WriteResult rpush(std::string_view key, std::string_view element);
-  WriteResult incrby(std::string_view key, std::int64_t delta);
   [[nodiscard]] ReadResult get(std::string_view key);
-  [[nodiscard]] ReadResult counter(std::string_view key);
 
   // ---- batched --------------------------------------------------------
   /// Pipelined replicated kSet of all pairs: commands are grouped per

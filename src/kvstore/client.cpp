@@ -40,11 +40,9 @@ bool idempotent(CommandType type) {
     case CommandType::kSet:
     case CommandType::kGet:
     case CommandType::kDel:
-    case CommandType::kExists:
     case CommandType::kLRange:
     case CommandType::kLLen:
     case CommandType::kLIndex:
-    case CommandType::kCounter:
       return true;
     case CommandType::kRPush:
     case CommandType::kIncrBy:
@@ -129,9 +127,6 @@ Reply apply_command(Store& store, const Command& cmd) {
     case CommandType::kDel:
       r.ok = store.del(cmd.key);
       break;
-    case CommandType::kExists:
-      r.ok = store.exists(cmd.key);
-      break;
     case CommandType::kRPush:
       r.integer = static_cast<std::int64_t>(store.rpush(cmd.key, cmd.value));
       r.ok = true;
@@ -152,10 +147,6 @@ Reply apply_command(Store& store, const Command& cmd) {
     }
     case CommandType::kIncrBy:
       r.integer = store.incrby(cmd.key, cmd.arg0);
-      r.ok = true;
-      break;
-    case CommandType::kCounter:
-      r.integer = store.counter(cmd.key);
       r.ok = true;
       break;
   }
@@ -344,47 +335,6 @@ Client::ViewResult Client::get_view(
   sim_time_ += fabric_.exchange_cost(self_, target_, req, rsp);
   fabric_.record(self_, target_, /*requests=*/1, /*round_trips=*/1, req + rsp);
   return {Status::kOk, found};
-}
-
-bool Client::del(std::string_view key) {
-  return expect_ok(
-             execute({.type = CommandType::kDel, .key = std::string(key)}))
-      .ok;
-}
-
-std::size_t Client::rpush(std::string_view key, std::string_view element) {
-  Reply r = expect_ok(execute({.type = CommandType::kRPush,
-                               .key = std::string(key),
-                               .value = std::string(element)}));
-  return static_cast<std::size_t>(r.integer);
-}
-
-std::vector<std::string> Client::lrange(std::string_view key, std::int64_t start,
-                                        std::int64_t stop) {
-  Reply r = expect_ok(execute({.type = CommandType::kLRange,
-                               .key = std::string(key),
-                               .arg0 = start,
-                               .arg1 = stop}));
-  return std::move(r.list);
-}
-
-std::size_t Client::llen(std::string_view key) {
-  Reply r = expect_ok(
-      execute({.type = CommandType::kLLen, .key = std::string(key)}));
-  return static_cast<std::size_t>(r.integer);
-}
-
-std::int64_t Client::incrby(std::string_view key, std::int64_t delta) {
-  return expect_ok(execute({.type = CommandType::kIncrBy,
-                            .key = std::string(key),
-                            .arg0 = delta}))
-      .integer;
-}
-
-std::int64_t Client::counter(std::string_view key) {
-  return expect_ok(
-             execute({.type = CommandType::kCounter, .key = std::string(key)}))
-      .integer;
 }
 
 void Client::enqueue(Command cmd) {

@@ -33,13 +33,11 @@ enum class CommandType : std::uint8_t {
   kSet,
   kGet,
   kDel,
-  kExists,
   kRPush,
   kLRange,
   kLLen,
   kLIndex,
   kIncrBy,
-  kCounter,
 };
 
 struct Command {
@@ -73,7 +71,7 @@ enum class Status : std::uint8_t {
 [[nodiscard]] Status worse_status(Status a, Status b);
 
 /// True when re-applying the command cannot change the outcome beyond
-/// the first application (reads, kSet, kDel, kExists). kRPush and
+/// the first application (reads, kSet, kDel). kRPush and
 /// kIncrBy append/accumulate, so a retry after an ambiguous loss could
 /// double-apply them.
 [[nodiscard]] bool idempotent(CommandType type);
@@ -82,7 +80,7 @@ struct Reply {
   bool ok = false;                 // key found / operation applied
   std::string blob;                // kGet / kLIndex
   std::vector<std::string> list;   // kLRange
-  std::int64_t integer = 0;        // kIncrBy / kCounter / kLLen / kRPush
+  std::int64_t integer = 0;        // kIncrBy / kLLen / kRPush
   Status status = Status::kOk;     // transport outcome
 };
 
@@ -128,7 +126,7 @@ Reply expect_ok(Reply reply);
 std::vector<Reply> expect_ok(std::vector<Reply> replies);
 
 /// Execute a command against a store, producing its reply. Shared by the
-/// simulated Client and the RESP server dispatch.
+/// simulated Client, HA op-log replay and the chaos recovery victim.
 [[nodiscard]] Reply apply_command(Store& store, const Command& cmd);
 
 /// A connection from host `self` to the store hosted on `target`.
@@ -177,15 +175,6 @@ class Client {
   [[nodiscard]] ViewResult get_view(
       std::string_view key,
       const std::function<void(std::string_view)>& visitor);
-
-  bool del(std::string_view key);
-  std::size_t rpush(std::string_view key, std::string_view element);
-  [[nodiscard]] std::vector<std::string> lrange(std::string_view key,
-                                                std::int64_t start,
-                                                std::int64_t stop);
-  [[nodiscard]] std::size_t llen(std::string_view key);
-  std::int64_t incrby(std::string_view key, std::int64_t delta);
-  [[nodiscard]] std::int64_t counter(std::string_view key);
 
   // ---- pipelined ------------------------------------------------------
   /// Queue a command; auto-flushes when the pipeline is full. Replies for

@@ -28,14 +28,6 @@ std::uint32_t read_u32(std::string_view in, std::size_t at) {
 
 }  // namespace
 
-std::string frame_record(std::string_view payload) {
-  std::string out;
-  out.reserve(payload.size() + 4);
-  append_u32(out, static_cast<std::uint32_t>(payload.size()));
-  out.append(payload);
-  return out;
-}
-
 std::string pack_records(std::span<const std::string> records) {
   std::size_t total = 0;
   for (const auto& r : records) total += r.size() + 4;
@@ -48,37 +40,6 @@ std::string pack_records(std::span<const std::string> records) {
   return out;
 }
 
-std::vector<std::string> unpack_records(std::string_view blob) {
-  std::vector<std::string> out;
-  // One framing pass up front sizes the vector exactly (and rejects
-  // truncated blobs before anything is materialized), so the fill loop
-  // below never reallocates.
-  out.reserve(count_records(blob));
-  std::size_t at = 0;
-  while (at < blob.size()) {
-    const std::uint32_t len = read_u32(blob, at);
-    at += 4;
-    common::require<common::StoreError>(at + len <= blob.size(),
-                                        "codec: truncated record body");
-    out.emplace_back(blob.substr(at, len));
-    at += len;
-  }
-  return out;
-}
-
-std::size_t count_records(std::string_view blob) {
-  std::size_t n = 0;
-  std::size_t at = 0;
-  while (at < blob.size()) {
-    const std::uint32_t len = read_u32(blob, at);
-    at += 4 + len;
-    common::require<common::StoreError>(at <= blob.size(),
-                                        "codec: truncated record body");
-    ++n;
-  }
-  return n;
-}
-
 std::string_view RecordCursor::next() {
   const std::uint32_t len = read_u32(blob_, at_);
   at_ += 4;
@@ -87,47 +48,6 @@ std::string_view RecordCursor::next() {
   const std::string_view payload = blob_.substr(at_, len);
   at_ += len;
   return payload;
-}
-
-std::string encode_u32s(std::span<const std::uint32_t> values) {
-  std::string out;
-  out.reserve(values.size() * 4);
-  for (const std::uint32_t v : values) append_u32(out, v);
-  return out;
-}
-
-std::vector<std::uint32_t> decode_u32s(std::string_view payload) {
-  common::require<common::StoreError>(payload.size() % 4 == 0,
-                                      "codec: u32 payload not a multiple of 4");
-  std::vector<std::uint32_t> out;
-  out.reserve(payload.size() / 4);
-  for (std::size_t at = 0; at < payload.size(); at += 4) {
-    out.push_back(read_u32(payload, at));
-  }
-  return out;
-}
-
-std::string encode_u64s(std::span<const std::uint64_t> values) {
-  std::string out;
-  out.reserve(values.size() * 8);
-  for (const std::uint64_t v : values) {
-    append_u32(out, static_cast<std::uint32_t>(v & 0xffffffffULL));
-    append_u32(out, static_cast<std::uint32_t>(v >> 32));
-  }
-  return out;
-}
-
-std::vector<std::uint64_t> decode_u64s(std::string_view payload) {
-  common::require<common::StoreError>(payload.size() % 8 == 0,
-                                      "codec: u64 payload not a multiple of 8");
-  std::vector<std::uint64_t> out;
-  out.reserve(payload.size() / 8);
-  for (std::size_t at = 0; at < payload.size(); at += 8) {
-    const std::uint64_t lo = read_u32(payload, at);
-    const std::uint64_t hi = read_u32(payload, at + 4);
-    out.push_back(lo | (hi << 32));
-  }
-  return out;
 }
 
 }  // namespace hetsim::kvstore

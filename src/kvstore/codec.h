@@ -12,22 +12,12 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace hetsim::kvstore {
 
-/// Serialize one record: 4-byte little-endian length prefix + payload.
-[[nodiscard]] std::string frame_record(std::string_view payload);
-
-/// Concatenate framed records into one blob.
+/// Concatenate records into one blob, each framed as a 4-byte
+/// little-endian length prefix + payload.
 [[nodiscard]] std::string pack_records(std::span<const std::string> records);
-
-/// Split a blob of framed records back into payloads. Throws StoreError on
-/// truncated input.
-[[nodiscard]] std::vector<std::string> unpack_records(std::string_view blob);
-
-/// Number of framed records in a blob without materializing them.
-[[nodiscard]] std::size_t count_records(std::string_view blob);
 
 /// Zero-copy forward iteration over a packed blob: each next() yields
 /// the payload as a string_view into the blob, so a partition framed
@@ -40,22 +30,13 @@ class RecordCursor {
   [[nodiscard]] bool done() const noexcept { return at_ >= blob_.size(); }
 
   /// Payload of the next record. Throws StoreError on truncated framing
-  /// (length prefix or body extending past the blob) — the same checks
-  /// unpack_records makes, paid lazily per record.
+  /// (length prefix or body extending past the blob), checked lazily
+  /// per record.
   [[nodiscard]] std::string_view next();
 
  private:
   std::string_view blob_;
   std::size_t at_ = 0;
 };
-
-// ---- integer vector helpers (used for pivot/item sets) -----------------
-
-/// Pack a sorted set of u32 item ids as a record payload.
-[[nodiscard]] std::string encode_u32s(std::span<const std::uint32_t> values);
-[[nodiscard]] std::vector<std::uint32_t> decode_u32s(std::string_view payload);
-
-[[nodiscard]] std::string encode_u64s(std::span<const std::uint64_t> values);
-[[nodiscard]] std::vector<std::uint64_t> decode_u64s(std::string_view payload);
 
 }  // namespace hetsim::kvstore

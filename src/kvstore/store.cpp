@@ -54,14 +54,6 @@ bool Store::visit_get(
   return true;
 }
 
-std::optional<std::size_t> Store::value_size(std::string_view key) const {
-  const auto it = data_.find(key);
-  if (it == data_.end()) return std::nullopt;
-  const auto* s = std::get_if<std::string>(&it->second);
-  common::require<StoreError>(s != nullptr, "GET on non-string key");
-  return s->size();
-}
-
 std::size_t Store::rpush(std::string_view key, std::string_view element) {
   ++ops_;
   auto [it, inserted] = data_.try_emplace(std::string(key),
@@ -113,20 +105,6 @@ std::int64_t Store::incrby(std::string_view key, std::int64_t delta) {
   common::require<StoreError>(counter != nullptr, "INCRBY on non-counter key");
   *counter += delta;
   return *counter;
-}
-
-std::int64_t Store::counter(std::string_view key) const {
-  ++ops_;
-  const auto it = data_.find(key);
-  if (it == data_.end()) return 0;
-  const auto* counter = std::get_if<std::int64_t>(&it->second);
-  common::require<StoreError>(counter != nullptr, "counter read on non-counter key");
-  return *counter;
-}
-
-bool Store::exists(std::string_view key) const {
-  ++ops_;
-  return data_.find(key) != data_.end();
 }
 
 bool Store::del(std::string_view key) {

@@ -44,11 +44,6 @@ class Store {
   /// mismatch. Counts as one served op, exactly like get().
   bool visit_get(std::string_view key,
                  const std::function<void(std::string_view)>& visitor) const;
-  /// Byte size of the string value under `key` without copying it
-  /// (nullopt when absent). An accounting probe for wire-cost modelling,
-  /// not client traffic: ops_ is untouched.
-  [[nodiscard]] std::optional<std::size_t> value_size(
-      std::string_view key) const;
 
   // ---- list values ---------------------------------------------------
   /// Appends to the list at `key` (creates it), returns new length.
@@ -67,10 +62,8 @@ class Store {
   /// Fetch-and-add; creates the counter at 0. Returns the NEW value
   /// (Redis INCRBY semantics).
   std::int64_t incrby(std::string_view key, std::int64_t delta);
-  [[nodiscard]] std::int64_t counter(std::string_view key) const;
 
   // ---- keyspace ------------------------------------------------------
-  [[nodiscard]] bool exists(std::string_view key) const;
   /// Returns true if the key was present.
   bool del(std::string_view key);
   void flush_all();

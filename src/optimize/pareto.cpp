@@ -290,31 +290,4 @@ std::vector<FrontierPoint> sweep_frontier_normalized(
   return sweep_impl(models, total, alphas, &solve_partition_sizes_normalized);
 }
 
-double plan_makespan(std::span<const NodeModel> models,
-                     std::span<const std::size_t> sizes) {
-  common::require<common::ConfigError>(models.size() == sizes.size(),
-                                       "plan_makespan: arity mismatch");
-  double worst = 0.0;
-  for (std::size_t i = 0; i < models.size(); ++i) {
-    if (sizes[i] > 0) {
-      worst = std::max(worst, models[i].time_s(static_cast<double>(sizes[i])));
-    }
-  }
-  return worst;
-}
-
-double plan_dirty_joules(std::span<const NodeModel> models,
-                         std::span<const std::size_t> sizes) {
-  common::require<common::ConfigError>(models.size() == sizes.size(),
-                                       "plan_dirty_joules: arity mismatch");
-  double total = 0.0;
-  for (std::size_t i = 0; i < models.size(); ++i) {
-    if (sizes[i] > 0) {
-      total += models[i].dirty_rate *
-               models[i].time_s(static_cast<double>(sizes[i]));
-    }
-  }
-  return total;
-}
-
 }  // namespace hetsim::optimize

@@ -132,11 +132,4 @@ struct FrontierPoint {
     std::span<const NodeModel> models, std::size_t total,
     std::span<const double> alphas);
 
-/// Predicted makespan / dirty energy of an arbitrary size vector under
-/// the models (used to place baselines against the frontier).
-[[nodiscard]] double plan_makespan(std::span<const NodeModel> models,
-                                   std::span<const std::size_t> sizes);
-[[nodiscard]] double plan_dirty_joules(std::span<const NodeModel> models,
-                                       std::span<const std::size_t> sizes);
-
 }  // namespace hetsim::optimize

@@ -1,8 +1,6 @@
-// Tests for the data model: item sets, trees + Prüfer codec + pivots,
+// Tests for the data model: item sets, trees + LCA pivots,
 // graphs, payload codecs, and the synthetic generators.
 #include <gtest/gtest.h>
-
-#include <set>
 
 #include "common/error.h"
 #include "common/rng.h"
@@ -94,53 +92,6 @@ TEST(Tree, LcaOnDeepTree) {
   EXPECT_EQ(lca(t, d, 3, 5), 0u);
   EXPECT_EQ(lca(t, d, 4, 2), 0u);
   EXPECT_EQ(lca(t, d, 3, 1), 1u);
-}
-
-TEST(Prufer, ChainSequenceIsInternalNodes) {
-  // Chain 0-1-2-3: removing leaves 3... wait, smallest leaf first: 0's
-  // neighbour is 1, then 1's neighbour is 2 -> sequence (1, 2).
-  const auto seq = prufer_encode(chain(4));
-  EXPECT_EQ(seq, (std::vector<std::uint32_t>{1, 2}));
-}
-
-TEST(Prufer, StarSequenceRepeatsCenter) {
-  LabeledTree t;
-  t.parent = {0, 0, 0, 0, 0};
-  t.label = {0, 1, 2, 3, 4};
-  const auto seq = prufer_encode(t);
-  EXPECT_EQ(seq, (std::vector<std::uint32_t>{0, 0, 0}));
-}
-
-/// The Prüfer bijection: decode(encode(t)) must reproduce the same
-/// undirected edge set.
-std::multiset<std::pair<std::uint32_t, std::uint32_t>> edge_set(
-    const LabeledTree& t) {
-  std::multiset<std::pair<std::uint32_t, std::uint32_t>> edges;
-  const std::uint32_t root = t.root();
-  for (std::uint32_t v = 0; v < t.size(); ++v) {
-    if (v == root) continue;
-    edges.insert({std::min(v, t.parent[v]), std::max(v, t.parent[v])});
-  }
-  return edges;
-}
-
-TEST(Prufer, RoundTripPreservesEdges) {
-  common::Rng rng(99);
-  for (int trial = 0; trial < 50; ++trial) {
-    const std::uint32_t n = 2 + static_cast<std::uint32_t>(rng.bounded(40));
-    LabeledTree t;
-    t.parent.resize(n);
-    t.label.resize(n);
-    t.parent[0] = 0;
-    for (std::uint32_t v = 1; v < n; ++v) {
-      t.parent[v] = static_cast<std::uint32_t>(rng.bounded(v));
-      t.label[v] = v;
-    }
-    const auto seq = prufer_encode(t);
-    EXPECT_EQ(seq.size(), n - 2);
-    const LabeledTree back = prufer_decode(seq);
-    EXPECT_EQ(edge_set(back), edge_set(t)) << "trial " << trial;
-  }
 }
 
 TEST(Pivots, DeterministicAndLabelSensitive) {

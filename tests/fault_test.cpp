@@ -441,8 +441,8 @@ TEST(ClientRetry, CrashAtOpServesThenRefusesEveryLaterOp) {
   const std::size_t attempts = kvstore::RetryPolicy{}.max_attempts;
   EXPECT_EQ(inj.store_ops(1), 1 + attempts);
   EXPECT_EQ(rig.fabric.retry_stats().failures, 1u);
-  EXPECT_TRUE(rig.store.exists("k"));  // the pre-crash write landed
-  EXPECT_FALSE(rig.store.exists("late"));
+  EXPECT_EQ(rig.store.get("k"), "v");  // the pre-crash write landed
+  EXPECT_EQ(rig.store.get("late"), std::nullopt);
 }
 
 // ---- executor fail-stop + rescue -------------------------------------------

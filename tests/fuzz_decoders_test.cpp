@@ -5,6 +5,11 @@
 // the assertions here catch the exception-contract half.)
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "common/error.h"
 #include "common/rng.h"
 #include "compress/huffman.h"
@@ -14,7 +19,6 @@
 #include "data/generators.h"
 #include "data/graph.h"
 #include "kvstore/codec.h"
-#include "kvstore/resp.h"
 
 namespace hetsim {
 namespace {
@@ -47,77 +51,6 @@ class FuzzDecoders : public ::testing::TestWithParam<std::uint64_t> {
  protected:
   common::Rng rng_{GetParam()};
 };
-
-TEST_P(FuzzDecoders, RespToleratesGarbage) {
-  for (int i = 0; i < 200; ++i) {
-    const std::string input = random_bytes(rng_, 64);
-    EXPECT_TRUE(tolerates(
-        [](const std::string& s) { (void)kvstore::resp::decode_all(s); },
-        input));
-    EXPECT_TRUE(tolerates(
-        [](const std::string& s) { (void)kvstore::resp::decode_command(s); },
-        input));
-  }
-}
-
-TEST_P(FuzzDecoders, RespToleratesMutatedValidStreams) {
-  const kvstore::Command cmd{.type = kvstore::CommandType::kSet,
-                             .key = "key",
-                             .value = "some-value"};
-  const std::string valid = kvstore::resp::encode_command(cmd);
-  for (int i = 0; i < 200; ++i) {
-    std::string mutated = valid;
-    mutated[rng_.bounded(mutated.size())] =
-        static_cast<char>(rng_.bounded(256));
-    EXPECT_TRUE(tolerates(
-        [](const std::string& s) { (void)kvstore::resp::decode_command(s); },
-        mutated));
-  }
-}
-
-TEST_P(FuzzDecoders, RespToleratesHugeCountsAndDeepNesting) {
-  const auto both = [](const std::string& input) {
-    return tolerates(
-               [](const std::string& s) { (void)kvstore::resp::decode_all(s); },
-               input) &&
-           tolerates(
-               [](const std::string& s) {
-                 (void)kvstore::resp::decode_command(s);
-               },
-               input);
-  };
-  const auto nested = [](std::size_t depth) {
-    std::string s;
-    for (std::size_t i = 0; i < depth; ++i) s += "*1\r\n";
-    return s + ":1\r\n";
-  };
-  // An array count no allocation can satisfy (bad_alloc), one past
-  // max_size (length_error), and 30,000 nested arrays (stack overflow).
-  EXPECT_TRUE(both("*999999999999\r\n"));
-  EXPECT_TRUE(both("*4611686018427387903\r\n"));
-  EXPECT_TRUE(both(nested(30000)));
-
-  // Seeded: a count just past what the remaining bytes can hold throws;
-  // the same count of 3-byte elements, and the deepest legal nesting,
-  // still decode.
-  for (int i = 0; i < 20; ++i) {
-    const std::size_t n = rng_.bounded(200);
-    std::string elems;
-    for (std::size_t e = 0; e < n; ++e) elems += "+\r\n";
-    const std::string full = "*" + std::to_string(n) + "\r\n" + elems;
-    EXPECT_EQ(kvstore::resp::decode_all(full).array.size(), n);
-    const std::string over = "*" + std::to_string(n + 1) + "\r\n" + elems;
-    EXPECT_THROW((void)kvstore::resp::decode_all(over), common::StoreError);
-
-    const std::size_t depth = 1 + rng_.bounded(kvstore::resp::kMaxArrayDepth);
-    EXPECT_EQ(kvstore::resp::decode_all(nested(depth)).type,
-              kvstore::resp::ValueType::kArray);
-    const std::size_t too_deep =
-        kvstore::resp::kMaxArrayDepth + 1 + rng_.bounded(1000);
-    EXPECT_THROW((void)kvstore::resp::decode_all(nested(too_deep)),
-                 common::StoreError);
-  }
-}
 
 TEST_P(FuzzDecoders, Lz77ToleratesGarbage) {
   for (int i = 0; i < 200; ++i) {
@@ -164,12 +97,29 @@ TEST_P(FuzzDecoders, HuffmanToleratesGarbage) {
 }
 
 TEST_P(FuzzDecoders, KvCodecToleratesGarbage) {
+  // RecordCursor walks partition blobs in place: every view it yields
+  // must lie inside the blob, or next() throws StoreError.
+  const auto views_stay_inside = [](const std::string& blob) {
+    kvstore::RecordCursor cursor{blob};
+    while (!cursor.done()) {
+      const std::string_view view = cursor.next();
+      if (view.data() < blob.data() ||
+          view.data() + view.size() > blob.data() + blob.size()) {
+        throw std::out_of_range("record view escapes the blob");
+      }
+    }
+  };
+  std::vector<std::string> records(12);
+  for (std::string& r : records) r = random_bytes(rng_, 40);
+  const std::string valid = kvstore::pack_records(records);
   for (int i = 0; i < 200; ++i) {
-    const std::string input = random_bytes(rng_, 128);
-    EXPECT_TRUE(tolerates(
-        [](const std::string& s) { (void)kvstore::unpack_records(s); }, input));
-    EXPECT_TRUE(tolerates(
-        [](const std::string& s) { (void)kvstore::decode_u32s(s); }, input));
+    EXPECT_TRUE(tolerates(views_stay_inside, random_bytes(rng_, 128)));
+    EXPECT_TRUE(
+        tolerates(views_stay_inside, valid.substr(0, rng_.bounded(valid.size()))));
+    std::string mutated = valid;
+    mutated[rng_.bounded(mutated.size())] =
+        static_cast<char>(rng_.bounded(256));
+    EXPECT_TRUE(tolerates(views_stay_inside, mutated));
   }
 }
 

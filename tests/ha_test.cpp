@@ -428,7 +428,8 @@ TEST(NodeGroup, PutFansOutToEveryReplicaAndObservesExactlyTheAcks) {
   for (HostId node = 0; node < 4; ++node) {
     const bool holds =
         std::find(healthy.begin(), healthy.end(), node) != healthy.end();
-    EXPECT_EQ(group.store(node).exists(healthy_key), holds) << "node " << node;
+    EXPECT_EQ(group.store(node).get(healthy_key).has_value(), holds)
+        << "node " << node;
   }
 
   // The erroring replica is attempted but never observed.
@@ -441,7 +442,7 @@ TEST(NodeGroup, PutFansOutToEveryReplicaAndObservesExactlyTheAcks) {
     if (node != broken) acked.push_back(node);
   }
   EXPECT_EQ(observed[degraded_key], acked);
-  EXPECT_FALSE(group.store(broken).exists(degraded_key));
+  EXPECT_EQ(group.store(broken).get(degraded_key), std::nullopt);
 }
 
 TEST(NodeGroup, ReadFallsBackWhenThePrimaryIsDown) {
@@ -481,8 +482,8 @@ TEST(NodeGroup, ErroringReplicaDivergesButTheWriteStillLands) {
   EXPECT_EQ(res.attempted, 2u);
   EXPECT_EQ(res.acked, 1u);
   EXPECT_GE(group.router().stats().write_failures, 1u);
-  EXPECT_FALSE(group.store(replicas[0]).exists(key));
-  EXPECT_TRUE(group.store(replicas[1]).exists(key));
+  EXPECT_EQ(group.store(replicas[0]).get(key), std::nullopt);
+  EXPECT_EQ(group.store(replicas[1]).get(key), "v");
 
   // Reads fall back past the erroring primary and still answer.
   const ha::ReadResult read = group.client(replicas[1]).get(key);
@@ -515,8 +516,8 @@ TEST(NodeGroup, PartitionedReplicaTimesOutWithoutFailingTheWrite) {
   EXPECT_EQ(res.status, kvstore::Status::kOk);
   EXPECT_EQ(res.attempted, 2u);
   EXPECT_EQ(res.acked, 1u);
-  EXPECT_TRUE(group.store(self).exists(key));
-  EXPECT_FALSE(group.store(replicas[0]).exists(key));
+  EXPECT_EQ(group.store(self).get(key), "v");
+  EXPECT_EQ(group.store(replicas[0]).get(key), std::nullopt);
 
   // Reads walk past the unreachable primary and answer from self.
   const ha::ReadResult read = group.client(self).get(key);
@@ -588,7 +589,7 @@ TEST(Recovery, SnapshotPlusLogReplayRebuildsTheExactStore) {
   }
   EXPECT_EQ(rebuilt.lrange("l", 0, -1),
             (std::vector<std::string>{"x", "y"}));
-  EXPECT_EQ(rebuilt.counter("c"), 5);
+  EXPECT_EQ(rebuilt.incrby("c", 0), 5);
 }
 
 TEST(Recovery, ReplayFailuresAreCountedNotSwallowed) {

@@ -73,16 +73,17 @@ TEST(Store, IncrByIsFetchAndAdd) {
   EXPECT_EQ(s.incrby("c", 1), 1);
   EXPECT_EQ(s.incrby("c", 5), 6);
   EXPECT_EQ(s.incrby("c", -2), 4);
-  EXPECT_EQ(s.counter("c"), 4);
-  EXPECT_EQ(s.counter("fresh"), 0);
+  EXPECT_EQ(s.incrby("c", 0), 4);
+  EXPECT_EQ(s.incrby("fresh", 0), 0);  // created at 0
 }
 
 TEST(Store, DelAndExists) {
   Store s;
   s.set("k", "v");
-  EXPECT_TRUE(s.exists("k"));
+  EXPECT_EQ(s.keys(), std::vector<std::string>{"k"});
   EXPECT_TRUE(s.del("k"));
-  EXPECT_FALSE(s.exists("k"));
+  EXPECT_TRUE(s.keys().empty());
+  EXPECT_EQ(s.get("k"), std::nullopt);
   EXPECT_FALSE(s.del("k"));
 }
 
@@ -95,43 +96,45 @@ TEST(Store, StatsTrackKeysAndBytes) {
   EXPECT_EQ(st.bytes, 3 + 5 + 4 + 3u);  // "key"+"12345"+"list"+"abc"
 }
 
+/// Every record a cursor yields over `blob`, in order.
+std::vector<std::string> read_all(std::string_view blob) {
+  std::vector<std::string> out;
+  RecordCursor cursor{blob};
+  while (!cursor.done()) out.emplace_back(cursor.next());
+  return out;
+}
+
 TEST(Codec, FrameAndUnpackRoundTrip) {
   std::vector<std::string> records{"", "a", "hello world", std::string(1000, 'x')};
   const std::string blob = pack_records(records);
-  EXPECT_EQ(unpack_records(blob), records);
-  EXPECT_EQ(count_records(blob), records.size());
+  EXPECT_EQ(read_all(blob), records);
 }
 
 TEST(Codec, FrameRecordPrefixesLength) {
-  const std::string framed = frame_record("abc");
+  const std::string framed = pack_records(std::vector<std::string>{"abc"});
   ASSERT_EQ(framed.size(), 7u);
-  EXPECT_EQ(static_cast<unsigned char>(framed[0]), 3);
+  EXPECT_EQ(framed.substr(0, 4), std::string("\x03\x00\x00\x00", 4));
   EXPECT_EQ(framed.substr(4), "abc");
 }
 
 TEST(Codec, TruncatedBlobThrows) {
-  std::string blob = frame_record("abcdef");
-  blob.resize(blob.size() - 2);
-  EXPECT_THROW((void)unpack_records(blob), common::StoreError);
-  EXPECT_THROW((void)count_records(blob), common::StoreError);
-}
-
-TEST(Codec, U32VectorRoundTrip) {
-  const std::vector<std::uint32_t> values{0, 1, 42, 0xffffffffu};
-  EXPECT_EQ(decode_u32s(encode_u32s(values)), values);
-  EXPECT_THROW((void)decode_u32s("abc"), common::StoreError);
-}
-
-TEST(Codec, U64VectorRoundTrip) {
-  const std::vector<std::uint64_t> values{0, 1, 0xdeadbeefcafef00dULL};
-  EXPECT_EQ(decode_u64s(encode_u64s(values)), values);
+  // Cut a packed blob at every length: the cursor yields the records
+  // that fit whole, then throws on the one the cut went through.
+  const std::vector<std::string> records{"abcdef", "", "gh"};
+  const std::string blob = pack_records(records);
+  for (std::size_t cut = 0; cut <= blob.size(); ++cut) {
+    if (cut == 0 || cut == 10 || cut == 14 || cut == 20) {  // record ends
+      EXPECT_NO_THROW((void)read_all(blob.substr(0, cut))) << "cut " << cut;
+    } else {
+      EXPECT_THROW((void)read_all(blob.substr(0, cut)), common::StoreError)
+          << "cut " << cut;
+    }
+  }
 }
 
 TEST(Codec, CursorOverEmptyBlobIsImmediatelyDone) {
   RecordCursor cursor{std::string_view{}};
   EXPECT_TRUE(cursor.done());
-  EXPECT_TRUE(unpack_records({}).empty());
-  EXPECT_EQ(count_records({}), 0u);
 }
 
 TEST(Codec, CursorYieldsZeroLengthRecords) {
@@ -153,7 +156,7 @@ TEST(Codec, CursorThrowsOnTruncatedLengthPrefix) {
 }
 
 TEST(Codec, CursorThrowsOnTruncatedBody) {
-  std::string blob = frame_record("abcdef");
+  std::string blob = pack_records(std::vector<std::string>{"abcdef"});
   blob.resize(blob.size() - 2);
   RecordCursor cursor{blob};
   EXPECT_THROW((void)cursor.next(), common::StoreError);
@@ -176,13 +179,7 @@ TEST(Codec, PackCursorUnpackPropertyOnRandomRecords) {
       for (char& c : r) c = static_cast<char>(rng.bounded(256));
     }
     const std::string blob = pack_records(records);
-    // The three read paths must agree exactly: count, cursor, unpack.
-    EXPECT_EQ(count_records(blob), records.size());
-    std::vector<std::string> via_cursor;
-    RecordCursor cursor{blob};
-    while (!cursor.done()) via_cursor.emplace_back(cursor.next());
-    EXPECT_EQ(via_cursor, records);
-    EXPECT_EQ(unpack_records(blob), records);
+    EXPECT_EQ(read_all(blob), records);
   }
 }
 
@@ -204,15 +201,6 @@ TEST(Store, VisitGetTypeMismatchThrows) {
                common::StoreError);
 }
 
-TEST(Store, ValueSizeReportsWithoutCountingAnOp) {
-  Store s;
-  s.set("k", "12345");
-  const std::uint64_t ops_before = s.stats().ops;
-  EXPECT_EQ(s.value_size("k"), 5u);
-  EXPECT_EQ(s.value_size("missing"), std::nullopt);
-  EXPECT_EQ(s.stats().ops, ops_before);
-}
-
 class ClientTest : public ::testing::Test {
  protected:
   net::Fabric fabric_{2};
@@ -224,11 +212,20 @@ TEST_F(ClientTest, ImmediateOpsWork) {
   c.set("k", "v");
   EXPECT_EQ(c.get("k"), "v");
   EXPECT_EQ(c.get("missing"), std::nullopt);
-  EXPECT_EQ(c.rpush("l", "a"), 1u);
-  EXPECT_EQ(c.llen("l"), 1u);
-  EXPECT_EQ(c.lrange("l", 0, -1), std::vector<std::string>{"a"});
-  EXPECT_EQ(c.incrby("c", 7), 7);
-  EXPECT_EQ(c.counter("c"), 7);
+  const auto run = [&c](Command cmd) { return expect_ok(c.execute(cmd)); };
+  EXPECT_EQ(run({.type = CommandType::kRPush, .key = "l", .value = "a"}).integer,
+            1);
+  EXPECT_EQ(run({.type = CommandType::kLLen, .key = "l"}).integer, 1);
+  EXPECT_EQ(run({.type = CommandType::kLRange, .key = "l", .arg0 = 0, .arg1 = -1})
+                .list,
+            std::vector<std::string>{"a"});
+  EXPECT_EQ(run({.type = CommandType::kLIndex, .key = "l", .arg0 = -1}).blob,
+            "a");
+  EXPECT_EQ(run({.type = CommandType::kIncrBy, .key = "c", .arg0 = 7}).integer,
+            7);
+  EXPECT_TRUE(run({.type = CommandType::kDel, .key = "k"}).ok);
+  EXPECT_FALSE(run({.type = CommandType::kDel, .key = "k"}).ok);
+  EXPECT_EQ(c.get("k"), std::nullopt);
 }
 
 TEST_F(ClientTest, EveryImmediateOpCostsARoundTrip) {
@@ -382,8 +379,7 @@ TEST_F(ClientTest, FailStoppedStoreTimesOutInsteadOfServing) {
   EXPECT_EQ(push.status, Status::kTimeout);
   // Nothing leaked through while the store was down; control-plane data
   // survives a fail-stop (the wipe is the HA layer's crash semantics).
-  EXPECT_FALSE(store_.exists("after"));
-  EXPECT_FALSE(store_.exists("l"));
+  EXPECT_EQ(store_.keys(), std::vector<std::string>{"before"});
   EXPECT_EQ(store_.get("before"), "v");
 }
 
@@ -418,13 +414,13 @@ TEST_F(ClientTest, NonPositiveBudgetFailsImmediatelyAtZeroCost) {
       {.type = CommandType::kSet, .key = "k", .value = "v"}, /*budget_s=*/0.0);
   EXPECT_EQ(r.status, Status::kUnavailable);
   EXPECT_DOUBLE_EQ(c.consumed_time(), 0.0);
-  EXPECT_FALSE(store_.exists("k"));
+  EXPECT_EQ(store_.get("k"), std::nullopt);
 
   c.enqueue({.type = CommandType::kSet, .key = "q", .value = "v"});
   const auto replies = c.drain(/*budget_s=*/-1.0);
   ASSERT_EQ(replies.size(), 1u);
   EXPECT_EQ(replies[0].status, Status::kUnavailable);
-  EXPECT_FALSE(store_.exists("q"));
+  EXPECT_TRUE(store_.keys().empty());
 }
 
 }  // namespace

@@ -130,7 +130,7 @@ TEST_F(ClusterTest, NetworkTimeChargedToPhase) {
   EXPECT_GT(report.per_node[0].network_time_s, 0.0);
   EXPECT_EQ(report.per_node[1].network_time_s, 0.0);
   // The write landed on node 1's store.
-  EXPECT_TRUE(c.store(1).exists("remote-key"));
+  EXPECT_EQ(c.store(1).get("remote-key"), std::string(1000, 'x'));
 }
 
 TEST_F(ClusterTest, RunOnExecutesSingleNode) {

@@ -214,17 +214,22 @@ TEST(Pareto, NegativeDirtyRateAttractsAllLoadAtLowAlpha) {
 
 TEST(Pareto, PlanMetricsMatchHandComputation) {
   const auto models = standard_models();
-  const std::vector<std::size_t> sizes{1000, 0, 0, 0};
-  EXPECT_NEAR(plan_makespan(models, sizes), 1e-4 * 1000 + 0.1, 1e-12);
-  EXPECT_NEAR(plan_dirty_joules(models, sizes), 300.0 * (1e-4 * 1000 + 0.1),
-              1e-9);
+  // The equal split gives every node 250 records.
+  const PartitionPlan plan = equal_split(models, 1000);
+  EXPECT_NEAR(plan.predicted_makespan_s, 4e-4 * 250 + 0.1, 1e-12);
+  double dirty = 0.0;
+  for (const NodeModel& m : models) dirty += m.dirty_rate * (m.slope * 250 + 0.1);
+  EXPECT_NEAR(plan.predicted_dirty_joules, dirty, 1e-9);
 }
 
 TEST(Pareto, IdleNodesContributeNothing) {
-  const auto models = standard_models();
-  const std::vector<std::size_t> sizes{0, 0, 0, 1000};
-  // Only node 3's time/energy counts; idle intercepts are excluded.
-  EXPECT_NEAR(plan_makespan(models, sizes), 4e-4 * 1000 + 0.1, 1e-12);
+  auto models = standard_models();
+  models[2].dirty_rate = -10.0;  // at alpha=0 all load goes here
+  const PartitionPlan plan = solve_partition_sizes(models, 1000, 0.0);
+  ASSERT_EQ(plan.sizes[2], 1000u);
+  // Only node 2's time/energy counts; idle intercepts are excluded.
+  EXPECT_NEAR(plan.predicted_makespan_s, 2e-4 * 1000 + 0.1, 1e-9);
+  EXPECT_NEAR(plan.predicted_dirty_joules, -10.0 * (2e-4 * 1000 + 0.1), 1e-9);
 }
 
 TEST(Pareto, RejectsInvalidInput) {

@@ -475,44 +475,6 @@ TEST_P(TraceLocations, PhysicalInvariantsHold) {
 INSTANTIATE_TEST_SUITE_P(Locations, TraceLocations,
                          ::testing::Values(0, 1, 2, 3));
 
-// ---- Prüfer bijection across tree shapes -----------------------------------
-
-class PruferShapes : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(PruferShapes, EncodeDecodeIdentity) {
-  common::Rng rng(GetParam());
-  const std::uint32_t n = 2 + static_cast<std::uint32_t>(rng.bounded(60));
-  data::LabeledTree t;
-  t.parent.resize(n);
-  t.label.resize(n);
-  t.parent[0] = 0;
-  for (std::uint32_t v = 1; v < n; ++v) {
-    // Mix of chain-ish and star-ish shapes by biasing the parent draw.
-    t.parent[v] = rng.uniform() < 0.5
-                      ? v - 1
-                      : static_cast<std::uint32_t>(rng.bounded(v));
-    t.label[v] = v;
-  }
-  const auto seq = data::prufer_encode(t);
-  const data::LabeledTree back = data::prufer_decode(seq);
-  // Same degree sequence (the shape invariant Prüfer preserves).
-  std::vector<std::uint32_t> deg_a(n, 0), deg_b(n, 0);
-  for (std::uint32_t v = 0; v < n; ++v) {
-    if (v != t.root()) {
-      ++deg_a[v];
-      ++deg_a[t.parent[v]];
-    }
-    if (v != back.root()) {
-      ++deg_b[v];
-      ++deg_b[back.parent[v]];
-    }
-  }
-  EXPECT_EQ(deg_a, deg_b);
-}
-
-INSTANTIATE_TEST_SUITE_P(Seeds, PruferShapes,
-                         ::testing::Range<std::uint64_t>(100, 112));
-
 // ---- re-planning conserves Σ x_i = N across random instances ---------------
 
 class ReplanConservation : public ::testing::TestWithParam<std::uint64_t> {};
