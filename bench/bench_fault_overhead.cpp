@@ -8,9 +8,15 @@
 //   1. byte-identity — the same job run with no injector and with an
 //      empty-plan injector attached must produce byte-identical
 //      summary JSON and Chrome-trace JSON (virtual time unchanged);
-//   2. wall-clock overhead — the empty-plan run must cost < 2% extra
-//      real time (median of 7 runs each), i.e. the interception
-//      branches are effectively free.
+//   2. zero consults — under the empty plan no round trip or store
+//      interaction reaches the injector (its round_trips and store_ops
+//      sum to 0 over every link and host) and the kvstore clients
+//      never enter their fault loop (zero retry-loop attempts), i.e.
+//      every operation took the fault-free fast path.
+//
+// The wall-clock cost of the empty plan is printed as the median and
+// IQR of interleaved A/B trials, but not gated: a single host's CPU
+// share swings by more than the effect being measured.
 //
 // It then runs the same job with an active plan (store errors plus one
 // node fail-stop) and reports the degraded-mode outcome: retries,
@@ -24,8 +30,9 @@
 // per-op p99 within 3x the fault-free baseline with zero records
 // lost. Counters and the survival table land in BENCH_chaos.json.
 //
-// Exit status is non-zero when byte-identity or any overhead/survival
-// gate fails, so CI can run the bench as an acceptance check.
+// Exit status is non-zero when byte-identity, zero consults or any
+// serving-path overhead/survival gate fails, so CI can run the bench
+// as an acceptance check.
 #include <algorithm>
 #include <chrono>
 #include <cstddef>
@@ -65,6 +72,11 @@ struct RunResult {
   runtime::JobSummary summary;
   std::string fingerprint;  // summary JSON + trace JSON
   double wall_s = 0.0;
+  /// Injector round_trips + store_ops summed over every link and host.
+  std::uint64_t injector_consults = 0;
+  /// Attempts the kvstore clients' fault loop made (the fault-free fast
+  /// path counts none).
+  std::uint64_t fault_loop_attempts = 0;
 };
 
 RunResult run_once(const data::Dataset& dataset, std::uint32_t partitions,
@@ -94,19 +106,28 @@ RunResult run_once(const data::Dataset& dataset, std::uint32_t partitions,
   result.fingerprint =
       runtime::summary_json(result.summary) + "\n" +
       rt.trace().chrome_trace_json();
+  if (injector) {
+    for (fault::HostId a = 0; a < partitions; ++a) {
+      result.injector_consults += injector->store_ops(a);
+      for (fault::HostId b = 0; b < partitions; ++b) {
+        result.injector_consults += injector->round_trips(a, b);
+      }
+    }
+  }
+  result.fault_loop_attempts = cluster.fabric().retry_stats().attempts;
   return result;
 }
 
-double median_wall_s(const data::Dataset& dataset, std::uint32_t partitions,
-                     const fault::FaultPlan* plan, std::uint64_t seed,
-                     int reps) {
-  std::vector<double> samples;
-  samples.reserve(static_cast<std::size_t>(reps));
-  for (int i = 0; i < reps; ++i) {
-    samples.push_back(run_once(dataset, partitions, plan, seed).wall_s);
-  }
-  std::sort(samples.begin(), samples.end());
-  return samples[samples.size() / 2];
+/// Median and interquartile range of a sample.
+struct Spread {
+  double median = 0.0;
+  double iqr = 0.0;
+};
+
+Spread spread_of(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t n = v.size();
+  return {v[n / 2], v[(3 * n) / 4] - v[n / 4]};
 }
 
 // ---- serving path: deadline budget + breaker ---------------------------
@@ -189,8 +210,7 @@ int main() {
       data::generate_text_corpus(data::rcv1_like(0.5), "rcv1");
 
   std::cout << "fault-injection overhead — " << dataset.name << " ("
-            << dataset.size() << " records), " << partitions
-            << " nodes, median of " << reps << " runs\n\n";
+            << dataset.size() << " records), " << partitions << " nodes\n\n";
 
   bool ok = true;
   std::vector<bench::BenchMetric> metrics;
@@ -206,25 +226,56 @@ int main() {
   metrics.push_back({"empty_plan_identical", identical ? 1.0 : 0.0, "bool"});
   if (!identical) ok = false;
 
-  // ---- wall-clock overhead gate --------------------------------------
-  // One warm-up pass of each configuration already happened above.
-  const double wall_bare =
-      median_wall_s(dataset, partitions, nullptr, seed, reps);
-  const double wall_gated =
-      median_wall_s(dataset, partitions, &empty_plan, seed, reps);
-  const double overhead_pct = 100.0 * (wall_gated - wall_bare) / wall_bare;
-  std::cout << "wall time: no injector " << common::format_double(wall_bare, 4)
-            << " s, empty plan " << common::format_double(wall_gated, 4)
-            << " s, overhead " << common::format_double(overhead_pct, 2)
-            << "% (gate: < 2%)\n";
-  metrics.push_back({"wall_bare", wall_bare, "s"});
-  metrics.push_back({"wall_empty_plan", wall_gated, "s"});
-  metrics.push_back({"empty_plan_overhead", overhead_pct, "%"});
-  if (overhead_pct >= 2.0) {
-    std::cout << "FAIL: empty-plan overhead " << overhead_pct
-              << "% breaches the 2% gate\n";
+  // ---- zero consults: the empty plan never reaches the fault path ---
+  const bool untouched =
+      gated.injector_consults == 0 && gated.fault_loop_attempts == 0;
+  std::cout << "empty-plan injector consults: " << gated.injector_consults
+            << ", fault-loop attempts: " << gated.fault_loop_attempts
+            << " (gate: both 0)\n";
+  metrics.push_back({"empty_plan_injector_consults",
+                     static_cast<double>(gated.injector_consults), "count"});
+  metrics.push_back({"empty_plan_fault_loop_attempts",
+                     static_cast<double>(gated.fault_loop_attempts),
+                     "count"});
+  if (!untouched) {
+    std::cout << "FAIL: the empty plan reached the fault path\n";
     ok = false;
   }
+
+  // ---- wall-clock overhead, reported only ----------------------------
+  // Interleaved A/B pairs (alternating which runs first) so drift in
+  // the CPU the process gets lands on both arms alike.
+  const int pairs = 2 * reps + 1;
+  std::vector<double> walls_bare;
+  std::vector<double> walls_gated;
+  std::vector<double> overheads;
+  for (int i = 0; i < pairs; ++i) {
+    double b = 0.0;
+    double g = 0.0;
+    if (i % 2 == 0) {
+      b = run_once(dataset, partitions, nullptr, seed).wall_s;
+      g = run_once(dataset, partitions, &empty_plan, seed).wall_s;
+    } else {
+      g = run_once(dataset, partitions, &empty_plan, seed).wall_s;
+      b = run_once(dataset, partitions, nullptr, seed).wall_s;
+    }
+    walls_bare.push_back(b);
+    walls_gated.push_back(g);
+    overheads.push_back(100.0 * (g - b) / b);
+  }
+  const Spread wall_bare = spread_of(walls_bare);
+  const Spread wall_gated = spread_of(walls_gated);
+  const Spread overhead = spread_of(overheads);
+  std::cout << "wall time over " << pairs << " interleaved pairs: no injector "
+            << common::format_double(wall_bare.median, 4) << " s, empty plan "
+            << common::format_double(wall_gated.median, 4)
+            << " s, overhead median "
+            << common::format_double(overhead.median, 2) << "% (IQR "
+            << common::format_double(overhead.iqr, 2) << " pts; not gated)\n";
+  metrics.push_back({"wall_bare", wall_bare.median, "s"});
+  metrics.push_back({"wall_empty_plan", wall_gated.median, "s"});
+  metrics.push_back({"empty_plan_overhead", overhead.median, "%"});
+  metrics.push_back({"empty_plan_overhead_iqr", overhead.iqr, "%"});
 
   // ---- degraded mode under an active plan ----------------------------
   fault::FaultPlan active;

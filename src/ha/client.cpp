@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 
 #include "fault/test_hooks.h"
 
@@ -45,56 +46,65 @@ WriteResult Client::fan_out(std::string_view key, const Command& cmd) {
       // copy — neither attempted nor expired, breaking conservation.
       continue;
     }
-    kvstore::Client& conn = provider_(target);
-    if (budget < 0.0) budget = conn.retry_policy().deadline_s;
-    if (budget <= 0.0) {
+    const std::optional<Reply> reply = budgeted_execute(target, cmd, budget);
+    if (!reply) {
       ++out.expired;
       continue;
     }
     ++out.attempted;
-    const double before = conn.consumed_time();
-    const Reply reply = conn.execute(cmd, budget);
-    // Clamp at zero: an overdrawn budget must read as exhausted,
-    // not as the lazy-init sentinel (which would grant a fresh
-    // deadline to the next replica).
-    budget = std::max(0.0, budget - (conn.consumed_time() - before));
-    router_.note_op_outcome(target, reply.status == Status::kOk);
-    if (reply.status == Status::kOk) {
+    if (reply->status == Status::kOk) {
       ++out.acked;
       if (observer_) observer_(target, cmd);
     }
     out.status = out.acked > 0 ? Status::kOk
-                               : better_status(out.status, reply.status);
+                               : better_status(out.status, reply->status);
   }
   router_.note_write(out.attempted - out.acked);
   return out;
 }
 
+std::optional<Reply> Client::budgeted_execute(HostId target,
+                                              const Command& cmd,
+                                              double& budget) {
+  kvstore::Client& conn = provider_(target);
+  if (budget < 0.0) budget = conn.retry_policy().deadline_s;
+  if (budget <= 0.0) return std::nullopt;
+  const double before = conn.consumed_time();
+  Reply reply = conn.execute(cmd, budget);
+  // Clamp at zero: an overdrawn budget must read as exhausted, not as
+  // the lazy-init sentinel (which would grant a fresh deadline to the
+  // next replica).
+  budget = std::max(0.0, budget - (conn.consumed_time() - before));
+  router_.note_op_outcome(target, reply.status == Status::kOk);
+  return reply;
+}
+
+Client::ReadStep Client::read_replica(HostId target, const Command& cmd,
+                                      double& budget, bool fallback,
+                                      ReadResult& out) {
+  std::optional<Reply> reply = budgeted_execute(target, cmd, budget);
+  if (!reply) return ReadStep::kSpent;
+  out.reply = std::move(*reply);
+  out.served_by = target;
+  out.fallback = fallback;
+  return !should_fall_back(out.reply.status) && out.reply.ok
+             ? ReadStep::kServed
+             : ReadStep::kMissed;
+}
+
 ReadResult Client::read_with_fallback(std::string_view key,
                                       const Command& cmd) {
   ReadResult out;
-  bool first = true;
-  bool served = false;
+  ReadStep step = ReadStep::kMissed;
   double budget = -1.0;
   std::vector<HostId> tried;
   for (const HostId target : router_.live_preference(key)) {
-    kvstore::Client& conn = provider_(target);
-    if (budget < 0.0) budget = conn.retry_policy().deadline_s;
-    if (budget <= 0.0) break;
-    const double before = conn.consumed_time();
-    out.reply = conn.execute(cmd, budget);
-    budget = std::max(0.0, budget - (conn.consumed_time() - before));
-    router_.note_op_outcome(target, out.reply.status == Status::kOk);
-    out.served_by = target;
-    out.fallback = !first;
+    step = read_replica(target, cmd, budget, !tried.empty(), out);
+    if (step == ReadStep::kSpent) break;
     tried.push_back(target);
-    if (!should_fall_back(out.reply.status) && out.reply.ok) {
-      served = true;
-      break;
-    }
-    first = false;
+    if (step == ReadStep::kServed) break;
   }
-  if (!served) {
+  if (step != ReadStep::kServed) {
     // Last resort: replicas the breaker shed out of the walk. A key
     // whose only surviving copy sits on a flapping node must still be
     // readable — shedding sheds load, not data.
@@ -103,16 +113,9 @@ ReadResult Client::read_with_fallback(std::string_view key,
       if (std::find(tried.begin(), tried.end(), target) != tried.end()) {
         continue;
       }
-      kvstore::Client& conn = provider_(target);
-      if (budget < 0.0) budget = conn.retry_policy().deadline_s;
-      if (budget <= 0.0) break;
-      const double before = conn.consumed_time();
-      out.reply = conn.execute(cmd, budget);
-      budget = std::max(0.0, budget - (conn.consumed_time() - before));
-      router_.note_op_outcome(target, out.reply.status == Status::kOk);
-      out.served_by = target;
-      out.fallback = true;
-      if (!should_fall_back(out.reply.status) && out.reply.ok) break;
+      if (read_replica(target, cmd, budget, true, out) != ReadStep::kMissed) {
+        break;
+      }
     }
   }
   router_.note_read(out.fallback);
@@ -229,22 +232,14 @@ std::vector<ReadResult> Client::get_many(
       router_.note_read(false);
       continue;
     }
-    const std::vector<HostId> pref =
-        router_.live_preference(keys[i], /*ignore_breaker=*/true);
+    const Command cmd{CommandType::kGet, keys[i], "", 0, 0};
     double budget = -1.0;
-    for (const HostId target : pref) {
+    for (const HostId target :
+         router_.live_preference(keys[i], /*ignore_breaker=*/true)) {
       if (target == res.served_by) continue;  // primary already failed
-      kvstore::Client& conn = provider_(target);
-      if (budget < 0.0) budget = conn.retry_policy().deadline_s;
-      if (budget <= 0.0) break;
-      const double before = conn.consumed_time();
-      res.reply = conn.execute(
-          Command{CommandType::kGet, keys[i], "", 0, 0}, budget);
-      budget = std::max(0.0, budget - (conn.consumed_time() - before));
-      router_.note_op_outcome(target, res.reply.status == Status::kOk);
-      res.served_by = target;
-      res.fallback = true;
-      if (!should_fall_back(res.reply.status) && res.reply.ok) break;
+      if (read_replica(target, cmd, budget, true, res) != ReadStep::kMissed) {
+        break;
+      }
     }
     router_.note_read(res.fallback);
   }

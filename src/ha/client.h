@@ -26,7 +26,9 @@
 // (note_op_outcome), which sheds flapping replicas from future routes.
 #pragma once
 
+#include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -102,6 +104,18 @@ class Client {
   [[nodiscard]] ShardRouter& router() noexcept { return router_; }
 
  private:
+  /// The budgeted replica step every fan-out and read walk shares:
+  /// opens the op's shared `budget` from the first connection's policy
+  /// (a negative budget is the not-yet-opened sentinel), sends `cmd` to
+  /// `target` within what is left, charges the time it took and reports
+  /// the outcome to the breaker. nullopt = budget spent, nothing sent.
+  [[nodiscard]] std::optional<kvstore::Reply> budgeted_execute(
+      HostId target, const kvstore::Command& cmd, double& budget);
+  enum class ReadStep : std::uint8_t { kSpent, kServed, kMissed };
+  /// One replica of a read walk: budgeted_execute, recorded into `out`
+  /// (served_by, fallback). kServed = found with transport kOk.
+  ReadStep read_replica(HostId target, const kvstore::Command& cmd,
+                        double& budget, bool fallback, ReadResult& out);
   WriteResult fan_out(std::string_view key, const kvstore::Command& cmd);
   [[nodiscard]] ReadResult read_with_fallback(std::string_view key,
                                               const kvstore::Command& cmd);

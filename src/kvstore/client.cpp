@@ -160,137 +160,115 @@ Reply Client::execute(const Command& cmd) {
 }
 
 Reply Client::execute(const Command& cmd, double budget_s) {
-  const double deadline_s = std::min(budget_s, retry_.deadline_s);
+  Reply reply;
+  round_trip({&cmd, 1}, std::min(budget_s, retry_.deadline_s), {&reply, 1});
+  return reply;
+}
+
+void Client::round_trip(std::span<const Command> cmds, double deadline_s,
+                        std::span<Reply> out) {
+  const auto fail = [&](Status status) {
+    for (Reply& r : out) r = Reply{.status = status};
+    fabric_.note_failure();
+  };
   if (deadline_s <= 0.0) {
     // Caller's budget already spent: fail without touching the wire so
     // the exhausted deadline is not overdrawn.
-    fabric_.note_failure();
-    Reply failed;
-    failed.status = Status::kUnavailable;
-    return failed;
+    fail(Status::kUnavailable);
+    return;
   }
-  if (store_.is_down()) return execute_down(cmd, deadline_s);
-  if (!faults_active()) {
+  const std::size_t n = cmds.size();
+  const bool down = store_.is_down();
+  if (!down && !faults_active()) {
     // Fault-free fast path: unchanged arithmetic, so runs without an
     // injector (or with an empty plan) stay byte-identical to the
     // pre-fault-injection simulator.
-    Reply reply = apply(cmd);
-    const std::size_t req = request_bytes(cmd);
-    const std::size_t rsp = response_bytes(cmd, reply);
+    std::size_t req = 0;
+    std::size_t rsp = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+      out[i] = apply(cmds[i]);
+      req += request_bytes(cmds[i]);
+      rsp += response_bytes(cmds[i], out[i]);
+    }
     sim_time_ += fabric_.exchange_cost(self_, target_, req, rsp);
-    fabric_.record(self_, target_, /*requests=*/1, /*round_trips=*/1,
-                   req + rsp);
-    return reply;
+    fabric_.record(self_, target_, n, /*round_trips=*/1, req + rsp);
+    return;
   }
-  return execute_with_faults(cmd, deadline_s);
-}
-
-Reply Client::execute_down(const Command& cmd, double deadline_s) {
-  // A fail-stopped store never answers: the command is never applied
-  // (no zombie acks from a crashed replica) and each attempt waits out
-  // the full attempt timeout, exactly like a lost request.
-  const std::size_t req = request_bytes(cmd);
+  // A batch is ONE round trip (that is the point of pipelining), so it
+  // gets one network draw and one store-interaction draw per attempt,
+  // and fails or succeeds as a unit.
+  bool batch_idempotent = true;
+  std::size_t req = 0;
+  for (const Command& cmd : cmds) {
+    batch_idempotent = batch_idempotent && idempotent(cmd.type);
+    req += request_bytes(cmd);
+  }
+  // The server applied the batch but the client never sees the reply,
+  // so its status is unobservable by design.
+  const auto apply_unobserved = [&] {
+    for (const Command& cmd : cmds) {
+      (void)apply(cmd);  // hetsim-analyze: allow(status-flow)
+    }
+  };
   double elapsed = 0.0;
   for (std::size_t attempt = 1;; ++attempt) {
     fabric_.note_attempt();
-    sim_time_ += retry_.attempt_timeout_s;
-    elapsed += retry_.attempt_timeout_s;
-    fabric_.record(self_, target_, 1, 1, req);
-    if (!idempotent(cmd.type)) {
-      fabric_.note_timeout();
-      fabric_.note_failure();
-      Reply failed;
-      failed.status = Status::kTimeout;
-      return failed;
-    }
-    if (attempt >= retry_.max_attempts || elapsed >= deadline_s) {
-      fabric_.note_timeout();
-      fabric_.note_failure();
-      Reply failed;
-      failed.status = Status::kUnavailable;
-      return failed;
-    }
-    fabric_.note_retry();
-    const double wait = backoff_s(attempt);
-    sim_time_ += wait;
-    elapsed += wait;
-  }
-}
-
-Reply Client::execute_with_faults(const Command& cmd, double deadline_s) {
-  const std::size_t req = request_bytes(cmd);
-  double elapsed = 0.0;
-  Status last = Status::kError;
-  for (std::size_t attempt = 1;; ++attempt) {
-    fabric_.note_attempt();
-    const fault::RoundTripFault net = fault_->on_round_trip(self_, target_);
-    if (net.partitioned || net.dropped) {
-      if (net.dropped && !net.request_lost) {
-        // Reached the server and was applied; the reply was lost in
-        // flight, so the client genuinely cannot observe its status.
-        (void)apply(cmd);  // hetsim-analyze: allow(status-flow)
-      }
-      // The client waits out the full attempt timeout for a reply that
-      // never comes; only the request's bytes ever hit the wire.
-      sim_time_ += retry_.attempt_timeout_s;
-      elapsed += retry_.attempt_timeout_s;
-      fabric_.record(self_, target_, 1, 1, req);
-      last = Status::kTimeout;
-    } else {
-      const fault::StoreFault sf = fault_->on_store_op(target_);
-      if (sf == fault::StoreFault::kError || sf == fault::StoreFault::kDown) {
-        const std::size_t rsp = sf == fault::StoreFault::kDown
-                                    ? kStoreDownReply.size()
-                                    : kInjectedErrorReply.size();
-        const double cost =
-            fabric_.exchange_cost(self_, target_, req, rsp) +
-            net.extra_latency_s;
-        sim_time_ += cost;
-        elapsed += cost;
-        fabric_.record(self_, target_, 1, 1, req + rsp);
-        last = Status::kError;
+    // Lost request or reply: the client waits out the full attempt
+    // timeout for a reply that never comes, and only the request's
+    // bytes ever hit the wire. A fail-stopped store is exactly this arm,
+    // chosen before any injector draw: it never answers and never
+    // applies (no zombie acks from a crashed replica).
+    Status last = Status::kTimeout;
+    double cost = retry_.attempt_timeout_s;
+    std::size_t rsp = 0;
+    if (!down) {
+      const fault::RoundTripFault net = fault_->on_round_trip(self_, target_);
+      if (net.partitioned || net.dropped) {
+        // A reply lost in flight: the request reached the server.
+        if (net.dropped && !net.request_lost) apply_unobserved();
       } else {
-        const double stall = sf == fault::StoreFault::kStall
-                                 ? fault_->stall_seconds(target_)
-                                 : 0.0;
-        if (stall >= retry_.attempt_timeout_s) {
-          // The server applied the command but its reply arrives after
-          // the client gave up — indistinguishable from a lost reply,
-          // so its status is unobservable by design.
-          (void)apply(cmd);  // hetsim-analyze: allow(status-flow)
-          sim_time_ += retry_.attempt_timeout_s;
-          elapsed += retry_.attempt_timeout_s;
-          fabric_.record(self_, target_, 1, 1, req);
-          last = Status::kTimeout;
+        const fault::StoreFault sf = fault_->on_store_op(target_);
+        if (sf == fault::StoreFault::kError || sf == fault::StoreFault::kDown) {
+          rsp = sf == fault::StoreFault::kDown ? kStoreDownReply.size()
+                                               : kInjectedErrorReply.size();
+          cost = fabric_.exchange_cost(self_, target_, req, rsp) +
+                 net.extra_latency_s;
+          last = Status::kError;
         } else {
-          Reply reply = apply(cmd);
-          const std::size_t rsp = response_bytes(cmd, reply);
-          const double cost =
-              fabric_.exchange_cost(self_, target_, req, rsp) +
-              net.extra_latency_s + stall;
-          sim_time_ += cost;
-          elapsed += cost;
-          fabric_.record(self_, target_, 1, 1, req + rsp);
-          reply.status = Status::kOk;
-          return reply;
+          const double stall = sf == fault::StoreFault::kStall
+                                   ? fault_->stall_seconds(target_)
+                                   : 0.0;
+          if (stall >= retry_.attempt_timeout_s) {
+            // The reply arrives after the client gave up: a lost reply.
+            apply_unobserved();
+          } else {
+            for (std::size_t i = 0; i < n; ++i) {
+              out[i] = apply(cmds[i]);
+              rsp += response_bytes(cmds[i], out[i]);
+            }
+            sim_time_ += fabric_.exchange_cost(self_, target_, req, rsp) +
+                         net.extra_latency_s + stall;
+            fabric_.record(self_, target_, n, 1, req + rsp);
+            return;
+          }
         }
       }
     }
-    // A timeout is ambiguous — the command may have been applied — so a
-    // non-idempotent command must not be retried (double-apply risk).
-    if (last == Status::kTimeout && !idempotent(cmd.type)) {
+    sim_time_ += cost;
+    elapsed += cost;
+    fabric_.record(self_, target_, n, 1, req + rsp);
+    // A timeout is ambiguous — the batch may have been applied — so one
+    // holding a non-idempotent command must not be retried (double-apply
+    // risk).
+    if (last == Status::kTimeout && !batch_idempotent) {
       fabric_.note_timeout();
-      fabric_.note_failure();
-      Reply failed;
-      failed.status = Status::kTimeout;
-      return failed;
+      fail(Status::kTimeout);
+      return;
     }
     if (attempt >= retry_.max_attempts || elapsed >= deadline_s) {
       if (last == Status::kTimeout) fabric_.note_timeout();
-      fabric_.note_failure();
-      Reply failed;
-      failed.status = Status::kUnavailable;
-      return failed;
+      fail(Status::kUnavailable);
+      return;
     }
     fabric_.note_retry();
     const double wait = backoff_s(attempt);
@@ -344,172 +322,10 @@ void Client::enqueue(Command cmd) {
 
 void Client::flush_queue(double deadline_s) {
   if (queue_.empty()) return;
-  if (deadline_s <= 0.0) {
-    for (std::size_t i = 0; i < queue_.size(); ++i) {
-      Reply failed;
-      failed.status = Status::kUnavailable;
-      pending_replies_.push_back(std::move(failed));
-    }
-    queue_.clear();
-    fabric_.note_failure();
-    return;
-  }
-  if (store_.is_down()) {
-    flush_queue_down(deadline_s);
-    return;
-  }
-  if (faults_active()) {
-    flush_queue_with_faults(deadline_s);
-    return;
-  }
-  std::vector<std::size_t> payloads;
-  payloads.reserve(queue_.size());
-  std::size_t bytes = 0;
-  for (const Command& cmd : queue_) {
-    Reply reply = apply(cmd);
-    const std::size_t p = request_bytes(cmd) + response_bytes(cmd, reply);
-    payloads.push_back(p);
-    bytes += p;
-    pending_replies_.push_back(std::move(reply));
-  }
-  sim_time_ += fabric_.pipelined_cost(self_, target_, payloads);
-  fabric_.record(self_, target_, queue_.size(), /*round_trips=*/1, bytes);
+  const std::size_t first = pending_replies_.size();
+  pending_replies_.resize(first + queue_.size());
+  round_trip(queue_, deadline_s, std::span(pending_replies_).subspan(first));
   queue_.clear();
-}
-
-void Client::flush_queue_down(double deadline_s) {
-  // Same semantics as execute_down(), batched: the pipeline fails as a
-  // unit, nothing is applied, each attempt burns the attempt timeout.
-  const std::size_t n = queue_.size();
-  bool batch_idempotent = true;
-  std::size_t req_total = 0;
-  for (const Command& cmd : queue_) {
-    batch_idempotent = batch_idempotent && idempotent(cmd.type);
-    req_total += request_bytes(cmd);
-  }
-  double elapsed = 0.0;
-  for (std::size_t attempt = 1;; ++attempt) {
-    fabric_.note_attempt();
-    sim_time_ += retry_.attempt_timeout_s;
-    elapsed += retry_.attempt_timeout_s;
-    fabric_.record(self_, target_, n, 1, req_total);
-    const bool give_up =
-        !batch_idempotent || attempt >= retry_.max_attempts ||
-        elapsed >= deadline_s;
-    if (give_up) {
-      const Status status =
-          batch_idempotent ? Status::kUnavailable : Status::kTimeout;
-      for (std::size_t i = 0; i < n; ++i) {
-        Reply failed;
-        failed.status = status;
-        pending_replies_.push_back(std::move(failed));
-      }
-      queue_.clear();
-      fabric_.note_timeout();
-      fabric_.note_failure();
-      return;
-    }
-    fabric_.note_retry();
-    const double wait = backoff_s(attempt);
-    sim_time_ += wait;
-    elapsed += wait;
-  }
-}
-
-void Client::flush_queue_with_faults(double deadline_s) {
-  // A pipelined batch is ONE round trip (that is the point of
-  // pipelining), so it gets one network draw and one store-interaction
-  // draw per attempt, and fails or succeeds as a unit.
-  const std::size_t n = queue_.size();
-  bool batch_idempotent = true;
-  std::size_t req_total = 0;
-  for (const Command& cmd : queue_) {
-    batch_idempotent = batch_idempotent && idempotent(cmd.type);
-    req_total += request_bytes(cmd);
-  }
-  const auto fail_batch = [&](Status status, bool timed_out) {
-    for (std::size_t i = 0; i < n; ++i) {
-      Reply failed;
-      failed.status = status;
-      pending_replies_.push_back(std::move(failed));
-    }
-    queue_.clear();
-    if (timed_out) fabric_.note_timeout();
-    fabric_.note_failure();
-  };
-  double elapsed = 0.0;
-  Status last = Status::kError;
-  for (std::size_t attempt = 1;; ++attempt) {
-    fabric_.note_attempt();
-    const fault::RoundTripFault net = fault_->on_round_trip(self_, target_);
-    if (net.partitioned || net.dropped) {
-      if (net.dropped && !net.request_lost) {
-        for (const Command& cmd : queue_) (void)apply(cmd);
-      }
-      sim_time_ += retry_.attempt_timeout_s;
-      elapsed += retry_.attempt_timeout_s;
-      fabric_.record(self_, target_, n, 1, req_total);
-      last = Status::kTimeout;
-    } else {
-      const fault::StoreFault sf = fault_->on_store_op(target_);
-      if (sf == fault::StoreFault::kError || sf == fault::StoreFault::kDown) {
-        const std::size_t rsp = sf == fault::StoreFault::kDown
-                                    ? kStoreDownReply.size()
-                                    : kInjectedErrorReply.size();
-        const double cost =
-            fabric_.exchange_cost(self_, target_, req_total, rsp) +
-            net.extra_latency_s;
-        sim_time_ += cost;
-        elapsed += cost;
-        fabric_.record(self_, target_, n, 1, req_total + rsp);
-        last = Status::kError;
-      } else {
-        const double stall = sf == fault::StoreFault::kStall
-                                 ? fault_->stall_seconds(target_)
-                                 : 0.0;
-        if (stall >= retry_.attempt_timeout_s) {
-          for (const Command& cmd : queue_) (void)apply(cmd);
-          sim_time_ += retry_.attempt_timeout_s;
-          elapsed += retry_.attempt_timeout_s;
-          fabric_.record(self_, target_, n, 1, req_total);
-          last = Status::kTimeout;
-        } else {
-          std::vector<std::size_t> payloads;
-          payloads.reserve(n);
-          std::size_t bytes = 0;
-          for (const Command& cmd : queue_) {
-            Reply reply = apply(cmd);
-            const std::size_t p =
-                request_bytes(cmd) + response_bytes(cmd, reply);
-            payloads.push_back(p);
-            bytes += p;
-            reply.status = Status::kOk;
-            pending_replies_.push_back(std::move(reply));
-          }
-          const double cost =
-              fabric_.pipelined_cost(self_, target_, payloads) +
-              net.extra_latency_s + stall;
-          sim_time_ += cost;
-          elapsed += cost;
-          fabric_.record(self_, target_, n, 1, bytes);
-          queue_.clear();
-          return;
-        }
-      }
-    }
-    if (last == Status::kTimeout && !batch_idempotent) {
-      fail_batch(Status::kTimeout, /*timed_out=*/true);
-      return;
-    }
-    if (attempt >= retry_.max_attempts || elapsed >= deadline_s) {
-      fail_batch(Status::kUnavailable, last == Status::kTimeout);
-      return;
-    }
-    fabric_.note_retry();
-    const double wait = backoff_s(attempt);
-    sim_time_ += wait;
-    elapsed += wait;
-  }
 }
 
 std::vector<Reply> Client::drain() { return drain(retry_.deadline_s); }

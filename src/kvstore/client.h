@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <functional>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -205,15 +206,18 @@ class Client {
   [[nodiscard]] static std::size_t request_bytes(const Command& cmd);
   [[nodiscard]] static std::size_t response_bytes(const Command& cmd,
                                                   const Reply& reply);
-  void flush_queue(double deadline_s);
   [[nodiscard]] bool faults_active() const noexcept;
-  [[nodiscard]] Reply execute_with_faults(const Command& cmd,
-                                          double deadline_s);
-  void flush_queue_with_faults(double deadline_s);
-  /// A fail-stopped store never replies: each attempt burns the full
-  /// attempt timeout, like a lost request.
-  [[nodiscard]] Reply execute_down(const Command& cmd, double deadline_s);
-  void flush_queue_down(double deadline_s);
+  /// The client's one round trip: `cmds` go out as a single pipelined
+  /// batch and `out` (same length) receives one reply per command.
+  /// execute() is a batch of one over a stack slot; flush_queue() sends
+  /// queue_. Without faults the batch is applied and charged once. With
+  /// faults each attempt draws the injector once for the link and once
+  /// for the store; a fail-stopped store skips both draws and counts as
+  /// a lost request. Failures retry under retry_ within `deadline_s`,
+  /// and a failed batch fails as a unit.
+  void round_trip(std::span<const Command> cmds, double deadline_s,
+                  std::span<Reply> out);
+  void flush_queue(double deadline_s);
   /// Backoff before retry number `retry` (1-based), jittered.
   [[nodiscard]] double backoff_s(std::size_t retry);
 

@@ -177,20 +177,6 @@ PartitionPlan solve_partition_sizes_replicated(
   return plan;
 }
 
-double replica_dirty_joules(std::span<const NodeModel> models,
-                            std::span<const std::size_t> sizes,
-                            const ReplicaCostModel& replicas) {
-  common::require<common::ConfigError>(models.size() == sizes.size(),
-                                       "replica_dirty_joules: arity mismatch");
-  if (replicas.replication <= 1 || replicas.replica_sets.empty()) return 0.0;
-  const std::vector<double> rates = replica_energy_rates(models, replicas);
-  double total = 0.0;
-  for (std::size_t i = 0; i < models.size(); ++i) {
-    total += rates[i] * static_cast<double>(sizes[i]);
-  }
-  return total;
-}
-
 PartitionPlan solve_partition_sizes_normalized(
     std::span<const NodeModel> models, std::size_t total, double alpha) {
   validate_models(models);

@@ -84,12 +84,6 @@ struct ReplicaCostModel {
     std::span<const NodeModel> models, std::size_t total, double alpha,
     const ReplicaCostModel& replicas);
 
-/// Replica-write dirty energy of an arbitrary size vector (joules) —
-/// the term solve_partition_sizes_replicated adds to the objective.
-[[nodiscard]] double replica_dirty_joules(std::span<const NodeModel> models,
-                                          std::span<const std::size_t> sizes,
-                                          const ReplicaCostModel& replicas);
-
 /// Closed-form α = 1 solution: water-filling that equalizes finish times
 /// across the nodes that receive work.
 [[nodiscard]] PartitionPlan waterfill_makespan(std::span<const NodeModel> models,

@@ -1,7 +1,5 @@
 #include "runtime/dag.h"
 
-#include <algorithm>
-
 #include "common/error.h"
 
 namespace hetsim::runtime {
@@ -53,9 +51,6 @@ void PhaseDag::add(Phase phase) {
   common::require<common::ConfigError>(
       phase.max_attempts >= 1,
       "PhaseDag: phase '" + phase.name + "' needs max_attempts >= 1");
-  common::require<common::ConfigError>(
-      phase.retry_budget_s >= 0.0,
-      "PhaseDag: phase '" + phase.name + "' retry budget < 0");
   phases_.push_back(std::move(phase));
 }
 
@@ -133,14 +128,12 @@ DagReport PhaseDag::run(TraceRecorder& trace,
     }
 
     const double start = clock();
-    const std::size_t attempts = std::max<std::size_t>(1, p.max_attempts);
     PhaseResult result = PhaseResult::ok();
     std::size_t attempt = 0;
     for (;;) {
       PhaseAttempt at;
       at.attempt = attempt;
-      at.last = attempt + 1 >= attempts ||
-                (p.retry_budget_s > 0.0 && clock() - start >= p.retry_budget_s);
+      at.last = attempt + 1 >= p.max_attempts;
       if (p.body) {
         // Backstop only: the contract is that bodies return their
         // faults. Anything typed that still escapes (a helper deep in
@@ -155,10 +148,7 @@ DagReport PhaseDag::run(TraceRecorder& trace,
         result = PhaseResult::ok();
       }
       if (result.completed && !result.retry) break;
-      ++attempt;
-      const bool budget_left =
-          p.retry_budget_s <= 0.0 || clock() - start < p.retry_budget_s;
-      if (attempt >= attempts || !budget_left) {
+      if (++attempt >= p.max_attempts) {
         result.completed = false;
         break;
       }

@@ -117,9 +117,6 @@ struct Phase {
   std::function<PhaseResult(const PhaseAttempt&)> body;
   /// Attempts allowed before the phase is exhausted (>= 1).
   std::size_t max_attempts = 1;
-  /// Virtual-seconds budget across all attempts of this phase; once
-  /// exceeded no further retry is granted. 0 = attempts-only.
-  double retry_budget_s = 0.0;
   /// Status floor applied when the phase exhausts its attempts (its
   /// dependents are skipped either way).
   JobStatus on_exhausted = JobStatus::kDataUnavailable;

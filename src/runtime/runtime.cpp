@@ -18,6 +18,12 @@ namespace hetsim::runtime {
 
 namespace {
 
+/// Attempts granted to each retryable phase (ingest, stratify, estimate,
+/// partition) before it is exhausted and the job degrades. Retries run
+/// at phase boundaries against recovered state, so a mid-phase store
+/// crash or an unhealed partition re-runs only that phase.
+constexpr std::size_t kPhaseAttempts = 3;
+
 /// Replicated key of the idx-th ingested record.
 std::string record_key(std::uint32_t idx) {
   return "data:" + std::to_string(idx);
@@ -209,10 +215,6 @@ JobRuntime::JobRuntime(cluster::Cluster& cluster,
   common::require<common::ConfigError>(
       spec_.replication >= 1 && spec_.replication <= cluster_.size(),
       "JobRuntime: replication must be in [1, cluster size]");
-  common::require<common::ConfigError>(spec_.phase_max_attempts >= 1,
-                                       "JobRuntime: phase_max_attempts >= 1");
-  common::require<common::ConfigError>(spec_.phase_retry_budget_s >= 0.0,
-                                       "JobRuntime: phase_retry_budget_s < 0");
   const auto masters =
       cluster::choose_masters(cluster_.nodes(), cluster_.size() >= 2 ? 2 : 1);
   master_ = masters[0];
@@ -281,10 +283,9 @@ JobSummary JobRuntime::run(const data::Dataset& dataset,
              .deps = std::move(deps),
              .body = std::move(body),
              .max_attempts = attempts,
-             .retry_budget_s = attempts > 1 ? spec_.phase_retry_budget_s : 0.0,
              .on_exhausted = on_exhausted});
   };
-  const std::size_t retries = spec_.phase_max_attempts;
+  constexpr std::size_t retries = kPhaseAttempts;
   constexpr JobStatus kLost = JobStatus::kDataUnavailable;
   add_phase("ingest", PhaseKind::kIngest, {}, retries, kLost,
             [&](const PhaseAttempt& at) { return ingest(s, at); });

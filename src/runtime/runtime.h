@@ -70,16 +70,6 @@ struct JobSpec {
   /// degrades instead of failing: orphan rescues re-pull payloads from
   /// surviving replicas. Must be <= the cluster size.
   std::size_t replication = 1;
-  /// Attempts granted to each retryable phase (ingest, stratify,
-  /// estimate, partition) before it is exhausted and the job degrades.
-  /// Retries run at phase boundaries against recovered state, so a
-  /// mid-phase store crash or an unhealed partition re-runs only that
-  /// phase. Must be >= 1.
-  std::size_t phase_max_attempts = 3;
-  /// Virtual-seconds budget shared by all retries of one phase; once a
-  /// phase has burned this much clock it gets no further attempt.
-  /// 0 = attempts-only (no deadline).
-  double phase_retry_budget_s = 0.0;
 };
 
 /// Per-job summary, exported alongside the trace.

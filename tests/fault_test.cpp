@@ -12,6 +12,7 @@
 
 #include "cluster/cluster.h"
 #include "common/error.h"
+#include "common/rng.h"
 #include "core/workload.h"
 #include "data/generators.h"
 #include "energy/estimator.h"
@@ -443,6 +444,131 @@ TEST(ClientRetry, CrashAtOpServesThenRefusesEveryLaterOp) {
   EXPECT_EQ(rig.fabric.retry_stats().failures, 1u);
   EXPECT_EQ(rig.store.get("k"), "v");  // the pre-crash write landed
   EXPECT_EQ(rig.store.get("late"), std::nullopt);
+}
+
+// ---- a command is a pipeline of one ----------------------------------------
+
+kvstore::Command random_command(common::Rng& rng) {
+  using kvstore::CommandType;
+  // One key family per value type, so no command meets a wrong type.
+  const std::string n = std::to_string(rng.bounded(3));
+  const std::string v = "v" + std::to_string(rng.bounded(1000));
+  switch (rng.bounded(8)) {
+    case 0:
+      return {.type = CommandType::kSet, .key = "s" + n, .value = v};
+    case 1:
+      return {.type = CommandType::kGet, .key = "s" + n};
+    case 2:
+      return {.type = CommandType::kDel, .key = "s" + n};
+    case 3:
+      return {.type = CommandType::kRPush, .key = "l" + n, .value = v};
+    case 4:
+      return {.type = CommandType::kLRange, .key = "l" + n, .arg0 = 0,
+              .arg1 = -1};
+    case 5:
+      return {.type = CommandType::kLLen, .key = "l" + n};
+    case 6:
+      return {.type = CommandType::kLIndex, .key = "l" + n,
+              .arg0 = static_cast<std::int64_t>(rng.bounded(3))};
+    default:
+      return {.type = CommandType::kIncrBy, .key = "c" + n,
+              .arg0 = static_cast<std::int64_t>(rng.bounded(5)) + 1};
+  }
+}
+
+FaultPlan random_client_plan(common::Rng& rng) {
+  FaultPlan plan;
+  plan.seed = rng();
+  if (rng.bounded(2) == 0) {
+    plan.net.drop_prob = rng.uniform(0.0, 0.4);
+    plan.net.drop_request_lost_fraction = rng.uniform();
+  }
+  if (rng.bounded(2) == 0) {
+    plan.net.spike_prob = rng.uniform(0.0, 0.5);
+    plan.net.spike_latency_s = rng.uniform(0.0, 0.01);
+  }
+  if (rng.bounded(3) == 0) {
+    plan.partitions.push_back(
+        {0, 1, rng.bounded(6), rng.bounded(2) == 0 ? 0 : rng.bounded(8) + 1});
+  }
+  if (rng.bounded(2) == 0) {
+    fault::StoreFaults& store = plan.stores[1];
+    store.error_prob = rng.uniform(0.0, 0.4);
+    store.stall_prob = rng.uniform(0.0, 0.4);
+    // Either side of the default 0.1 s attempt timeout.
+    store.stall_s = rng.uniform(0.0, 0.2);
+    if (rng.bounded(3) == 0) store.crash_at_op = rng.bounded(20) + 1;
+  }
+  return plan;  // sometimes empty: the fault-free fast path
+}
+
+// execute(cmd, budget) must be exactly a one-command enqueue + drain(budget):
+// same replies, same simulated time, same link and retry counters, the
+// same injector draws and the same store contents — over random fault
+// plans and a fail-stopped store. The pipeline is wider than one so
+// enqueue never auto-flushes under the policy deadline instead of the
+// budget.
+TEST(ClientRoundTrip, ExecuteEqualsAOneCommandPipeline) {
+  common::Rng rng(2024);
+  net::RetryStats seen;  // summed over trials: every arm was exercised
+  for (int trial = 0; trial < 300; ++trial) {
+    SCOPED_TRACE("trial " + std::to_string(trial));
+    const FaultPlan plan = random_client_plan(rng);
+    const bool store_down = rng.bounded(8) == 0;
+    kvstore::RetryPolicy retry;
+    retry.jitter_seed = rng();
+    FaultInjector inj_a(plan);
+    FaultInjector inj_b(plan);
+    ClientRig rig_a;
+    ClientRig rig_b;
+    if (store_down) {
+      rig_a.store.fail_stop();
+      rig_b.store.fail_stop();
+    }
+    kvstore::Client single = rig_a.client(&inj_a, retry);
+    kvstore::Client piped = rig_b.client(&inj_b, retry);
+    for (int op = 0; op < 24; ++op) {
+      const kvstore::Command cmd = random_command(rng);
+      // Mostly a full budget; sometimes one that runs out mid-retry,
+      // none at all, or an overdrawn one.
+      const double budgets[] = {retry.deadline_s, 0.15, 0.0, -1.0};
+      const double budget = budgets[rng.bounded(8) < 5 ? 0 : rng.bounded(4)];
+      const kvstore::Reply a = single.execute(cmd, budget);
+      piped.enqueue(cmd);
+      const std::vector<kvstore::Reply> b = piped.drain(budget);
+      ASSERT_EQ(b.size(), 1u);
+      EXPECT_EQ(a.status, b[0].status);
+      EXPECT_EQ(a.ok, b[0].ok);
+      EXPECT_EQ(a.blob, b[0].blob);
+      EXPECT_EQ(a.list, b[0].list);
+      EXPECT_EQ(a.integer, b[0].integer);
+      ASSERT_EQ(single.consumed_time(), piped.consumed_time()) << "op " << op;
+    }
+    const net::LinkStats la = rig_a.fabric.stats(0, 1);
+    const net::LinkStats lb = rig_b.fabric.stats(0, 1);
+    EXPECT_EQ(la.messages, lb.messages);
+    EXPECT_EQ(la.round_trips, lb.round_trips);
+    EXPECT_EQ(la.bytes, lb.bytes);
+    const net::RetryStats ra = rig_a.fabric.retry_stats();
+    const net::RetryStats rb = rig_b.fabric.retry_stats();
+    EXPECT_EQ(ra.attempts, rb.attempts);
+    EXPECT_EQ(ra.retries, rb.retries);
+    EXPECT_EQ(ra.timeouts, rb.timeouts);
+    EXPECT_EQ(ra.failures, rb.failures);
+    seen.retries += ra.retries;
+    seen.timeouts += ra.timeouts;
+    seen.failures += ra.failures;
+    EXPECT_EQ(inj_a.round_trips(0, 1), inj_b.round_trips(0, 1));
+    EXPECT_EQ(inj_a.store_ops(1), inj_b.store_ops(1));
+    ASSERT_EQ(rig_a.store.keys(), rig_b.store.keys());
+    for (const std::string& key : rig_a.store.keys()) {
+      EXPECT_EQ(rig_a.store.value_digest(key), rig_b.store.value_digest(key))
+          << key;
+    }
+  }
+  EXPECT_GT(seen.retries, 0u);
+  EXPECT_GT(seen.timeouts, 0u);
+  EXPECT_GT(seen.failures, 0u);
 }
 
 // ---- executor fail-stop + rescue -------------------------------------------

@@ -7,9 +7,15 @@
 //
 // CTest runs this binary under HETSIM_THREADS=1 and =4: the digests must
 // not depend on the pool width.
+//
+// The FaultJob rows pin the fault paths the same way: the fail-stop,
+// replica-loss and store-stall plans from examples/, and a non-default
+// retry policy, each run as `hetsim_cli run-job` runs it.
 #include <gtest/gtest.h>
 
+#include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 
 #include "cluster/cluster.h"
@@ -19,6 +25,8 @@
 #include "core/subtree_workload.h"
 #include "data/generators.h"
 #include "energy/estimator.h"
+#include "fault/fault.h"
+#include "kvstore/client.h"
 #include "runtime/runtime.h"
 
 namespace hetsim {
@@ -39,11 +47,42 @@ void PrintTo(const JobDigest& d, std::ostream* os) {
       << "ULL, " << std::dec << d.trace_size << "}";
 }
 
+/// The run-job flags a row sets beyond the defaults; file names are
+/// relative to examples/.
+struct JobFlags {
+  std::uint32_t partitions = 8;
+  std::size_t replication = 1;
+  std::string fault_plan;
+  std::string retry_policy;
+};
+
+std::string read_example(const std::string& name) {
+  const std::string path = std::string(HETSIM_REPO_DIR) + "/examples/" + name;
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in) << path;
+  std::ostringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
 /// `hetsim_cli run-job` with its defaults: 8 partitions, het strategy,
 /// alpha 0.75, 40-record sampling floor, auto checkpoints, re-planning on.
 JobDigest run_job(const std::string& name, const data::Dataset& dataset,
-                  core::Workload& workload, std::uint64_t seed) {
-  cluster::Cluster cluster(cluster::standard_cluster(8));
+                  core::Workload& workload, std::uint64_t seed,
+                  const JobFlags& flags = {}) {
+  cluster::ClusterOptions options;
+  if (!flags.retry_policy.empty()) {
+    options.retry =
+        kvstore::RetryPolicy::from_json_text(read_example(flags.retry_policy));
+  }
+  cluster::Cluster cluster(cluster::standard_cluster(flags.partitions),
+                           options);
+  std::unique_ptr<fault::FaultInjector> injector;
+  if (!flags.fault_plan.empty()) {
+    injector = std::make_unique<fault::FaultInjector>(
+        fault::FaultPlan::from_json_text(read_example(flags.fault_plan)));
+    cluster.set_fault(injector.get());
+  }
   const energy::GreenEnergyEstimator energy =
       energy::GreenEnergyEstimator::standard(72);
   runtime::JobSpec spec;
@@ -52,11 +91,21 @@ JobDigest run_job(const std::string& name, const data::Dataset& dataset,
   spec.alpha = 0.75;
   spec.sampling.min_records = 40;
   spec.seed = seed;
+  spec.replication = flags.replication;
   runtime::JobRuntime job(cluster, energy, spec);
   const std::string summary = runtime::summary_json(job.run(dataset, workload));
   const std::string trace = job.trace().chrome_trace_json();
   return {common::hash_bytes(summary), summary.size(),
           common::hash_bytes(trace), trace.size()};
+}
+
+data::Dataset text_corpus() {
+  return data::generate_text_corpus(data::rcv1_like(0.5), "rcv1");
+}
+
+core::PatternMiningWorkload text_workload() {
+  return core::PatternMiningWorkload(
+      mining::AprioriConfig{.min_support = 0.08, .max_pattern_length = 3});
 }
 
 TEST(Golden, TreeJobSeed9) {
@@ -87,6 +136,59 @@ TEST(Golden, GraphJobSeed9) {
   const JobDigest expected{0x4d98df482097119fULL, 765, 0x8f593d6f9830a54eULL,
                            11076};
   EXPECT_EQ(run_job("graph", dataset, workload, 9), expected);
+}
+
+// `run-job --fault_plan examples/fault_plan.json --seed 9`: store errors
+// and stalls on host 1, a fail-stop of node 3, a slowed node 5.
+TEST(FaultJob, FailStopPlanSeed9) {
+  core::PatternMiningWorkload workload = text_workload();
+  const JobDigest expected{0xa8b7441ac09c3828ULL, 758, 0x79c73dcebb510819ULL,
+                           11508};
+  EXPECT_EQ(run_job("text", text_corpus(), workload, 9,
+                    {.fault_plan = "fault_plan.json"}),
+            expected);
+}
+
+// `run-job --partitions 6 --replication 3 --fault_plan
+// examples/fault_plan_replica_loss.json --seed 4`: two of three
+// replicas fail-stop.
+TEST(FaultJob, ReplicaLossSeed4) {
+  core::PatternMiningWorkload workload = text_workload();
+  const JobDigest expected{0x633f126351cb7d42ULL, 749, 0x5786b2794443b00ULL,
+                           11053};
+  EXPECT_EQ(run_job("text", text_corpus(), workload, 4,
+                    {.partitions = 6,
+                     .replication = 3,
+                     .fault_plan = "fault_plan_replica_loss.json"}),
+            expected);
+}
+
+// `run-job --fault_plan examples/fault_plan_store_stall.json
+// --replication 2` (seed 171, the CLI default): drops, a healing
+// partition, store errors, stalls and a store crash mid-ingest.
+TEST(FaultJob, StoreStallSeed171) {
+  core::PatternMiningWorkload workload = text_workload();
+  const JobDigest expected{0xaf3da561c37d16cULL, 773, 0xecc73dc4c8a4ca1fULL,
+                           16556};
+  EXPECT_EQ(run_job("text", text_corpus(), workload, 171,
+                    {.replication = 2,
+                     .fault_plan = "fault_plan_store_stall.json"}),
+            expected);
+}
+
+// `--retry_policy examples/retry_policy.json` over the store-stall plan:
+// without faults the policy is never consulted, so the plan is what
+// makes this row pin the retry loop under a non-default policy (its
+// 50 ms attempt timeout turns host 0's 50 ms stalls into timeouts).
+TEST(FaultJob, RetryPolicyStoreStallSeed9) {
+  core::PatternMiningWorkload workload = text_workload();
+  const JobDigest expected{0xfea0e4b9c0d906abULL, 764, 0x5b426ea4db075480ULL,
+                           11075};
+  EXPECT_EQ(run_job("text", text_corpus(), workload, 9,
+                    {.replication = 2,
+                     .fault_plan = "fault_plan_store_stall.json",
+                     .retry_policy = "retry_policy.json"}),
+            expected);
 }
 
 }  // namespace

@@ -172,31 +172,6 @@ TEST(PhaseDag, ExhaustedPhaseSkipsDependentsAndFloorsStatus) {
   EXPECT_EQ(trace.count("phase-skipped"), 1u);
 }
 
-TEST(PhaseDag, RetryBudgetDeniesFurtherAttempts) {
-  PhaseDag dag;
-  double now = 0.0;
-  std::size_t runs = 0;
-  Phase ph;
-  ph.name = "slow";
-  ph.kind = PhaseKind::kPartition;
-  ph.max_attempts = 10;
-  ph.retry_budget_s = 5.0;
-  ph.on_exhausted = JobStatus::kDegraded;
-  ph.body = [&](const PhaseAttempt&) {
-    ++runs;
-    now += 3.0;  // each attempt burns 3 virtual seconds
-    return PhaseResult::transient("still failing");
-  };
-  dag.add(std::move(ph));
-  TraceRecorder trace;
-  const DagReport report = dag.run(trace, [&] { return now; });
-  // Attempt 1 ends at 3s (< 5s budget: retry granted), attempt 2 ends
-  // at 6s (budget spent: no third attempt).
-  EXPECT_EQ(runs, 2u);
-  EXPECT_EQ(report.status, JobStatus::kDegraded);
-  EXPECT_EQ(report.failed_phase, "slow");
-}
-
 TEST(PhaseDag, DegradedFloorAggregatesAcrossPhases) {
   PhaseDag dag;
   dag.add({"a", PhaseKind::kIngest, {}, [](const PhaseAttempt&) {
