@@ -10,8 +10,9 @@
 //
 // prepare() performs the amortized one-time work (stratification,
 // dataset loading onto the master store, progressive sampling); run()
-// executes the workload under a partitioning strategy and reports
-// makespan, exact dirty energy, and workload quality.
+// stages each node's partition list from the master, executes the
+// workload under a partitioning strategy and reports makespan, exact
+// dirty energy, and workload quality.
 #pragma once
 
 #include <cstdint>
@@ -26,6 +27,7 @@
 #include "data/dataset.h"
 #include "energy/estimator.h"
 #include "estimator/progressive.h"
+#include "kvstore/client.h"
 #include "optimize/pareto.h"
 #include "partition/partitioner.h"
 #include "sketch/minhash.h"
@@ -93,10 +95,36 @@ struct JobReport {
 inline constexpr double kJobStartS = 10.0 * 3600.0;
 /// Forecast window for the mean green-power linearization.
 inline constexpr double kEnergyWindowS = 4.0 * 3600.0;
-/// Key under which each node stores its partition.
-inline constexpr char kPartitionKey[] = "partition";
 /// Master list of every record payload, in dataset order.
 inline constexpr char kDataKey[] = "data";
+
+// ---- The partition layout -------------------------------------------------
+// Each node keeps its partition as one list on its own store, one raw
+// payload per record (paper section IV), in execution order. These four
+// functions are the only code that writes or reads it, for
+// ParetoFramework and runtime::JobRuntime alike.
+
+/// Payloads of the dataset records `records`, read from the master's
+/// data list with one pipelined LINDEX batch over `from_master`, in
+/// order. nullopt where the reply was not kOk or found nothing.
+[[nodiscard]] std::vector<std::optional<std::string>> fetch_from_master(
+    kvstore::Client& from_master, std::span<const std::uint32_t> records);
+
+/// Deletes the partition list on `local` with one DEL round trip.
+[[nodiscard]] kvstore::Reply clear_partition(kvstore::Client& local);
+
+/// Appends the present payloads (moved out, in order; nullopt entries
+/// are skipped) to the partition list on `local` with pipelined RPUSH.
+/// Returns how many replies were not kOk.
+std::size_t stage_partition(kvstore::Client& local,
+                            std::span<std::optional<std::string>> payloads);
+
+/// Reads `count` entries of the partition list on `local`, from `start`
+/// on, with one LRANGE. A zero count issues nothing and returns an empty
+/// kOk reply.
+[[nodiscard]] kvstore::Reply read_partition(kvstore::Client& local,
+                                            std::size_t start,
+                                            std::size_t count);
 
 /// Master list of each node's uploaded sketches, by node id.
 [[nodiscard]] std::vector<std::string> sketch_keys(std::size_t nodes);

@@ -5,7 +5,6 @@
 #include <limits>
 
 #include "common/error.h"
-#include "common/rng.h"
 
 namespace hetsim::core {
 
@@ -39,7 +38,6 @@ WorkStealingReport simulate_work_stealing(const cluster::Cluster& cluster,
   };
 
   // Event loop: repeatedly advance the node that frees up earliest.
-  common::Rng rng(options.seed);
   std::vector<double> free_at(p, 0.0);
   for (;;) {
     // Pick the node with the smallest free time that can still do work.
@@ -57,22 +55,11 @@ WorkStealingReport simulate_work_stealing(const cluster::Cluster& cluster,
       report.node_busy_s[node] += dt;
       continue;
     }
-    // Pick a victim among nodes that still have queued work.
+    // The victim is the node with the most queued work.
     std::size_t victim = p;
-    if (options.policy == StealPolicy::kRandomVictim) {
-      std::vector<std::size_t> candidates;
-      for (std::size_t v = 0; v < p; ++v) {
-        if (!queues[v].empty() && v != node) candidates.push_back(v);
-      }
-      if (!candidates.empty()) {
-        victim = candidates[rng.bounded(candidates.size())];
-      }
-    } else {
-      // kMaxVictim: the victim with the most queued work.
-      for (std::size_t v = 0; v < p; ++v) {
-        if (queues[v].empty()) continue;
-        if (victim == p || queued_work[v] > queued_work[victim]) victim = v;
-      }
+    for (std::size_t v = 0; v < p; ++v) {
+      if (queues[v].empty()) continue;
+      if (victim == p || queued_work[v] > queued_work[victim]) victim = v;
     }
     if (victim == p) {
       // No work anywhere: this node is done. Remove it from consideration

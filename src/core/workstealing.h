@@ -14,7 +14,6 @@
 // extra migration traffic and (for SON) a larger candidate union.
 #pragma once
 
-#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -30,22 +29,9 @@ struct ChunkCost {
   double payload_bytes = 0.0;
 };
 
-/// Victim selection when a node runs out of local work.
-enum class StealPolicy : std::uint8_t {
-  /// Take from the victim with the most queued work — deterministic and
-  /// an upper bound on the balance quality of random stealing.
-  kMaxVictim,
-  /// The classic Blumofe–Leiserson policy: steal from a uniformly random
-  /// victim that still has work (seeded, so still reproducible).
-  kRandomVictim,
-};
-
 struct WorkStealingOptions {
   /// Initial chunks dealt to each node (round-robin).
   std::size_t chunks_per_node = 4;
-  StealPolicy policy = StealPolicy::kMaxVictim;
-  /// Seed for kRandomVictim's victim draws (ignored by kMaxVictim).
-  std::uint64_t seed = 171;
 };
 
 struct WorkStealingReport {

@@ -283,38 +283,6 @@ void Client::set(std::string_view key, std::string_view value) {
                      .value = std::string(value)}));
 }
 
-std::optional<std::string> Client::get(std::string_view key) {
-  Reply r =
-      expect_ok(execute({.type = CommandType::kGet, .key = std::string(key)}));
-  if (!r.ok) return std::nullopt;
-  return std::move(r.blob);
-}
-
-Client::ViewResult Client::get_view(
-    std::string_view key,
-    const std::function<void(std::string_view)>& visitor) {
-  if (faults_active() || store_.is_down()) {
-    // Fault paths can drop, stall and retry the round trip; only the
-    // materialized execute() knows how to charge those. Zero-copy is a
-    // fast path, not a second fault semantics.
-    Reply r = execute({.type = CommandType::kGet, .key = std::string(key)});
-    if (r.status == Status::kOk && r.ok) visitor(r.blob);
-    return {r.status, r.status == Status::kOk && r.ok};
-  }
-  const Command cmd{.type = CommandType::kGet, .key = std::string(key)};
-  const std::size_t req = request_bytes(cmd);
-  std::size_t blob_size = 0;
-  const bool found = store_.visit_get(key, [&](std::string_view value) {
-    blob_size = value.size();
-    visitor(value);
-  });
-  const std::size_t rsp = resp::bulk_reply_wire_size(
-      found ? std::optional<std::size_t>(blob_size) : std::nullopt);
-  sim_time_ += fabric_.exchange_cost(self_, target_, req, rsp);
-  fabric_.record(self_, target_, /*requests=*/1, /*round_trips=*/1, req + rsp);
-  return {Status::kOk, found};
-}
-
 void Client::enqueue(Command cmd) {
   queue_.push_back(std::move(cmd));
   if (queue_.size() >= pipeline_width_) flush_queue(retry_.deadline_s);

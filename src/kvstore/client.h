@@ -9,8 +9,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -152,30 +150,9 @@ class Client {
   /// budget fails immediately with kUnavailable at zero cost.
   [[nodiscard]] Reply execute(const Command& cmd, double budget_s);
 
-  // Typed wrappers: these check status internally and throw
-  // UnavailableError when the operation ultimately failed, since their
-  // return types cannot express transport failure.
+  /// Typed SET: checks status internally and throws UnavailableError
+  /// when the operation ultimately failed.
   void set(std::string_view key, std::string_view value);
-  [[nodiscard]] std::optional<std::string> get(std::string_view key);
-
-  /// Outcome of a zero-copy get_view(): transport status plus whether
-  /// the key was found. The payload itself never leaves the store.
-  struct ViewResult {
-    Status status = Status::kOk;
-    bool found = false;
-  };
-  /// Zero-copy GET: `visitor` observes the value bytes in place (the
-  /// view is valid only during the call and must not touch any
-  /// kvstore). Charges exactly the wire time get() would — a GET
-  /// reply's RESP size is a function of the blob size alone — while the
-  /// partition blob, framed once at load, is never re-materialized.
-  /// Under active fault injection this falls back to a materialized
-  /// execute() so drop/retry/stall accounting stays byte-identical;
-  /// unlike get(), transport failure is reported in ViewResult::status
-  /// rather than thrown.
-  [[nodiscard]] ViewResult get_view(
-      std::string_view key,
-      const std::function<void(std::string_view)>& visitor);
 
   // ---- pipelined ------------------------------------------------------
   /// Queue a command; auto-flushes when the pipeline is full. Replies for

@@ -78,8 +78,4 @@ std::size_t reply_wire_size(CommandType type, const Reply& reply) {
   throw StoreError("resp: unknown command type");
 }
 
-std::size_t bulk_reply_wire_size(std::optional<std::size_t> blob_size) {
-  return blob_size.has_value() ? bulk_wire_size(*blob_size) : 5;  // $-1\r\n
-}
-
 }  // namespace hetsim::kvstore::resp

@@ -15,7 +15,6 @@
 #pragma once
 
 #include <cstddef>
-#include <optional>
 
 #include "kvstore/client.h"
 
@@ -28,12 +27,5 @@ namespace hetsim::kvstore::resp {
 /// Exact wire size of the reply Redis would send for a command of the
 /// given type (integer, bulk string, array or null).
 [[nodiscard]] std::size_t reply_wire_size(CommandType type, const Reply& reply);
-
-/// Wire size of a GET/LINDEX-style bulk reply carrying `blob_size`
-/// payload bytes (nullopt = null bulk, $-1\r\n). The zero-copy client
-/// path charges wire time from the size alone, without materializing a
-/// Reply; by construction it matches reply_wire_size for kGet exactly.
-[[nodiscard]] std::size_t bulk_reply_wire_size(
-    std::optional<std::size_t> blob_size);
 
 }  // namespace hetsim::kvstore::resp

@@ -40,20 +40,6 @@ std::optional<std::string> Store::get(std::string_view key) const {
   return *s;
 }
 
-bool Store::visit_get(
-    std::string_view key,
-    const std::function<void(std::string_view)>& visitor) const {
-  ++ops_;
-  const auto it = data_.find(key);
-  if (it == data_.end()) return false;
-  const auto* s = std::get_if<std::string>(&it->second);
-  common::require<StoreError>(s != nullptr, "GET on non-string key");
-  // Deliberate zero-copy design: the callback observes the value bytes
-  // in place instead of copying a multi-megabyte partition blob per GET.
-  visitor(*s);
-  return true;
-}
-
 std::size_t Store::rpush(std::string_view key, std::string_view element) {
   ++ops_;
   auto [it, inserted] = data_.try_emplace(std::string(key),

@@ -37,13 +37,6 @@ class Store {
   void set(std::string_view key, std::string_view value);
   /// nullopt if the key is absent. Throws StoreError on type mismatch.
   [[nodiscard]] std::optional<std::string> get(std::string_view key) const;
-  /// Zero-copy GET: runs `visitor` on the value bytes in place — the
-  /// view is valid ONLY inside the callback, which must not write to
-  /// this store (that could move the bytes). Returns false when the
-  /// key is absent (visitor not called); throws StoreError on type
-  /// mismatch. Counts as one served op, exactly like get().
-  bool visit_get(std::string_view key,
-                 const std::function<void(std::string_view)>& visitor) const;
 
   // ---- list values ---------------------------------------------------
   /// Appends to the list at `key` (creates it), returns new length.

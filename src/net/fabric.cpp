@@ -28,17 +28,6 @@ double Fabric::exchange_cost(HostId src, HostId dst, std::size_t request_bytes,
   return 2.0 * spec.latency_s + payload;
 }
 
-double Fabric::pipelined_cost(HostId src, HostId dst,
-                              const std::vector<std::size_t>& payload_bytes) const {
-  check_host(src);
-  check_host(dst);
-  if (payload_bytes.empty()) return 0.0;
-  const LinkSpec& spec = spec_for(src, dst);
-  std::size_t total = 0;
-  for (const std::size_t b : payload_bytes) total += b;
-  return 2.0 * spec.latency_s + static_cast<double>(total) / spec.bandwidth_bps;
-}
-
 void Fabric::record(HostId src, HostId dst, std::uint64_t requests,
                     std::uint64_t round_trips, std::uint64_t bytes) {
   check_host(src);

@@ -4,9 +4,9 @@
 // performance discussion (section IV) hinges on request batching: millions
 // of small get/put requests are disastrous, while list-packed blobs and
 // pipelining amortize the round trip. Fabric models exactly that cost
-// structure: a round trip costs one latency plus payload/bandwidth, and a
-// pipelined batch of k requests costs ONE latency plus the summed payload
-// cost, instead of k latencies.
+// structure: an exchange costs one latency plus payload/bandwidth, and
+// kvstore::Client sends a pipelined batch of k requests as ONE exchange
+// of their summed bytes, instead of k latencies.
 //
 // Costs are returned as simulated seconds; the caller (usually a
 // cluster::VirtualClock) decides what to do with them. Fabric also keeps
@@ -18,7 +18,6 @@
 #include <cstdint>
 #include <map>
 #include <utility>
-#include <vector>
 
 namespace hetsim::fault {
 class FaultInjector;
@@ -70,12 +69,6 @@ class Fabric {
   [[nodiscard]] double exchange_cost(HostId src, HostId dst,
                                      std::size_t request_bytes,
                                      std::size_t response_bytes) const;
-
-  /// Cost of a pipelined batch: one latency for the whole batch, payload
-  /// charged per byte. `payload_bytes` lists per-request request+response
-  /// sizes. Returns total seconds.
-  [[nodiscard]] double pipelined_cost(
-      HostId src, HostId dst, const std::vector<std::size_t>& payload_bytes) const;
 
   /// Record that an exchange of `requests` logical requests in
   /// `round_trips` actual exchanges moved `bytes` over src->dst.

@@ -36,29 +36,15 @@ struct Fetched {
 };
 
 /// Fetches from the sources given, in this order: the master's data list
-/// (LIndex) when `master` is set, then the replica walk for every record
-/// still missing when `router` is set.
+/// when `master` is set, then the replica walk for every record still
+/// missing when `router` is set.
 Fetched fetch_records(cluster::NodeContext& ctx,
                       std::span<const std::uint32_t> records,
                       std::optional<std::uint32_t> master,
                       ha::ShardRouter* router) {
   Fetched out;
-  out.blobs.resize(records.size());
-  if (master) {
-    kvstore::Client& from_master = ctx.client(*master);
-    for (const std::uint32_t idx : records) {
-      from_master.enqueue({.type = kvstore::CommandType::kLIndex,
-                           .key = core::kDataKey,
-                           .arg0 = static_cast<std::int64_t>(idx)});
-    }
-    std::vector<kvstore::Reply> replies = from_master.drain();
-    const std::size_t m = std::min(replies.size(), records.size());
-    for (std::size_t i = 0; i < m; ++i) {
-      if (replies[i].status == kvstore::Status::kOk && replies[i].ok) {
-        out.blobs[i] = std::move(replies[i].blob);
-      }
-    }
-  }
+  out.blobs = master ? core::fetch_from_master(ctx.client(*master), records)
+                     : std::vector<std::optional<std::string>>(records.size());
   if (router == nullptr) return out;
   std::vector<std::string> keys;
   std::vector<std::size_t> pos;
@@ -521,18 +507,10 @@ PhaseResult JobRuntime::partition(JobState& s, const PhaseAttempt& at) {
       // wire-cost medium (records are processed from the in-memory
       // dataset), so staging losses are tolerated and counted.
       kvstore::Client& local = ctx.local();
-      const kvstore::Reply del = local.execute(
-          {.type = kvstore::CommandType::kDel, .key = core::kPartitionKey});
+      const kvstore::Reply del = core::clear_partition(local);
       if (del.status != kvstore::Status::kOk) ++s.summary.tolerated_kv_failures;
-      for (std::size_t i = 0; i < part.size(); ++i) {
-        if (!got.blobs[i]) continue;
-        local.enqueue({.type = kvstore::CommandType::kRPush,
-                       .key = core::kPartitionKey,
-                       .value = std::move(*got.blobs[i])});
-      }
-      for (const kvstore::Reply& r : local.drain()) {
-        if (r.status != kvstore::Status::kOk) ++s.summary.tolerated_kv_failures;
-      }
+      s.summary.tolerated_kv_failures +=
+          core::stage_partition(local, got.blobs);
     });
   }
   cluster_.run_phase("load", tasks);
@@ -596,18 +574,10 @@ PhaseResult JobRuntime::execute(JobState& s) {
       cluster_, s.assignment->partitions,
       [&](cluster::NodeContext& ctx, std::span<const std::uint32_t> indices) {
         const std::uint32_t id = ctx.node().id;
-        if (!indices.empty()) {
-          const kvstore::Reply r = ctx.local().execute(
-              {.type = kvstore::CommandType::kLRange,
-               .key = core::kPartitionKey,
-               .arg0 = static_cast<std::int64_t>(cursor[id]),
-               .arg1 = static_cast<std::int64_t>(cursor[id] +
-                                                 indices.size() - 1)});
-          if (r.status != kvstore::Status::kOk) {
-            ++s.summary.tolerated_kv_failures;
-          }
-          cursor[id] += indices.size();
-        }
+        const kvstore::Reply r =
+            core::read_partition(ctx.local(), cursor[id], indices.size());
+        if (r.status != kvstore::Status::kOk) ++s.summary.tolerated_kv_failures;
+        cursor[id] += indices.size();
         s.workload.run(ctx, s.dataset, indices);
       },
       opts);
@@ -857,7 +827,6 @@ std::size_t JobRuntime::transfer(JobState& s,
       ctx_to, taken,
       router_ != nullptr ? std::nullopt : std::optional(master_),
       router_.get());
-  kvstore::Client& local = ctx_to.local();
   double bytes = 0.0;
   std::vector<std::uint32_t> delivered;
   std::vector<std::uint32_t> undeliverable;
@@ -867,14 +836,10 @@ std::size_t JobRuntime::transfer(JobState& s,
       continue;
     }
     bytes += static_cast<double>(got.blobs[k]->size());
-    local.enqueue({.type = kvstore::CommandType::kRPush,
-                   .key = core::kPartitionKey,
-                   .value = std::move(*got.blobs[k])});
     delivered.push_back(taken[k]);
   }
-  for (const kvstore::Reply& r : local.drain()) {
-    if (r.status != kvstore::Status::kOk) ++s.summary.tolerated_kv_failures;
-  }
+  s.summary.tolerated_kv_failures +=
+      core::stage_partition(ctx_to.local(), got.blobs);
   const double start = executor.node_time(to);
   const double charged = executor.sync_network(to);
   executor.give(to, delivered);

@@ -5,7 +5,6 @@
 // the assertions here catch the exception-contract half.)
 #include <gtest/gtest.h>
 
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -18,7 +17,6 @@
 #include "data/dataset.h"
 #include "data/generators.h"
 #include "data/graph.h"
-#include "kvstore/codec.h"
 
 namespace hetsim {
 namespace {
@@ -93,33 +91,6 @@ TEST_P(FuzzDecoders, HuffmanToleratesGarbage) {
     EXPECT_TRUE(tolerates(
         [](const std::string& s) { (void)compress::huffman_decompress(s); },
         mutated));
-  }
-}
-
-TEST_P(FuzzDecoders, KvCodecToleratesGarbage) {
-  // RecordCursor walks partition blobs in place: every view it yields
-  // must lie inside the blob, or next() throws StoreError.
-  const auto views_stay_inside = [](const std::string& blob) {
-    kvstore::RecordCursor cursor{blob};
-    while (!cursor.done()) {
-      const std::string_view view = cursor.next();
-      if (view.data() < blob.data() ||
-          view.data() + view.size() > blob.data() + blob.size()) {
-        throw std::out_of_range("record view escapes the blob");
-      }
-    }
-  };
-  std::vector<std::string> records(12);
-  for (std::string& r : records) r = random_bytes(rng_, 40);
-  const std::string valid = kvstore::pack_records(records);
-  for (int i = 0; i < 200; ++i) {
-    EXPECT_TRUE(tolerates(views_stay_inside, random_bytes(rng_, 128)));
-    EXPECT_TRUE(
-        tolerates(views_stay_inside, valid.substr(0, rng_.bounded(valid.size()))));
-    std::string mutated = valid;
-    mutated[rng_.bounded(mutated.size())] =
-        static_cast<char>(rng_.bounded(256));
-    EXPECT_TRUE(tolerates(views_stay_inside, mutated));
   }
 }
 

@@ -559,6 +559,104 @@ TEST(NodeGroup, BatchedPutGetRoundTripsEveryKey) {
   }
 }
 
+// A store that fail-stops without the router noticing must not ack: its
+// replica is still routed, so each write reaches it and times out.
+
+/// Writes "old" under `keys`, then fail-stops the store of the first
+/// key's primary; returns that node.
+HostId write_then_fail_stop_a_primary(NodeGroup& group,
+                                      const std::vector<std::string>& keys) {
+  for (const std::string& key : keys) {
+    EXPECT_EQ(group.client(0).put(key, "old").acked, 2u) << key;
+  }
+  const HostId dead = group.router().route(keys.front())[0];
+  group.store(dead).fail_stop();
+  return dead;
+}
+
+/// Replicated client from node 0 that records every acked replica.
+ha::Client observed_client(NodeGroup& group,
+                           std::map<std::string, std::vector<HostId>>& acks) {
+  return ha::Client(
+      group.router(),
+      [&group](HostId target) -> kvstore::Client& {
+        return group.connection(0, target);
+      },
+      [&acks](HostId target, const kvstore::Command& cmd) {
+        acks[cmd.key].push_back(target);
+      });
+}
+
+TEST(NodeGroup, FailStoppedReplicaAcksNoPutAndServesNoRead) {
+  NodeGroup group({.nodes = 4, .shard = {.replication = 2, .seed = 31}});
+  const std::string key = "object:5";
+  const HostId dead = write_then_fail_stop_a_primary(group, {key});
+  const std::uint64_t before = group.store(dead).value_digest(key);
+
+  std::map<std::string, std::vector<HostId>> acks;
+  ha::Client client = observed_client(group, acks);
+  const ha::WriteResult res = client.put(key, "new");
+  EXPECT_EQ(res.status, kvstore::Status::kOk);
+  EXPECT_EQ(res.attempted, 2u);
+  EXPECT_EQ(res.acked, 1u);
+  ASSERT_EQ(acks[key].size(), 1u);
+  EXPECT_NE(acks[key][0], dead);
+  EXPECT_EQ(group.store(dead).value_digest(key), before);
+  EXPECT_EQ(group.store(dead).get(key), "old");
+
+  const ha::ReadResult read = client.get(key);
+  EXPECT_EQ(read.reply.status, kvstore::Status::kOk);
+  EXPECT_EQ(read.reply.blob, "new");
+  EXPECT_NE(read.served_by, dead);
+  EXPECT_TRUE(read.fallback);
+}
+
+TEST(NodeGroup, FailStoppedReplicaAcksNoBatchedPutAndServesNoBatchedRead) {
+  NodeGroup group({.nodes = 4, .shard = {.replication = 2, .seed = 77}});
+  std::vector<std::string> keys;
+  std::vector<std::pair<std::string, std::string>> pairs;
+  for (int i = 0; i < 48; ++i) {
+    keys.push_back("rec:" + std::to_string(i));
+    pairs.emplace_back(keys.back(), "new" + std::to_string(i));
+  }
+  const HostId dead = write_then_fail_stop_a_primary(group, keys);
+  const std::vector<std::string> dead_keys = group.store(dead).keys();
+  std::vector<std::uint64_t> dead_digests;
+  for (const std::string& k : dead_keys) {
+    dead_digests.push_back(group.store(dead).value_digest(k));
+  }
+
+  std::map<std::string, std::vector<HostId>> acks;
+  ha::Client client = observed_client(group, acks);
+  const std::vector<ha::WriteResult> writes = client.put_many(pairs);
+  ASSERT_EQ(writes.size(), keys.size());
+  std::size_t through_dead = 0;
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const std::vector<HostId> route = group.router().route(keys[i]);
+    const bool via_dead =
+        std::find(route.begin(), route.end(), dead) != route.end();
+    through_dead += via_dead ? 1 : 0;
+    EXPECT_EQ(writes[i].status, kvstore::Status::kOk) << keys[i];
+    EXPECT_EQ(writes[i].acked, via_dead ? 1u : 2u) << keys[i];
+    EXPECT_EQ(std::count(acks[keys[i]].begin(), acks[keys[i]].end(), dead), 0)
+        << keys[i];
+  }
+  EXPECT_GT(through_dead, 1u);
+  EXPECT_EQ(group.store(dead).keys(), dead_keys);
+  for (std::size_t k = 0; k < dead_keys.size(); ++k) {
+    EXPECT_EQ(group.store(dead).value_digest(dead_keys[k]), dead_digests[k])
+        << dead_keys[k];
+  }
+
+  const std::vector<ha::ReadResult> reads = client.get_many(keys);
+  ASSERT_EQ(reads.size(), keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(reads[i].reply.status, kvstore::Status::kOk) << keys[i];
+    EXPECT_EQ(reads[i].reply.blob, pairs[i].second) << keys[i];
+    EXPECT_NE(reads[i].served_by, dead) << keys[i];
+  }
+}
+
 // ---- recovery: snapshot + op-log replay ------------------------------------
 
 TEST(Recovery, SnapshotPlusLogReplayRebuildsTheExactStore) {

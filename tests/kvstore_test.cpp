@@ -1,15 +1,13 @@
-// Unit tests for the kvstore substrate: store semantics, codec framing,
-// pipelined client cost accounting and fail-stopped stores.
+// Unit tests for the kvstore substrate: store semantics, pipelined
+// client cost accounting and fail-stopped stores.
 #include <gtest/gtest.h>
 
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/error.h"
-#include "common/rng.h"
 #include "kvstore/client.h"
-#include "kvstore/codec.h"
+#include "kvstore/resp.h"
 #include "kvstore/store.h"
 #include "net/fabric.h"
 
@@ -96,111 +94,6 @@ TEST(Store, StatsTrackKeysAndBytes) {
   EXPECT_EQ(st.bytes, 3 + 5 + 4 + 3u);  // "key"+"12345"+"list"+"abc"
 }
 
-/// Every record a cursor yields over `blob`, in order.
-std::vector<std::string> read_all(std::string_view blob) {
-  std::vector<std::string> out;
-  RecordCursor cursor{blob};
-  while (!cursor.done()) out.emplace_back(cursor.next());
-  return out;
-}
-
-TEST(Codec, FrameAndUnpackRoundTrip) {
-  std::vector<std::string> records{"", "a", "hello world", std::string(1000, 'x')};
-  const std::string blob = pack_records(records);
-  EXPECT_EQ(read_all(blob), records);
-}
-
-TEST(Codec, FrameRecordPrefixesLength) {
-  const std::string framed = pack_records(std::vector<std::string>{"abc"});
-  ASSERT_EQ(framed.size(), 7u);
-  EXPECT_EQ(framed.substr(0, 4), std::string("\x03\x00\x00\x00", 4));
-  EXPECT_EQ(framed.substr(4), "abc");
-}
-
-TEST(Codec, TruncatedBlobThrows) {
-  // Cut a packed blob at every length: the cursor yields the records
-  // that fit whole, then throws on the one the cut went through.
-  const std::vector<std::string> records{"abcdef", "", "gh"};
-  const std::string blob = pack_records(records);
-  for (std::size_t cut = 0; cut <= blob.size(); ++cut) {
-    if (cut == 0 || cut == 10 || cut == 14 || cut == 20) {  // record ends
-      EXPECT_NO_THROW((void)read_all(blob.substr(0, cut))) << "cut " << cut;
-    } else {
-      EXPECT_THROW((void)read_all(blob.substr(0, cut)), common::StoreError)
-          << "cut " << cut;
-    }
-  }
-}
-
-TEST(Codec, CursorOverEmptyBlobIsImmediatelyDone) {
-  RecordCursor cursor{std::string_view{}};
-  EXPECT_TRUE(cursor.done());
-}
-
-TEST(Codec, CursorYieldsZeroLengthRecords) {
-  const std::vector<std::string> records{"", "mid", ""};
-  const std::string blob = pack_records(records);
-  RecordCursor cursor{blob};
-  EXPECT_EQ(cursor.next(), "");
-  EXPECT_EQ(cursor.next(), "mid");
-  EXPECT_EQ(cursor.next(), "");
-  EXPECT_TRUE(cursor.done());
-}
-
-TEST(Codec, CursorThrowsOnTruncatedLengthPrefix) {
-  // Two bytes cannot hold the 4-byte length prefix.
-  const std::string blob{"\x05\x00", 2};
-  RecordCursor cursor{blob};
-  EXPECT_FALSE(cursor.done());
-  EXPECT_THROW((void)cursor.next(), common::StoreError);
-}
-
-TEST(Codec, CursorThrowsOnTruncatedBody) {
-  std::string blob = pack_records(std::vector<std::string>{"abcdef"});
-  blob.resize(blob.size() - 2);
-  RecordCursor cursor{blob};
-  EXPECT_THROW((void)cursor.next(), common::StoreError);
-}
-
-TEST(Codec, CursorViewsAliasTheBlob) {
-  const std::string blob = pack_records(std::vector<std::string>{"abc", "de"});
-  RecordCursor cursor{blob};
-  const std::string_view first = cursor.next();
-  EXPECT_GE(first.data(), blob.data());
-  EXPECT_LE(first.data() + first.size(), blob.data() + blob.size());
-}
-
-TEST(Codec, PackCursorUnpackPropertyOnRandomRecords) {
-  common::Rng rng(2026);
-  for (int trial = 0; trial < 50; ++trial) {
-    std::vector<std::string> records(rng.bounded(20));
-    for (std::string& r : records) {
-      r.resize(rng.bounded(200));
-      for (char& c : r) c = static_cast<char>(rng.bounded(256));
-    }
-    const std::string blob = pack_records(records);
-    EXPECT_EQ(read_all(blob), records);
-  }
-}
-
-TEST(Store, VisitGetObservesValueWithoutCopy) {
-  Store s;
-  s.set("k", "payload");
-  std::string seen;
-  EXPECT_TRUE(s.visit_get("k", [&](std::string_view v) { seen = v; }));
-  EXPECT_EQ(seen, "payload");
-  bool called = false;
-  EXPECT_FALSE(s.visit_get("missing", [&](std::string_view) { called = true; }));
-  EXPECT_FALSE(called);
-}
-
-TEST(Store, VisitGetTypeMismatchThrows) {
-  Store s;
-  (void)s.rpush("list", "x");
-  EXPECT_THROW((void)s.visit_get("list", [](std::string_view) {}),
-               common::StoreError);
-}
-
 class ClientTest : public ::testing::Test {
  protected:
   net::Fabric fabric_{2};
@@ -210,9 +103,9 @@ class ClientTest : public ::testing::Test {
 TEST_F(ClientTest, ImmediateOpsWork) {
   Client c(fabric_, 0, 1, store_);
   c.set("k", "v");
-  EXPECT_EQ(c.get("k"), "v");
-  EXPECT_EQ(c.get("missing"), std::nullopt);
   const auto run = [&c](Command cmd) { return expect_ok(c.execute(cmd)); };
+  EXPECT_EQ(run({.type = CommandType::kGet, .key = "k"}).blob, "v");
+  EXPECT_FALSE(run({.type = CommandType::kGet, .key = "missing"}).ok);
   EXPECT_EQ(run({.type = CommandType::kRPush, .key = "l", .value = "a"}).integer,
             1);
   EXPECT_EQ(run({.type = CommandType::kLLen, .key = "l"}).integer, 1);
@@ -225,7 +118,7 @@ TEST_F(ClientTest, ImmediateOpsWork) {
             7);
   EXPECT_TRUE(run({.type = CommandType::kDel, .key = "k"}).ok);
   EXPECT_FALSE(run({.type = CommandType::kDel, .key = "k"}).ok);
-  EXPECT_EQ(c.get("k"), std::nullopt);
+  EXPECT_FALSE(run({.type = CommandType::kGet, .key = "k"}).ok);
 }
 
 TEST_F(ClientTest, EveryImmediateOpCostsARoundTrip) {
@@ -235,34 +128,6 @@ TEST_F(ClientTest, EveryImmediateOpCostsARoundTrip) {
   const net::LinkStats st = fabric_.stats(0, 1);
   EXPECT_EQ(st.round_trips, 2u);
   EXPECT_EQ(st.messages, 2u);
-  EXPECT_GT(c.consumed_time(), 0.0);
-}
-
-TEST_F(ClientTest, GetViewChargesExactlyWhatGetWould) {
-  store_.set("k", std::string(4096, 'x'));
-  Client copying(fabric_, 0, 1, store_);
-  (void)copying.get("k");
-  Client viewing(fabric_, 0, 1, store_);
-  std::size_t seen = 0;
-  const Client::ViewResult view =
-      viewing.get_view("k", [&](std::string_view v) { seen = v.size(); });
-  EXPECT_EQ(view.status, Status::kOk);
-  EXPECT_TRUE(view.found);
-  EXPECT_EQ(seen, 4096u);
-  // Zero-copy is a memory optimization, not a simulated-network one:
-  // the charged wire time must match the materializing GET to the bit.
-  EXPECT_DOUBLE_EQ(viewing.consumed_time(), copying.consumed_time());
-}
-
-TEST_F(ClientTest, GetViewMissingKeyReportsNotFound) {
-  Client c(fabric_, 0, 1, store_);
-  bool called = false;
-  const Client::ViewResult view =
-      c.get_view("missing", [&](std::string_view) { called = true; });
-  EXPECT_EQ(view.status, Status::kOk);
-  EXPECT_FALSE(view.found);
-  EXPECT_FALSE(called);
-  // The null bulk reply still crosses the simulated wire.
   EXPECT_GT(c.consumed_time(), 0.0);
 }
 
@@ -278,6 +143,38 @@ TEST_F(ClientTest, PipelineBatchesIntoOneRoundTrip) {
   const net::LinkStats st = fabric_.stats(0, 1);
   EXPECT_EQ(st.round_trips, 1u);
   EXPECT_EQ(st.messages, 50u);
+}
+
+TEST_F(ClientTest, DrainedBatchCostsOneExchange) {
+  // k pipelined commands pay the link latency once: the whole batch is
+  // one exchange of the summed request and reply wire bytes.
+  net::Fabric fabric(2, net::LinkSpec{.latency_s = 1e-3, .bandwidth_bps = 1e9});
+  Client c(fabric, 0, 1, store_, /*pipeline_width=*/64);
+  std::size_t req = 0;
+  std::size_t rsp = 0;
+  for (int i = 0; i < 10; ++i) {
+    const Command cmd{.type = CommandType::kRPush,
+                      .key = "l",
+                      .value = std::string(100, 'x')};
+    req += resp::command_wire_size(cmd);
+    c.enqueue(cmd);
+  }
+  for (const Reply& r : expect_ok(c.drain())) {
+    rsp += resp::reply_wire_size(CommandType::kRPush, r);
+  }
+  EXPECT_DOUBLE_EQ(c.consumed_time(), fabric.exchange_cost(0, 1, req, rsp));
+  EXPECT_NEAR(c.consumed_time(), 2e-3 + static_cast<double>(req + rsp) / 1e9,
+              1e-12);
+  EXPECT_EQ(fabric.stats(0, 1).round_trips, 1u);
+  EXPECT_EQ(fabric.stats(0, 1).messages, 10u);
+}
+
+TEST_F(ClientTest, DrainingAnEmptyQueueIsFree) {
+  Client c(fabric_, 0, 1, store_);
+  EXPECT_TRUE(c.drain().empty());
+  EXPECT_EQ(c.consumed_time(), 0.0);
+  EXPECT_EQ(fabric_.stats(0, 1).round_trips, 0u);
+  EXPECT_EQ(fabric_.stats(0, 1).messages, 0u);
 }
 
 TEST_F(ClientTest, PipelineAutoFlushesAtWidth) {

@@ -20,21 +20,6 @@ TEST(Fabric, LoopbackIsCheaper) {
   EXPECT_LT(f.exchange_cost(0, 0, 100, 100), f.exchange_cost(0, 1, 100, 100));
 }
 
-TEST(Fabric, PipelinedBatchPaysOneLatency) {
-  net::Fabric f(2, net::LinkSpec{.latency_s = 1e-3, .bandwidth_bps = 1e9});
-  std::vector<std::size_t> payloads(10, 100);
-  const double batch = f.pipelined_cost(0, 1, payloads);
-  EXPECT_NEAR(batch, 2e-3 + 1000.0 / 1e9, 1e-12);
-  double individual = 0;
-  for (int i = 0; i < 10; ++i) individual += f.exchange_cost(0, 1, 100, 0);
-  EXPECT_LT(batch, individual / 5.0);
-}
-
-TEST(Fabric, EmptyBatchIsFree) {
-  net::Fabric f(2);
-  EXPECT_EQ(f.pipelined_cost(0, 1, {}), 0.0);
-}
-
 TEST(Fabric, StatsAccumulateAndReset) {
   net::Fabric f(3);
   f.record(0, 1, 5, 1, 500);

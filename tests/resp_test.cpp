@@ -272,16 +272,13 @@ TEST(RespWireSize, BulkReplySizeMatchesGetReply) {
   common::Rng rng(2303);
   for (int trial = 0; trial < 200; ++trial) {
     const Reply found{.ok = true, .blob = random_payload(rng)};
-    EXPECT_EQ(bulk_reply_wire_size(found.blob.size()),
-              reply_wire_size(CommandType::kGet, found));
-    EXPECT_EQ(bulk_reply_wire_size(found.blob.size()),
+    EXPECT_EQ(reply_wire_size(CommandType::kGet, found),
               encode_reply(CommandType::kGet, found).size());
   }
   const Reply missing{.ok = false};
-  EXPECT_EQ(bulk_reply_wire_size(std::nullopt),
-            reply_wire_size(CommandType::kGet, missing));
-  EXPECT_EQ(bulk_reply_wire_size(std::nullopt),
+  EXPECT_EQ(reply_wire_size(CommandType::kGet, missing),
             encode_reply(CommandType::kGet, missing).size());
+  EXPECT_EQ(reply_wire_size(CommandType::kGet, missing), 5u);  // $-1\r\n
 }
 
 }  // namespace
