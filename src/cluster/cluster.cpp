@@ -88,19 +88,22 @@ PhaseReport Cluster::run_phase(const std::string& name,
     NodePhaseResult r;
     r.node_id = nodes_[i].id;
     r.work_units = ctx.meter().units();
-    // Per-(node, phase) VM-style speed noise; clamped so a draw can slow
-    // a node but never stop or reverse it.
-    double speed = nodes_[i].speed;
-    if (options_.speed_jitter > 0.0) {
-      speed *= std::max(0.2, 1.0 + options_.speed_jitter * jitter_rng_.normal());
-    }
-    r.compute_time_s = options_.work_rate.seconds(r.work_units, speed);
+    r.compute_time_s = options_.work_rate.seconds(
+        r.work_units, phase_speed(static_cast<std::uint32_t>(i)));
     r.network_time_s = ctx.network_time();
     report.per_node.push_back(r);
   }
   virtual_now_ += report.makespan_s();
   history_.push_back(report);
   return report;
+}
+
+double Cluster::phase_speed(std::uint32_t node_id) {
+  const double speed = node(node_id).speed;
+  if (options_.speed_jitter == 0.0) return speed;
+  // VM-style speed noise.
+  return speed *
+         std::max(0.2, 1.0 + options_.speed_jitter * jitter_rng_.normal());
 }
 
 PhaseReport Cluster::run_on(const std::string& name, std::uint32_t node_id,

@@ -128,6 +128,13 @@ class Cluster {
   PhaseReport run_on(const std::string& name, std::uint32_t node_id,
                      const NodeTask& task);
 
+  /// Speed `node_id` runs at for one phase: its spec speed times a fresh
+  /// per-(node, phase) jitter draw (ClusterOptions::speed_jitter),
+  /// clamped so a draw can slow a node but never stop or reverse it.
+  /// Draws nothing when jitter is 0. run_phase and the runtime's
+  /// executor both take their speeds from here.
+  [[nodiscard]] double phase_speed(std::uint32_t node_id);
+
   /// Virtual seconds elapsed since construction (sum of phase makespans).
   [[nodiscard]] double now() const noexcept { return virtual_now_; }
   /// All phase reports so far, in order.

@@ -8,16 +8,17 @@
 //     -> data partitioner (representative / similar-together layouts)
 //     -> distributed execution over per-node kvstores
 //
-// prepare() performs the amortized one-time work (stratification,
-// dataset loading onto the master store, progressive sampling); run()
-// stages each node's partition list from the master, executes the
-// workload under a partitioning strategy and reports makespan, exact
-// dirty energy, and workload quality.
+// A prepare-once façade over runtime::JobRuntime, the one executor of
+// that pipeline: prepare() runs the runtime's prepare half (ingest onto
+// the master store, stratification, progressive sampling, the dirty-rate
+// forecast) once per dataset and workload; run() runs its execute half
+// under a strategy, with one chunk per node and re-planning off, and
+// reports makespan, exact dirty energy, and workload quality. The
+// definitions live in the runtime library (src/runtime/framework.cpp).
 #pragma once
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -27,12 +28,13 @@
 #include "data/dataset.h"
 #include "energy/estimator.h"
 #include "estimator/progressive.h"
-#include "kvstore/client.h"
 #include "optimize/pareto.h"
-#include "partition/partitioner.h"
 #include "sketch/minhash.h"
 #include "stratify/kmodes.h"
-#include "stratify/sampler.h"
+
+namespace hetsim::runtime {
+class JobRuntime;
+}  // namespace hetsim::runtime
 
 namespace hetsim::core {
 
@@ -88,126 +90,25 @@ struct JobReport {
   double total_work_units = 0.0;
 };
 
-// ---- The shared Fig. 1 planning steps -------------------------------------
-// ParetoFramework and runtime::JobRuntime both plan a job through these.
-
-/// Simulated time-of-day every job starts (seconds from trace start).
-inline constexpr double kJobStartS = 10.0 * 3600.0;
-/// Forecast window for the mean green-power linearization.
-inline constexpr double kEnergyWindowS = 4.0 * 3600.0;
-/// Master list of every record payload, in dataset order.
-inline constexpr char kDataKey[] = "data";
-
-// ---- The partition layout -------------------------------------------------
-// Each node keeps its partition as one list on its own store, one raw
-// payload per record (paper section IV), in execution order. These four
-// functions are the only code that writes or reads it, for
-// ParetoFramework and runtime::JobRuntime alike.
-
-/// Payloads of the dataset records `records`, read from the master's
-/// data list with one pipelined LINDEX batch over `from_master`, in
-/// order. nullopt where the reply was not kOk or found nothing.
-[[nodiscard]] std::vector<std::optional<std::string>> fetch_from_master(
-    kvstore::Client& from_master, std::span<const std::uint32_t> records);
-
-/// Deletes the partition list on `local` with one DEL round trip.
-[[nodiscard]] kvstore::Reply clear_partition(kvstore::Client& local);
-
-/// Appends the present payloads (moved out, in order; nullopt entries
-/// are skipped) to the partition list on `local` with pipelined RPUSH.
-/// Returns how many replies were not kOk.
-std::size_t stage_partition(kvstore::Client& local,
-                            std::span<std::optional<std::string>> payloads);
-
-/// Reads `count` entries of the partition list on `local`, from `start`
-/// on, with one LRANGE. A zero count issues nothing and returns an empty
-/// kOk reply.
-[[nodiscard]] kvstore::Reply read_partition(kvstore::Client& local,
-                                            std::size_t start,
-                                            std::size_t count);
-
-/// Master list of each node's uploaded sketches, by node id.
-[[nodiscard]] std::vector<std::string> sketch_keys(std::size_t nodes);
-
-struct StratifyResult {
-  stratify::Stratification strata;
-  std::uint64_t tolerated_kv_failures = 0;  // non-kOk upload/read replies
-};
-
-/// Distributed sketching ("sketch": records round-robin by node, each
-/// node uploading its sketches to `master`), then compositeKModes on the
-/// master ("cluster-sketches"). The clustering reads the in-memory
-/// sketches, so a lost upload costs wire time only and is just counted.
-[[nodiscard]] StratifyResult stratify_on_master(
-    cluster::Cluster& cluster, std::uint32_t master,
-    const data::Dataset& dataset, const sketch::SketchConfig& sketch,
-    const stratify::KModesConfig& kmodes);
-
-/// Dirty rate k_i of every node over the forecast window.
-[[nodiscard]] std::vector<double> forecast_dirty_rates(
-    const cluster::Cluster& cluster, const energy::GreenEnergyEstimator& energy);
-
-/// LP node models: each fitted time model plus its node's dirty rate.
-[[nodiscard]] std::vector<optimize::NodeModel> make_node_models(
-    std::span<const estimator::NodeTimeModel> time_models,
-    std::span<const double> dirty_rates);
-
-/// Partition sizes: equal for Random/Stratified, the LP at alpha = 1 for
-/// Het-Aware and at `alpha` for Het-Energy-Aware. With replication > 1
-/// that solve also bills the replica copies, on the raw alpha (the
-/// replica term would re-weight the normalized rescale's extremes).
-[[nodiscard]] std::vector<std::size_t> plan_sizes(
-    Strategy strategy, std::span<const optimize::NodeModel> models,
-    std::size_t total, double alpha, bool normalized,
-    const optimize::ReplicaCostModel& replica_cost);
-
-/// Shuffle-and-cut for Random, the workload's strata layout otherwise.
-[[nodiscard]] partition::PartitionAssignment assign_partitions(
-    Strategy strategy, const stratify::Stratification& strata,
-    std::span<const std::size_t> sizes, partition::Layout layout);
-
-/// Cost of a job's execute and global phases.
-struct ExecTally {
-  explicit ExecTally(std::size_t nodes) : busy_s(nodes, 0.0) {}
-  void add(const cluster::PhaseReport& phase);
-  std::vector<double> busy_s;  // per node; the energy bill's input
-  double makespan_s = 0.0;
-  double work_units = 0.0;
-};
-
-/// Runs the workload's cross-partition phase, if it has one (e.g. the
-/// SON candidate prune), and adds its cost to `tally`.
-void run_global_phase(cluster::Cluster& cluster, Workload& workload,
-                      const data::Dataset& dataset,
-                      const partition::PartitionAssignment& assignment,
-                      ExecTally& tally);
-
-/// Adds the dirty and the green joules drawn by nodes busy for `busy_s`
-/// seconds from kJobStartS on to `dirty_j` and `green_j`.
-void split_energy(const cluster::Cluster& cluster,
-                  const energy::GreenEnergyEstimator& energy,
-                  std::span<const double> busy_s, double& dirty_j,
-                  double& green_j);
-
-/// Deletes `keys` on `node`'s store, off every job clock, so the next
-/// job on the cluster starts clean.
-void discard_keys(cluster::Cluster& cluster, std::uint32_t node,
-                  const std::vector<std::string>& keys);
-
 class ParetoFramework {
  public:
   ParetoFramework(cluster::Cluster& cluster,
                   const energy::GreenEnergyEstimator& energy,
                   FrameworkConfig config = {});
+  ~ParetoFramework();
+  ParetoFramework(const ParetoFramework&) = delete;
+  ParetoFramework& operator=(const ParetoFramework&) = delete;
 
-  /// One-time pipeline for (dataset, workload): distributed sketching,
-  /// centralized compositeKModes on the master, loading the dataset onto
-  /// the master store, and progressive-sampling time models. Must be
-  /// called before run(). The cost lands on the cluster clock and is
+  /// One-time pipeline for (dataset, workload): loading the dataset onto
+  /// the master store, distributed sketching, centralized compositeKModes
+  /// on the master, progressive-sampling time models and the dirty-rate
+  /// forecast. Must be called before run(); `dataset` and `workload` must
+  /// outlive the runs. The cost lands on the cluster clock and is
   /// reported by setup_time_s().
   void prepare(const data::Dataset& dataset, Workload& workload);
 
-  /// Execute under a strategy; requires prepare().
+  /// Execute under a strategy; requires prepare(), whose dataset and
+  /// workload it runs.
   [[nodiscard]] JobReport run(Strategy strategy, const data::Dataset& dataset,
                               Workload& workload);
 
@@ -220,25 +121,20 @@ class ParetoFramework {
   // ---- introspection ----------------------------------------------------
   [[nodiscard]] const stratify::Stratification& strata() const;
   [[nodiscard]] std::span<const optimize::NodeModel> node_models() const;
-  [[nodiscard]] double setup_time_s() const noexcept { return setup_time_s_; }
-  [[nodiscard]] const FrameworkConfig& config() const noexcept { return config_; }
+  [[nodiscard]] double setup_time_s() const;
   /// Partition sizes a strategy would produce (without executing).
   [[nodiscard]] std::vector<std::size_t> plan_sizes(Strategy strategy,
                                                     std::size_t total) const;
 
  private:
-  void require_prepared() const;
+  [[nodiscard]] const runtime::JobRuntime& prepared() const;
 
   cluster::Cluster& cluster_;
   const energy::GreenEnergyEstimator& energy_;
   FrameworkConfig config_;
-
-  bool prepared_ = false;
-  std::uint32_t master_ = 0;         // clustering + data master
-  std::uint32_t barrier_master_ = 0; // second master (paper section IV)
-  std::optional<stratify::Stratification> strata_;
-  std::vector<optimize::NodeModel> models_;
-  double setup_time_s_ = 0.0;
+  /// The runtime of the last prepare(); null before the first.
+  std::unique_ptr<runtime::JobRuntime> runtime_;
+  bool prepared_ = false;  // the last prepare() returned
 };
 
 }  // namespace hetsim::core

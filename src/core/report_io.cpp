@@ -4,6 +4,20 @@
 
 namespace hetsim::core {
 
+std::string strategy_name(Strategy s) {
+  switch (s) {
+    case Strategy::kRandom:
+      return "Random";
+    case Strategy::kStratified:
+      return "Stratified";
+    case Strategy::kHetAware:
+      return "Het-Aware";
+    case Strategy::kHetEnergyAware:
+      return "Het-Energy-Aware";
+  }
+  return "?";
+}
+
 std::string to_json(const JobReport& report) {
   common::JsonWriter w;
   w.begin_object();

@@ -46,6 +46,8 @@ struct RouterStats {
   std::uint64_t breaker_opens = 0;
   /// Half-open probes admitted into a walk after a cooldown expired.
   std::uint64_t breaker_probes = 0;
+
+  bool operator==(const RouterStats&) const = default;
 };
 
 /// Per-node circuit breaker + load-shedding admission (DESIGN.md §13).

@@ -11,8 +11,8 @@
 // designed to suppress.
 //
 // This header provides the single-process reference implementation used
-// by tests and by the per-node tasks of the distributed runner in
-// core/framework.h.
+// by tests and by the per-node tasks of core::PatternMiningWorkload
+// (core/mining_workload.h).
 #pragma once
 
 #include <span>

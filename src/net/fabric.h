@@ -41,6 +41,8 @@ struct LinkStats {
   std::uint64_t messages = 0;   // logical requests (pre-batching)
   std::uint64_t round_trips = 0;  // actual network exchanges (post-batching)
   std::uint64_t bytes = 0;
+
+  bool operator==(const LinkStats&) const = default;
 };
 
 /// Fabric-wide counters of the kvstore clients' failure handling, fed by

@@ -54,11 +54,23 @@ void PhaseDag::add(Phase phase) {
   phases_.push_back(std::move(phase));
 }
 
-std::vector<std::size_t> PhaseDag::topological_order() const {
+bool DagReport::phase_failed(std::string_view phase) const {
+  for (const Walked& w : walked) {
+    if (w.name == phase) return w.failed;
+  }
+  return false;
+}
+
+std::vector<std::size_t> PhaseDag::topological_order(
+    const DagReport& before) const {
   const std::size_t n = phases_.size();
+  // Index of a declared phase, n for one `before` walked.
   const auto index_of = [&](const std::string& name) {
     for (std::size_t i = 0; i < n; ++i) {
       if (phases_[i].name == name) return i;
+    }
+    for (const DagReport::Walked& w : before.walked) {
+      if (w.name == name) return n;
     }
     throw common::ConfigError("PhaseDag: dependency on undeclared phase '" +
                               name + "'");
@@ -68,6 +80,7 @@ std::vector<std::size_t> PhaseDag::topological_order() const {
   for (std::size_t i = 0; i < n; ++i) {
     for (const std::string& dep : phases_[i].deps) {
       const std::size_t d = index_of(dep);
+      if (d == n) continue;  // walked by an earlier DAG
       common::require<common::ConfigError>(
           d != i, "PhaseDag: phase '" + phases_[i].name + "' depends on itself");
       out_edges[d].push_back(i);
@@ -98,30 +111,22 @@ std::vector<std::size_t> PhaseDag::topological_order() const {
 }
 
 DagReport PhaseDag::run(TraceRecorder& trace,
-                        const std::function<double()>& clock) const {
-  const std::size_t n = phases_.size();
-  DagReport report;
-  std::vector<char> failed(n, 0);
-  const auto index_of = [&](const std::string& name) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (phases_[i].name == name) return i;
-    }
-    return n;  // topological_order() already rejected dangling deps
-  };
-  for (const std::size_t i : topological_order()) {
+                        const std::function<double()>& clock,
+                        DagReport before) const {
+  DagReport report = std::move(before);
+  for (const std::size_t i : topological_order(report)) {
     const Phase& p = phases_[i];
     const std::string category = "phase." + phase_kind_name(p.kind);
 
     bool dep_failed = false;
     for (const std::string& dep : p.deps) {
-      const std::size_t d = index_of(dep);
-      if (d < n && failed[d] != 0) dep_failed = true;
+      if (report.phase_failed(dep)) dep_failed = true;
     }
     if (dep_failed) {
       // A failed phase poisons its transitive dependents: their inputs
       // never materialized. Skipping (instead of aborting the walk)
       // lets independent branches still run to completion.
-      failed[i] = 1;
+      report.walked.push_back({p.name, true});
       trace.add_instant("phase-skipped", category, TraceRecorder::kRuntimeLane,
                         clock());
       continue;
@@ -141,6 +146,8 @@ DagReport PhaseDag::run(TraceRecorder& trace,
         // instead of unwinding out of the job.
         try {
           result = p.body(at);
+        } catch (const common::ConfigError&) {
+          throw;  // no retry mends a caller's mistake
         } catch (const common::Error& e) {
           result = PhaseResult::transient(e.what());
         }
@@ -157,6 +164,7 @@ DagReport PhaseDag::run(TraceRecorder& trace,
                         clock(), {{"attempt", static_cast<double>(attempt)}});
     }
 
+    report.walked.push_back({p.name, !result.completed});
     if (result.completed) {
       report.status = worse_job_status(report.status, result.floor);
       // Fault-free phases keep the historical arg-free span shape, so
@@ -172,7 +180,6 @@ DagReport PhaseDag::run(TraceRecorder& trace,
              {"status", static_cast<double>(result.floor)}});
       }
     } else {
-      failed[i] = 1;
       report.status = worse_job_status(report.status, p.on_exhausted);
       if (report.failed_phase.empty()) {
         report.failed_phase = p.name;

@@ -111,9 +111,9 @@ struct Phase {
   std::vector<std::string> deps;
   /// Phase body; a null body completes trivially. Must not throw for
   /// any well-formed input — faults come back as PhaseResult. (A
-  /// common::Error that does escape is contained by the DAG and
-  /// treated as a transient failure, but that path is a backstop, not
-  /// the contract.)
+  /// common::Error other than ConfigError that does escape is contained
+  /// by the DAG and treated as a transient failure, but that path is a
+  /// backstop, not the contract.)
   std::function<PhaseResult(const PhaseAttempt&)> body;
   /// Attempts allowed before the phase is exhausted (>= 1).
   std::size_t max_attempts = 1;
@@ -132,6 +132,16 @@ struct DagReport {
   std::string failed_phase;
   /// Detail of that phase's final attempt.
   std::string failure_detail;
+  /// Every phase walked so far, in walk order, with whether it failed
+  /// (exhausted its attempts or was skipped).
+  struct Walked {
+    std::string name;
+    bool failed = false;
+  };
+  std::vector<Walked> walked;
+
+  /// True when `phase` was walked and failed.
+  [[nodiscard]] bool phase_failed(std::string_view phase) const;
 };
 
 class PhaseDag {
@@ -143,9 +153,11 @@ class PhaseDag {
   [[nodiscard]] const Phase& phase(std::size_t i) const { return phases_.at(i); }
 
   /// Deterministic topological order (Kahn's algorithm; among ready
-  /// phases, declaration order wins). Throws ConfigError on a cycle or
-  /// a dependency naming no declared phase.
-  [[nodiscard]] std::vector<std::size_t> topological_order() const;
+  /// phases, declaration order wins). A dependency may also name a phase
+  /// `before` walked. Throws ConfigError on a cycle or a dependency
+  /// naming no phase of either.
+  [[nodiscard]] std::vector<std::size_t> topological_order(
+      const DagReport& before = {}) const;
 
   /// Run every phase body in topological order. Each phase is recorded
   /// as a span on the runtime lane, with start/end read from `clock`
@@ -153,9 +165,13 @@ class PhaseDag {
   /// attempt cap and budget ("phase-retry" instants); an exhausted
   /// phase fails ("phase-failed"), its transitive dependents are
   /// skipped ("phase-skipped"), and the walk continues with the
-  /// independent remainder of the DAG.
-  DagReport run(TraceRecorder& trace,
-                const std::function<double()>& clock) const;
+  /// independent remainder of the DAG. The walk continues the report
+  /// `before` of an earlier DAG's run: a phase that depends on one of
+  /// its failed phases is skipped, and the returned report folds both.
+  /// A ConfigError from a body is a caller's mistake, not a fault, and
+  /// propagates.
+  DagReport run(TraceRecorder& trace, const std::function<double()>& clock,
+                DagReport before = {}) const;
 
  private:
   std::vector<Phase> phases_;

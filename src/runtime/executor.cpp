@@ -62,9 +62,12 @@ PhaseExecutor::PhaseExecutor(cluster::Cluster& cluster,
   priority_.resize(p);
   for (auto& pr : priority_) pr = rng();
   contexts_.reserve(p);
+  speed_.reserve(p);
   for (std::size_t i = 0; i < p; ++i) {
     contexts_.push_back(std::make_unique<cluster::NodeContext>(
         cluster_, cluster_.nodes()[i]));
+    // The phase is one cluster phase: one jitter draw per node.
+    speed_.push_back(cluster_.phase_speed(static_cast<std::uint32_t>(i)));
   }
 }
 
@@ -127,6 +130,8 @@ void PhaseExecutor::step(std::uint32_t node) {
   bool failed = false;
   try {
     runner_(ctx, chunk);
+  } catch (const common::ConfigError&) {
+    throw;  // a caller's mistake, not a node fault
   } catch (const common::Error&) {
     // A typed fault inside the chunk body (workload kvstore traffic that
     // exhausted its retries) is contained to this node; see below.
@@ -137,7 +142,7 @@ void PhaseExecutor::step(std::uint32_t node) {
   const double units = ctx.meter().units() - units_seen_[node];
   units_seen_[node] = ctx.meter().units();
   const double compute =
-      cluster_.options().work_rate.seconds(units, ctx.node().speed) *
+      cluster_.options().work_rate.seconds(units, speed_[node]) *
       slowdown_[node];
   clock_[node] += compute;
   if (failed) {

@@ -94,8 +94,8 @@ class PhaseExecutor {
 
   /// Run every queue to exhaustion (or until only dead nodes hold
   /// records that no checkpoint reassigns). Exceptions from the chunk
-  /// runner that are not common::Error, and any exception from the
-  /// checkpoint callback, propagate out of run().
+  /// runner that are not common::Error or are common::ConfigError, and
+  /// any exception from the checkpoint callback, propagate out of run().
   [[nodiscard]] ExecutorReport run();
 
   // ---- checkpoint-callback API ------------------------------------------
@@ -150,6 +150,7 @@ class PhaseExecutor {
   std::vector<double> clock_;
   std::vector<NodeProgress> progress_;
   std::vector<double> slowdown_;
+  std::vector<double> speed_;  // per node, jittered once for the phase
   std::vector<std::uint64_t> priority_;  // seeded scheduler tie-break
   std::vector<std::unique_ptr<cluster::NodeContext>> contexts_;
   std::vector<double> units_seen_;    // last settled meter reading

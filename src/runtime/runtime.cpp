@@ -5,6 +5,8 @@
 #include <optional>
 
 #include "check/check.h"
+#include "common/allocation.h"
+#include "common/bytes.h"
 #include "common/error.h"
 #include "common/json.h"
 #include "fault/fault.h"
@@ -24,9 +26,109 @@ namespace {
 /// crash or an unhealed partition re-runs only that phase.
 constexpr std::size_t kPhaseAttempts = 3;
 
+/// Simulated time-of-day every job starts (seconds from trace start).
+constexpr double kJobStartS = 10.0 * 3600.0;
+/// Forecast window for the mean green-power linearization.
+constexpr double kEnergyWindowS = 4.0 * 3600.0;
+/// Master list of every record payload, in dataset order.
+constexpr char kDataKey[] = "data";
+/// Key of each node's partition list.
+constexpr char kPartitionKey[] = "partition";
+
 /// Replicated key of the idx-th ingested record.
 std::string record_key(std::uint32_t idx) {
   return "data:" + std::to_string(idx);
+}
+
+/// Master list of each node's uploaded sketches, by node id.
+std::vector<std::string> sketch_keys(std::size_t nodes) {
+  std::vector<std::string> keys(nodes, "sketches:");
+  for (std::size_t i = 0; i < nodes; ++i) keys[i] += std::to_string(i);
+  return keys;
+}
+
+// ---- The partition layout -------------------------------------------------
+// Each node keeps its partition as one list on its own store, one raw
+// payload per record (paper section IV), in execution order. These four
+// functions are the only code that writes or reads it.
+
+/// Payloads of the dataset records `records`, read from the master's
+/// data list with one pipelined LINDEX batch over `from_master`, in
+/// order. nullopt where the reply was not kOk or found nothing.
+std::vector<std::optional<std::string>> fetch_from_master(
+    kvstore::Client& from_master, std::span<const std::uint32_t> records) {
+  for (const std::uint32_t idx : records) {
+    from_master.enqueue({.type = kvstore::CommandType::kLIndex,
+                         .key = kDataKey,
+                         .arg0 = static_cast<std::int64_t>(idx)});
+  }
+  std::vector<kvstore::Reply> replies = from_master.drain();
+  std::vector<std::optional<std::string>> out(records.size());
+  const std::size_t m = std::min(replies.size(), records.size());
+  for (std::size_t i = 0; i < m; ++i) {
+    if (replies[i].status == kvstore::Status::kOk && replies[i].ok) {
+      out[i] = std::move(replies[i].blob);
+    }
+  }
+  return out;
+}
+
+/// Deletes the partition list on `local` with one DEL round trip.
+kvstore::Reply clear_partition(kvstore::Client& local) {
+  return local.execute(
+      {.type = kvstore::CommandType::kDel, .key = kPartitionKey});
+}
+
+/// Appends the present payloads (moved out, in order; nullopt entries
+/// are skipped) to the partition list on `local` with pipelined RPUSH.
+/// Returns how many replies were not kOk.
+std::size_t stage_partition(kvstore::Client& local,
+                            std::span<std::optional<std::string>> payloads) {
+  for (std::optional<std::string>& payload : payloads) {
+    if (!payload) continue;
+    local.enqueue({.type = kvstore::CommandType::kRPush,
+                   .key = kPartitionKey,
+                   .value = std::move(*payload)});
+  }
+  std::size_t failed = 0;
+  for (const kvstore::Reply& r : local.drain()) {
+    if (r.status != kvstore::Status::kOk) ++failed;
+  }
+  return failed;
+}
+
+/// Reads `count` entries of the partition list on `local`, from `start`
+/// on, with one LRANGE. A zero count issues nothing and returns an empty
+/// kOk reply.
+kvstore::Reply read_partition(kvstore::Client& local, std::size_t start,
+                              std::size_t count) {
+  if (count == 0) return {.ok = true};
+  return local.execute({.type = kvstore::CommandType::kLRange,
+                        .key = kPartitionKey,
+                        .arg0 = static_cast<std::int64_t>(start),
+                        .arg1 = static_cast<std::int64_t>(start + count - 1)});
+}
+
+// ---- The planning steps ---------------------------------------------------
+
+std::string encode_sketch(const sketch::Sketch& sig) {
+  std::string out;
+  out.reserve(sig.size() * 8);
+  for (const std::uint64_t v : sig) common::append_u64(out, v);
+  return out;
+}
+
+/// Declares one phase of a job's DAG.
+void add_phase(PhaseDag& dag, std::string name, PhaseKind kind,
+               std::vector<std::string> deps, std::size_t attempts,
+               JobStatus on_exhausted,
+               std::function<PhaseResult(const PhaseAttempt&)> body) {
+  dag.add({.name = std::move(name),
+           .kind = kind,
+           .deps = std::move(deps),
+           .body = std::move(body),
+           .max_attempts = attempts,
+           .on_exhausted = on_exhausted});
 }
 
 /// Payloads of `records` as fetched by `ctx` (nullopt = no source had it).
@@ -43,7 +145,7 @@ Fetched fetch_records(cluster::NodeContext& ctx,
                       std::optional<std::uint32_t> master,
                       ha::ShardRouter* router) {
   Fetched out;
-  out.blobs = master ? core::fetch_from_master(ctx.client(*master), records)
+  out.blobs = master ? fetch_from_master(ctx.client(*master), records)
                      : std::vector<std::optional<std::string>>(records.size());
   if (router == nullptr) return out;
   std::vector<std::string> keys;
@@ -153,12 +255,38 @@ void verify_no_work_lost(const JobSummary& summary) {
   HETSIM_CHECK_EQ(processed, summary.records);
 }
 
-struct JobRuntime::JobState {
-  const cluster::Cluster& cluster;
+struct JobRuntime::Prepared {
   const data::Dataset& dataset;
   core::Workload& workload;
   std::size_t p = 0;
   std::size_t n = 0;
+  /// The prepare half's share of every execution's summary.
+  JobSummary summary;
+  /// Outcomes of the prepare half's phases; each execution continues it.
+  DagReport dag;
+  // The prepare half's job clock reads cluster seconds since cluster_t0;
+  // cluster_end is the cluster clock when prepare() returned.
+  double cluster_t0 = 0.0;
+  double cluster_end = 0.0;
+  /// Fabric retry counters the prepare half added.
+  net::RetryStats kv;
+
+  std::optional<stratify::Stratification> strata;
+  std::vector<estimator::NodeTimeModel> time_models;
+  std::vector<double> dirty_rates;
+  /// LP node models; empty when estimate or forecast failed.
+  std::vector<optimize::NodeModel> models;
+  // Set when the canonical data list never fully landed on the master
+  // but every record has >= 1 replica copy: later phases must read
+  // through the ha replica walk instead of master LIndex (a partially
+  // applied RPush sequence silently shifts list indices).
+  bool data_on_replicas = false;
+};
+
+struct JobRuntime::JobState {
+  const cluster::Cluster& cluster;
+  const Prepared& prep;
+  core::Strategy strategy = core::Strategy::kHetAware;
   JobSummary summary;
   // Job-relative virtual clock: cluster phases advance the cluster's
   // clock past cluster_t0, the execute phase adds its executor's
@@ -169,16 +297,7 @@ struct JobRuntime::JobState {
     return (cluster.now() - cluster_t0) + exec_extra;
   }
 
-  std::optional<stratify::Stratification> strata;
-  std::vector<estimator::NodeTimeModel> time_models;
-  std::vector<double> dirty_rates;
   std::optional<partition::PartitionAssignment> assignment;
-  core::ExecTally tally;  // execute + global cost, for the energy bill
-  // Set when the canonical data list never fully landed on the master
-  // but every record has >= 1 replica copy: later phases must read
-  // through the ha replica walk instead of master LIndex (a partially
-  // applied RPush sequence silently shifts list indices).
-  bool data_on_replicas = false;
 
   // ---- execute phase, valid while it runs ----------------------------
   PhaseExecutor* executor = nullptr;
@@ -207,11 +326,48 @@ JobRuntime::JobRuntime(cluster::Cluster& cluster,
   barrier_master_ = masters.size() > 1 ? masters[1] : masters[0];
 }
 
+JobRuntime::~JobRuntime() = default;
+
 JobSummary JobRuntime::run(const data::Dataset& dataset,
                            core::Workload& workload) {
+  prepare(dataset, workload);
+  JobSummary summary = execute(spec_.strategy);
+  release();
+  return summary;
+}
+
+void JobRuntime::release() {
+  if (!prepared_) return;
+  // The master lists the prepare half appended to. (Partition lists are
+  // reset by the next job's partition phase; replica keys are
+  // overwritten.)
+  // A throwaway context: its traffic lands on no phase and no clock.
+  cluster::NodeContext ctx(cluster_, cluster_.node(master_));
+  kvstore::Client& local = ctx.local();
+  for (const std::string& key : sketch_keys(prepared_->p)) {
+    local.enqueue({.type = kvstore::CommandType::kDel, .key = key});
+  }
+  local.enqueue({.type = kvstore::CommandType::kDel, .key = kDataKey});
+  // Best effort: a key a fault kept alive costs the next job on this
+  // cluster a few wire bytes, never a wrong result, and this job's
+  // numbers are already final.
+  (void)local.drain();  // hetsim-analyze: allow(status-flow)
+  prepared_.reset();
+}
+
+const JobRuntime::Prepared& JobRuntime::prepared() const {
+  common::require<common::ConfigError>(prepared_ != nullptr,
+                                       "JobRuntime: call prepare() first");
+  return *prepared_;
+}
+
+void JobRuntime::prepare(const data::Dataset& dataset,
+                         core::Workload& workload) {
   common::require<common::ConfigError>(!dataset.records.empty(),
                                        "JobRuntime: empty dataset");
+  release();
   const std::size_t p = cluster_.size();
+  const std::size_t n = dataset.records.size();
   trace_.clear();
   trace_.name_lane(TraceRecorder::kRuntimeLane, "runtime");
   for (std::size_t i = 0; i < p; ++i) {
@@ -221,18 +377,17 @@ JobSummary JobRuntime::run(const data::Dataset& dataset,
                          std::to_string(speed) + "x)");
   }
 
-  JobState s{.cluster = cluster_,
-             .dataset = dataset,
-             .workload = workload,
-             .p = p,
-             .n = dataset.records.size(),
-             .summary = {.job = spec_.name,
-                         .workload = workload.name(),
-                         .strategy = spec_.strategy,
-                         .records = dataset.records.size()},
-             .cluster_t0 = cluster_.now(),
-             .tally = core::ExecTally(p)};
-  JobSummary& summary = s.summary;
+  prepared_ = std::make_unique<Prepared>(
+      Prepared{.dataset = dataset,
+               .workload = workload,
+               .p = p,
+               .n = n,
+               .summary = {.job = spec_.name,
+                           .workload = workload.name(),
+                           .strategy = spec_.strategy,
+                           .records = n},
+               .cluster_t0 = cluster_.now()});
+  Prepared& s = *prepared_;
   const net::RetryStats kv_before = cluster_.fabric().retry_stats();
 
   // Replicated data plane: every record is also sharded over k replica
@@ -253,59 +408,94 @@ JobSummary JobRuntime::run(const data::Dataset& dataset,
     }
     replica_cost_.replication = spec_.replication;
     replica_cost_.write_s_per_record =
-        (payload_bytes / static_cast<double>(s.n)) /
+        (payload_bytes / static_cast<double>(n)) /
         cluster_.fabric().remote_spec().bandwidth_bps;
     replica_cost_.replica_sets = router_->map().replica_sets();
   }
 
   PhaseDag dag;
-  const auto add_phase = [&](std::string name, PhaseKind kind,
-                             std::vector<std::string> deps,
-                             std::size_t attempts, JobStatus on_exhausted,
-                             std::function<PhaseResult(const PhaseAttempt&)>
-                                 body) {
-    dag.add({.name = std::move(name),
-             .kind = kind,
-             .deps = std::move(deps),
-             .body = std::move(body),
-             .max_attempts = attempts,
-             .on_exhausted = on_exhausted});
-  };
-  constexpr std::size_t retries = kPhaseAttempts;
   constexpr JobStatus kLost = JobStatus::kDataUnavailable;
-  add_phase("ingest", PhaseKind::kIngest, {}, retries, kLost,
+  add_phase(dag, "ingest", PhaseKind::kIngest, {}, kPhaseAttempts, kLost,
             [&](const PhaseAttempt& at) { return ingest(s, at); });
-  add_phase("stratify", PhaseKind::kStratify, {}, retries, kLost,
+  add_phase(dag, "stratify", PhaseKind::kStratify, {}, kPhaseAttempts, kLost,
             [&](const PhaseAttempt&) { return stratify(s); });
-  add_phase("estimate", PhaseKind::kEstimate, {"stratify"}, retries, kLost,
+  add_phase(dag, "estimate", PhaseKind::kEstimate, {"stratify"},
+            kPhaseAttempts, kLost,
             [&](const PhaseAttempt& at) { return estimate(s, at); });
-  add_phase("forecast", PhaseKind::kForecast, {}, 1, kLost,
+  add_phase(dag, "forecast", PhaseKind::kForecast, {}, 1, kLost,
             [&](const PhaseAttempt&) { return forecast(s); });
-  add_phase("optimize", PhaseKind::kOptimize, {"estimate", "forecast"}, 1,
+  s.dag = dag.run(trace_, [&] { return cluster_.now() - s.cluster_t0; });
+
+  // LP node models: each fitted time model plus its node's dirty rate.
+  if (!s.dag.phase_failed("estimate") && !s.dag.phase_failed("forecast")) {
+    s.models.reserve(s.time_models.size());
+    for (const estimator::NodeTimeModel& tm : s.time_models) {
+      s.models.push_back({.slope = tm.fit.slope,
+                          .intercept = tm.fit.intercept,
+                          .dirty_rate = s.dirty_rates[tm.node_id]});
+    }
+  }
+  models_ = s.models;
+  s.cluster_end = cluster_.now();
+  const net::RetryStats kv_after = cluster_.fabric().retry_stats();
+  s.kv = {.retries = kv_after.retries - kv_before.retries,
+          .timeouts = kv_after.timeouts - kv_before.timeouts,
+          .failures = kv_after.failures - kv_before.failures};
+}
+
+JobSummary JobRuntime::execute(core::Strategy strategy) {
+  const Prepared& prep = prepared();
+  // The job clock resumes where the prepare half left it, whatever
+  // earlier executions added to the cluster clock since.
+  const double since_prepare = cluster_.now() - prep.cluster_end;
+  JobState s{.cluster = cluster_,
+             .prep = prep,
+             .strategy = strategy,
+             .summary = prep.summary,
+             .cluster_t0 = prep.cluster_t0 + since_prepare};
+  JobSummary& summary = s.summary;
+  summary.strategy = strategy;
+  // The execute and global phases add their cost here.
+  summary.node_exec_s.assign(prep.p, 0.0);
+  const net::RetryStats kv_before = cluster_.fabric().retry_stats();
+
+  PhaseDag dag;
+  constexpr JobStatus kLost = JobStatus::kDataUnavailable;
+  add_phase(dag, "optimize", PhaseKind::kOptimize, {"estimate", "forecast"}, 1,
             kLost, [&](const PhaseAttempt&) { return optimize(s); });
-  add_phase("partition", PhaseKind::kPartition,
-            {"ingest", "stratify", "optimize"}, retries, kLost,
+  add_phase(dag, "partition", PhaseKind::kPartition,
+            {"ingest", "stratify", "optimize"}, kPhaseAttempts, kLost,
             [&](const PhaseAttempt& at) { return partition(s, at); });
-  add_phase("execute", PhaseKind::kExecute, {"partition"}, 1, kLost,
-            [&](const PhaseAttempt&) { return execute(s); });
-  add_phase("global", PhaseKind::kGlobal, {"execute"}, 1, JobStatus::kDegraded,
+  add_phase(dag, "execute", PhaseKind::kExecute, {"partition"}, 1, kLost,
+            [&](const PhaseAttempt&) { return execute_chunks(s); });
+  add_phase(dag, "global", PhaseKind::kGlobal, {"execute"}, 1,
+            JobStatus::kDegraded,
             [&](const PhaseAttempt&) { return global(s); });
 
-  const DagReport dag_report = dag.run(trace_, [&] { return s.clock(); });
+  const DagReport dag_report =
+      dag.run(trace_, [&] { return s.clock(); }, prep.dag);
   summary.phase_retries = dag_report.phase_retries;
   summary.failed_phase = dag_report.failed_phase;
   summary.failure_detail = dag_report.failure_detail;
   summary.status = worse_job_status(summary.status, dag_report.status);
 
-  summary.makespan_s = s.tally.makespan_s;
-  summary.total_work_units = s.tally.work_units;
-  core::split_energy(cluster_, energy_, s.tally.busy_s, summary.dirty_energy_j,
-                     summary.green_energy_j);
-  summary.quality = workload.quality();
+  // The dirty and the green joules drawn by nodes busy for their
+  // node_exec_s seconds from kJobStartS on.
+  for (std::uint32_t node = 0; node < prep.p; ++node) {
+    const double busy = summary.node_exec_s[node];
+    if (busy <= 0.0) continue;
+    const cluster::NodeSpec& spec = cluster_.node(node);
+    const double dirty = energy_.dirty_energy_joules(spec, kJobStartS, busy);
+    summary.dirty_energy_j += dirty;
+    summary.green_energy_j += spec.power_watts * busy - dirty;
+  }
+  summary.quality = prep.workload.quality();
   const net::RetryStats kv_after = cluster_.fabric().retry_stats();
-  summary.kv_retries = kv_after.retries - kv_before.retries;
-  summary.kv_timeouts = kv_after.timeouts - kv_before.timeouts;
-  summary.kv_failures = kv_after.failures - kv_before.failures;
+  summary.kv_retries = prep.kv.retries + (kv_after.retries - kv_before.retries);
+  summary.kv_timeouts =
+      prep.kv.timeouts + (kv_after.timeouts - kv_before.timeouts);
+  summary.kv_failures =
+      prep.kv.failures + (kv_after.failures - kv_before.failures);
   summary.elections = router_ ? router_->elections().size() : 0;
   if (summary.status == JobStatus::kOk && summary.degraded) {
     summary.status = JobStatus::kDegraded;
@@ -313,15 +503,51 @@ JobSummary JobRuntime::run(const data::Dataset& dataset,
   if (summary.status != JobStatus::kDataUnavailable) {
     verify_no_work_lost(summary);
   }
-  // The master lists this job appended to. (Partition lists are reset by
-  // the next job's partition phase; replica keys are overwritten.)
-  std::vector<std::string> keys = core::sketch_keys(p);
-  keys.emplace_back(core::kDataKey);
-  core::discard_keys(cluster_, master_, keys);
   return summary;
 }
 
-PhaseResult JobRuntime::ingest(JobState& s, const PhaseAttempt& at) {
+std::vector<std::size_t> JobRuntime::plan_sizes(core::Strategy strategy,
+                                                std::size_t total) const {
+  const std::vector<optimize::NodeModel>& models = prepared().models;
+  switch (strategy) {
+    case core::Strategy::kRandom:
+    case core::Strategy::kStratified: {
+      const std::vector<double> ones(models.size(), 1.0);
+      return common::proportional_allocation(ones, total);
+    }
+    case core::Strategy::kHetAware:
+      return optimize::solve_partition_sizes(models, total, 1.0).sizes;
+    case core::Strategy::kHetEnergyAware:
+      // With replication > 1 the solve also bills the replica copies, on
+      // the raw alpha (the replica term would re-weight the normalized
+      // rescale's extremes).
+      if (replica_cost_.replication > 1) {
+        return optimize::solve_partition_sizes_replicated(
+                   models, total, spec_.alpha, replica_cost_)
+            .sizes;
+      }
+      return (spec_.normalized_alpha
+                  ? optimize::solve_partition_sizes_normalized(models, total,
+                                                               spec_.alpha)
+                  : optimize::solve_partition_sizes(models, total, spec_.alpha))
+          .sizes;
+  }
+  throw common::ConfigError("plan_sizes: unknown strategy");
+}
+
+const stratify::Stratification& JobRuntime::strata() const {
+  const Prepared& prep = prepared();
+  common::require<common::ConfigError>(prep.strata.has_value(),
+                                       "JobRuntime: the stratify phase failed");
+  return *prep.strata;
+}
+
+double JobRuntime::prepare_time_s() const {
+  const Prepared& prep = prepared();
+  return prep.cluster_end - prep.cluster_t0;
+}
+
+PhaseResult JobRuntime::ingest(Prepared& s, const PhaseAttempt& at) {
   PhaseResult result = PhaseResult::ok();
   cluster_.run_on("ingest", master_, [&](cluster::NodeContext& ctx) {
     kvstore::Client& local = ctx.local();
@@ -335,7 +561,7 @@ PhaseResult JobRuntime::ingest(JobState& s, const PhaseAttempt& at) {
       // first; if even the Del cannot land, the master copy is
       // forfeit for this attempt.
       const kvstore::Reply del = local.execute(
-          {.type = kvstore::CommandType::kDel, .key = core::kDataKey});
+          {.type = kvstore::CommandType::kDel, .key = kDataKey});
       if (del.status != kvstore::Status::kOk) {
         if (!at.last || router_ == nullptr) {
           result = PhaseResult::transient("ingest: data master unreachable");
@@ -350,7 +576,7 @@ PhaseResult JobRuntime::ingest(JobState& s, const PhaseAttempt& at) {
     if (push_to_master) {
       for (const data::Record& r : s.dataset.records) {
         local.enqueue({.type = kvstore::CommandType::kRPush,
-                       .key = core::kDataKey,
+                       .key = kDataKey,
                        .value = r.payload});
       }
       std::uint64_t push_failures = 0;
@@ -366,7 +592,7 @@ PhaseResult JobRuntime::ingest(JobState& s, const PhaseAttempt& at) {
         // every push landed exactly once. Probed only on failure, so
         // the fault-free wire cost is unchanged.
         const kvstore::Reply len = local.execute(
-            {.type = kvstore::CommandType::kLLen, .key = core::kDataKey});
+            {.type = kvstore::CommandType::kLLen, .key = kDataKey});
         master_ok = len.status == kvstore::Status::kOk &&
                     len.integer == static_cast<std::int64_t>(s.n);
         if (master_ok) s.summary.tolerated_kv_failures += push_failures;
@@ -431,15 +657,58 @@ PhaseResult JobRuntime::ingest(JobState& s, const PhaseAttempt& at) {
   return result;
 }
 
-PhaseResult JobRuntime::stratify(JobState& s) {
-  core::StratifyResult r = core::stratify_on_master(
-      cluster_, master_, s.dataset, spec_.sketch, spec_.kmodes);
-  s.summary.tolerated_kv_failures += r.tolerated_kv_failures;
-  s.strata = std::move(r.strata);
+PhaseResult JobRuntime::stratify(Prepared& s) {
+  // Distributed sketching ("sketch": records round-robin by node, each
+  // node uploading its sketches to the master), then compositeKModes on
+  // the master ("cluster-sketches"). The clustering reads the in-memory
+  // sketches, so a lost upload costs wire time only and is just counted.
+  const std::size_t p = s.p;
+  const std::size_t n = s.n;
+  const sketch::MinHasher hasher(spec_.sketch);
+  std::vector<sketch::Sketch> sketches(n);
+  const std::vector<std::string> keys = sketch_keys(p);
+  std::uint64_t tolerated = 0;  // non-kOk upload/read replies
+  std::vector<cluster::NodeTask> tasks;
+  tasks.reserve(p);
+  for (std::size_t node = 0; node < p; ++node) {
+    tasks.push_back([&, node](cluster::NodeContext& ctx) {
+      kvstore::Client& to_master = ctx.client(master_);
+      for (std::size_t i = node; i < n; i += p) {
+        sketches[i] = hasher.sketch(s.dataset.records[i].items);
+        // One op per (item, permutation) pair.
+        ctx.meter().add(
+            static_cast<double>(s.dataset.records[i].items.size()) *
+            hasher.num_hashes());
+        to_master.enqueue({.type = kvstore::CommandType::kRPush,
+                           .key = keys[node],
+                           .value = encode_sketch(sketches[i])});
+      }
+      for (const kvstore::Reply& r : to_master.drain()) {
+        if (r.status != kvstore::Status::kOk) ++tolerated;
+      }
+    });
+  }
+  cluster_.run_phase("sketch", tasks);
+  stratify::Stratification strata;
+  cluster_.run_on("cluster-sketches", master_, [&](cluster::NodeContext& ctx) {
+    // Read the sketch lists back (loopback traffic on the master).
+    for (std::size_t node = 0; node < p; ++node) {
+      const kvstore::Reply r =
+          ctx.local().execute({.type = kvstore::CommandType::kLRange,
+                               .key = keys[node],
+                               .arg0 = 0,
+                               .arg1 = -1});
+      if (r.status != kvstore::Status::kOk) ++tolerated;
+    }
+    strata = stratify::composite_kmodes(sketches, spec_.kmodes);
+    ctx.meter().add(static_cast<double>(strata.work_ops));
+  });
+  s.summary.tolerated_kv_failures += tolerated;
+  s.strata = std::move(strata);
   return PhaseResult::ok();
 }
 
-PhaseResult JobRuntime::estimate(JobState& s, const PhaseAttempt& at) {
+PhaseResult JobRuntime::estimate(Prepared& s, const PhaseAttempt& at) {
   const estimator::SampleRunner runner =
       [&s](cluster::NodeContext& ctx, std::span<const std::uint32_t> indices) {
         s.workload.run(ctx, s.dataset, indices);
@@ -447,6 +716,8 @@ PhaseResult JobRuntime::estimate(JobState& s, const PhaseAttempt& at) {
   try {
     s.time_models = estimator::estimate_time_models(cluster_, *s.strata,
                                                     runner, spec_.sampling);
+  } catch (const common::ConfigError&) {
+    throw;  // a workload that cannot run these records, not a fault
   } catch (const common::Error& e) {
     if (!at.last) return PhaseResult::transient(e.what());
     // Out of attempts: fall back to catalog-derived models. The
@@ -464,27 +735,33 @@ PhaseResult JobRuntime::estimate(JobState& s, const PhaseAttempt& at) {
   return PhaseResult::ok();
 }
 
-PhaseResult JobRuntime::forecast(JobState& s) {
-  s.dirty_rates = core::forecast_dirty_rates(cluster_, energy_);
+PhaseResult JobRuntime::forecast(Prepared& s) {
+  // Dirty rate k_i of every node over the forecast window.
+  s.dirty_rates.resize(s.p);
+  for (std::uint32_t i = 0; i < s.p; ++i) {
+    s.dirty_rates[i] =
+        energy_.dirty_rate(cluster_.node(i), kJobStartS, kEnergyWindowS);
+  }
   return PhaseResult::ok();
 }
 
 PhaseResult JobRuntime::optimize(JobState& s) {
-  models_ = core::make_node_models(s.time_models, s.dirty_rates);
-  s.summary.initial_sizes =
-      core::plan_sizes(spec_.strategy, models_, s.n, spec_.alpha,
-                       spec_.normalized_alpha, replica_cost_);
+  models_ = s.prep.models;
+  s.summary.initial_sizes = plan_sizes(s.strategy, s.prep.n);
   return PhaseResult::ok();
 }
 
 PhaseResult JobRuntime::partition(JobState& s, const PhaseAttempt& at) {
   // Recomputed every attempt (pure function of strata + sizes), so a
   // retry after a mid-phase store crash restarts from a clean plan.
+  // Shuffle-and-cut for Random, the workload's strata layout otherwise.
+  const Prepared& prep = s.prep;
   s.assignment =
-      core::assign_partitions(spec_.strategy, *s.strata,
-                              s.summary.initial_sizes,
-                              s.workload.preferred_layout());
-  const std::size_t p = s.p;
+      s.strategy == core::Strategy::kRandom
+          ? partition::random_partitions(prep.n, s.summary.initial_sizes)
+          : partition::make_partitions(*prep.strata, s.summary.initial_sizes,
+                                       prep.workload.preferred_layout());
+  const std::size_t p = prep.p;
   std::vector<std::vector<std::uint32_t>> unreadable(p);
   std::size_t missing_total = 0;
   std::size_t pulled_total = 0;
@@ -496,7 +773,7 @@ PhaseResult JobRuntime::partition(JobState& s, const PhaseAttempt& at) {
       // The master unless its list never landed, then the replica walk.
       Fetched got = fetch_records(
           ctx, part,
-          s.data_on_replicas ? std::nullopt : std::optional(master_),
+          prep.data_on_replicas ? std::nullopt : std::optional(master_),
           router_.get());
       pulled_total += got.from_replicas;
       for (std::size_t i = 0; i < part.size(); ++i) {
@@ -507,15 +784,15 @@ PhaseResult JobRuntime::partition(JobState& s, const PhaseAttempt& at) {
       // wire-cost medium (records are processed from the in-memory
       // dataset), so staging losses are tolerated and counted.
       kvstore::Client& local = ctx.local();
-      const kvstore::Reply del = core::clear_partition(local);
+      const kvstore::Reply del = clear_partition(local);
       if (del.status != kvstore::Status::kOk) ++s.summary.tolerated_kv_failures;
       s.summary.tolerated_kv_failures +=
-          core::stage_partition(local, got.blobs);
+          stage_partition(local, got.blobs);
     });
   }
-  cluster_.run_phase("load", tasks);
+  s.summary.load_time_s = cluster_.run_phase("load", tasks).makespan_s();
   if (missing_total == 0) {
-    if (pulled_total > 0 || s.data_on_replicas) {
+    if (pulled_total > 0 || prep.data_on_replicas) {
       s.summary.replica_rescued_records += pulled_total;
       return PhaseResult::degraded("partition: " +
                                    std::to_string(pulled_total) +
@@ -545,11 +822,12 @@ PhaseResult JobRuntime::partition(JobState& s, const PhaseAttempt& at) {
                                        " unreadable records");
 }
 
-PhaseResult JobRuntime::execute(JobState& s) {
-  const std::size_t p = s.p;
+PhaseResult JobRuntime::execute_chunks(JobState& s) {
+  const Prepared& prep = s.prep;
+  const std::size_t p = prep.p;
   s.summary.setup_time_s = s.clock();
   s.exec_base = s.clock();
-  s.workload.reset(p, barrier_master_);
+  prep.workload.reset(p, barrier_master_);
 
   std::size_t largest = 0;
   for (const auto& part : s.assignment->partitions) {
@@ -575,16 +853,16 @@ PhaseResult JobRuntime::execute(JobState& s) {
       [&](cluster::NodeContext& ctx, std::span<const std::uint32_t> indices) {
         const std::uint32_t id = ctx.node().id;
         const kvstore::Reply r =
-            core::read_partition(ctx.local(), cursor[id], indices.size());
+            read_partition(ctx.local(), cursor[id], indices.size());
         if (r.status != kvstore::Status::kOk) ++s.summary.tolerated_kv_failures;
         cursor[id] += indices.size();
-        s.workload.run(ctx, s.dataset, indices);
+        prep.workload.run(ctx, prep.dataset, indices);
       },
       opts);
   s.executor = &executor;
   s.chunk_records = opts.chunk_records;
   s.replan_alpha =
-      spec_.strategy == core::Strategy::kHetEnergyAware ? spec_.alpha : 1.0;
+      s.strategy == core::Strategy::kHetEnergyAware ? spec_.alpha : 1.0;
   s.lost.assign(p, 0);
   // Chunk spans need each node's previous clock value.
   std::vector<double> last_time(p, 0.0);
@@ -612,12 +890,12 @@ PhaseResult JobRuntime::execute(JobState& s) {
   const ExecutorReport report = executor.run();
   s.executor = nullptr;
   s.exec_extra += report.makespan_s;
-  s.tally.makespan_s += report.makespan_s;
-  s.tally.work_units += report.total_work_units();
+  s.summary.makespan_s += report.makespan_s;
+  s.summary.total_work_units += report.total_work_units();
   s.summary.processed.resize(p);
   std::size_t processed_total = 0;
   for (std::size_t i = 0; i < p; ++i) {
-    s.tally.busy_s[i] += report.per_node[i].busy_s();
+    s.summary.node_exec_s[i] += report.per_node[i].busy_s();
     s.summary.processed[i] = report.per_node[i].records_done;
     processed_total += report.per_node[i].records_done;
   }
@@ -626,7 +904,7 @@ PhaseResult JobRuntime::execute(JobState& s) {
   // partition phase — nothing disappears silently, even across
   // phase retries and partial re-execution.
   HETSIM_CHECK_EQ(
-      processed_total + report.unprocessed + s.summary.records_dropped, s.n);
+      processed_total + report.unprocessed + s.summary.records_dropped, prep.n);
   if (report.unprocessed > 0) {
     // Records stranded on dead nodes with no surviving copy to
     // rescue them from. The old runtime threw here; the typed
@@ -639,18 +917,29 @@ PhaseResult JobRuntime::execute(JobState& s) {
 }
 
 PhaseResult JobRuntime::global(JobState& s) {
-  core::run_global_phase(cluster_, s.workload, s.dataset, *s.assignment,
-                         s.tally);
+  // The workload's cross-partition phase, if it has one (e.g. the SON
+  // candidate prune).
+  const std::vector<cluster::NodeTask> tasks =
+      s.prep.workload.make_global_tasks(s.prep.dataset, *s.assignment);
+  if (tasks.empty()) return PhaseResult::ok();
+  common::require<common::ConfigError>(tasks.size() == cluster_.size(),
+                                       "global phase arity mismatch");
+  const cluster::PhaseReport phase = cluster_.run_phase("global", tasks);
+  s.summary.makespan_s += phase.makespan_s();
+  for (const cluster::NodePhaseResult& r : phase.per_node) {
+    s.summary.node_exec_s[r.node_id] += r.total_time_s();
+    s.summary.total_work_units += r.work_units;
+  }
   return PhaseResult::ok();
 }
 
 void JobRuntime::reclaim_lost_nodes(JobState& s, std::uint32_t node,
                                     double now) {
   const fault::FaultInjector* inj = cluster_.fault_injector();
-  if (inj == nullptr || !inj->enabled() || s.p < 2) return;
+  if (inj == nullptr || !inj->enabled() || s.prep.p < 2) return;
   PhaseExecutor& executor = *s.executor;
   JobSummary& summary = s.summary;
-  for (std::uint32_t d = 0; d < s.p; ++d) {
+  for (std::uint32_t d = 0; d < s.prep.p; ++d) {
     if (s.lost[d] != 0 || d == node || executor.remaining(d) == 0 ||
         now - executor.heartbeat(d) <= executor.heartbeat_timeout(node)) {
       continue;
@@ -743,12 +1032,13 @@ void JobRuntime::reclaim_lost_nodes(JobState& s, std::uint32_t node,
 void JobRuntime::rebalance_stragglers(JobState& s, double now) {
   PhaseExecutor& executor = *s.executor;
   JobSummary& summary = s.summary;
-  if (!spec_.enable_replan || s.p < 2) return;
+  if (!spec_.enable_replan || s.prep.p < 2) return;
   if (summary.replans >= spec_.straggler.max_replans) return;
   const std::size_t total_rem = executor.total_remaining();
   if (total_rem == 0 ||
       static_cast<double>(total_rem) <
-          spec_.straggler.min_remaining_fraction * static_cast<double>(s.n)) {
+          spec_.straggler.min_remaining_fraction *
+              static_cast<double>(s.prep.n)) {
     return;
   }
   // Straggler machinery runs over survivors only: a lost node must
@@ -839,7 +1129,7 @@ std::size_t JobRuntime::transfer(JobState& s,
     delivered.push_back(taken[k]);
   }
   s.summary.tolerated_kv_failures +=
-      core::stage_partition(ctx_to.local(), got.blobs);
+      stage_partition(ctx_to.local(), got.blobs);
   const double start = executor.node_time(to);
   const double charged = executor.sync_network(to);
   executor.give(to, delivered);

@@ -2,14 +2,17 @@
 //
 // JobRuntime owns an analytics job end to end as a typed phase DAG
 // (ingest → stratify → estimate → forecast → optimize → partition →
-// execute → global). The planning phases run the same core pipeline
-// functions as core::ParetoFramework. The data-parallel phase runs in
-// chunks on a single-threaded, deterministic virtual-time scheduler,
-// watches per-node progress at checkpoints, re-plans mid-job when a
-// node's observed rate deviates from its fitted m_i (re-fit, re-solve
-// the LP over remaining records, migrate the delta through kvstore
-// clients over the Fabric), and records everything as spans exportable
-// as Chrome-trace JSON. One owner per job, reactive to estimator error,
+// execute → global), the one executor of the paper's Fig. 1 pipeline.
+// prepare() runs the first four phases once per dataset and workload;
+// execute(strategy) runs the rest from that state, as often as asked;
+// run() is one of each. core::ParetoFramework is a prepare-once façade
+// over the two halves. The data-parallel phase runs in chunks on a
+// single-threaded, deterministic virtual-time scheduler, watches
+// per-node progress at checkpoints, re-plans mid-job when a node's
+// observed rate deviates from its fitted m_i (re-fit, re-solve the LP
+// over remaining records, migrate the delta through kvstore clients
+// over the Fabric), and records everything as spans exportable as
+// Chrome-trace JSON. One owner per job, reactive to estimator error,
 // and observable after the fact.
 #pragma once
 
@@ -95,6 +98,12 @@ struct JobSummary {
   std::vector<std::size_t> initial_sizes;
   /// Records each node actually processed (ΣN even after migrations).
   std::vector<std::size_t> processed;
+  /// Duration of the partition phase's load (virtual seconds; part of
+  /// setup_time_s). Not in summary_json.
+  double load_time_s = 0.0;
+  /// Per-node busy seconds of the execute and global phases, the energy
+  /// bill's input. Not in summary_json.
+  std::vector<double> node_exec_s;
 
   // ---- degraded mode (fault injection) -------------------------------
   /// Typed outcome; kDegraded/kDataUnavailable refine `degraded`.
@@ -160,15 +169,50 @@ class JobRuntime {
  public:
   JobRuntime(cluster::Cluster& cluster,
              const energy::GreenEnergyEstimator& energy, JobSpec spec);
+  ~JobRuntime();
+  JobRuntime(const JobRuntime&) = delete;
+  JobRuntime& operator=(const JobRuntime&) = delete;
 
-  /// Run the full phase DAG for one (dataset, workload) job. The trace
-  /// of the run is available from trace() afterwards.
+  /// Run the full phase DAG for one (dataset, workload) job: prepare(),
+  /// execute(spec().strategy), then delete the keys the job left on the
+  /// master. The trace of the run is available from trace() afterwards.
   [[nodiscard]] JobSummary run(const data::Dataset& dataset,
                                core::Workload& workload);
 
+  /// The prepare half: ingest, stratify, estimate and forecast. Starts a
+  /// new trace; afterwards strata(), node_models() and plan_sizes() read
+  /// the fitted state. `dataset` and `workload` must outlive every
+  /// execute(). Keys an earlier prepare() left on the master are deleted
+  /// first.
+  void prepare(const data::Dataset& dataset, core::Workload& workload);
+
+  /// The execute half: optimize, partition, execute and global under
+  /// `strategy`, planned from the models and strata prepare() left. May
+  /// run any number of times; each appends its phases to the trace. The
+  /// summary covers the prepare half and this execution: setup_time_s
+  /// counts the prepare half plus this execution's optimize and
+  /// partition. Throws ConfigError before prepare().
+  [[nodiscard]] JobSummary execute(core::Strategy strategy);
+
+  /// Deletes the keys the last prepare() left on the master, off every
+  /// job clock, and forgets the prepared state. run() ends with it;
+  /// after a bare prepare() the keys stay until this or the next
+  /// prepare().
+  void release();
+
+  /// Partition sizes `strategy` plans for `total` records from the
+  /// prepared models (no execution).
+  [[nodiscard]] std::vector<std::size_t> plan_sizes(core::Strategy strategy,
+                                                    std::size_t total) const;
+  /// Stratification of the prepared dataset.
+  [[nodiscard]] const stratify::Stratification& strata() const;
+  /// Virtual seconds the prepare half took.
+  [[nodiscard]] double prepare_time_s() const;
+
   [[nodiscard]] const TraceRecorder& trace() const noexcept { return trace_; }
   [[nodiscard]] const JobSpec& spec() const noexcept { return spec_; }
-  /// Node models after the run (refit slopes if re-planning happened).
+  /// Node models: fitted by prepare(), refit if the last execute()
+  /// re-planned.
   [[nodiscard]] const std::vector<optimize::NodeModel>& node_models()
       const noexcept {
     return models_;
@@ -180,17 +224,23 @@ class JobRuntime {
   }
 
  private:
-  /// What the phases of one run() share; defined in runtime.cpp.
+  /// What prepare() leaves for every execute(); defined in runtime.cpp.
+  struct Prepared;
+  /// What the phases of one execute() share; defined in runtime.cpp.
   struct JobState;
 
-  // The Fig. 1 phases, in DAG declaration order.
-  PhaseResult ingest(JobState& s, const PhaseAttempt& at);
-  PhaseResult stratify(JobState& s);
-  PhaseResult estimate(JobState& s, const PhaseAttempt& at);
-  PhaseResult forecast(JobState& s);
+  /// The prepared state; throws ConfigError before prepare().
+  [[nodiscard]] const Prepared& prepared() const;
+
+  // The Fig. 1 phases, in DAG declaration order: the prepare half ...
+  PhaseResult ingest(Prepared& s, const PhaseAttempt& at);
+  PhaseResult stratify(Prepared& s);
+  PhaseResult estimate(Prepared& s, const PhaseAttempt& at);
+  PhaseResult forecast(Prepared& s);
+  // ... and the execute half.
   PhaseResult optimize(JobState& s);
   PhaseResult partition(JobState& s, const PhaseAttempt& at);
-  PhaseResult execute(JobState& s);
+  PhaseResult execute_chunks(JobState& s);
   PhaseResult global(JobState& s);
 
   // Execute-phase checkpoint handlers.
@@ -206,6 +256,7 @@ class JobRuntime {
   const energy::GreenEnergyEstimator& energy_;
   JobSpec spec_;
   TraceRecorder trace_;
+  std::unique_ptr<Prepared> prepared_;
   std::vector<optimize::NodeModel> models_;
   std::uint32_t master_ = 0;
   std::uint32_t barrier_master_ = 0;

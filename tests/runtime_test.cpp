@@ -11,6 +11,7 @@
 #include "core/framework.h"
 #include "core/mining_workload.h"
 #include "core/report_io.h"
+#include "core/subtree_workload.h"
 #include "data/generators.h"
 #include "energy/estimator.h"
 #include "fault/fault.h"
@@ -240,6 +241,65 @@ TEST(PhaseDag, RejectsSelfDependency) {
   PhaseDag dag;
   dag.add({"a", PhaseKind::kExecute, {"a"}, nullptr});
   EXPECT_THROW((void)dag.topological_order(), common::ConfigError);
+}
+
+TEST(PhaseDag, ContinuesAnEarlierWalk) {
+  // The second DAG's phases depend on the first's by name: a dependent of
+  // a failed phase is skipped, and the report folds both walks.
+  PhaseDag first;
+  Phase ok;
+  ok.name = "ok";
+  first.add(ok);
+  Phase broken;
+  broken.name = "broken";
+  broken.max_attempts = 2;
+  broken.body = [](const PhaseAttempt&) {
+    return PhaseResult::transient("never heals");
+  };
+  first.add(std::move(broken));
+  TraceRecorder trace;
+  const DagReport before = first.run(trace, [] { return 0.0; });
+  EXPECT_TRUE(before.phase_failed("broken"));
+  EXPECT_FALSE(before.phase_failed("ok"));
+
+  PhaseDag second;
+  int ran = 0;
+  int slot = -1;
+  Phase after_ok;
+  after_ok.name = "after-ok";
+  after_ok.deps = {"ok"};
+  after_ok.body = counting_body(slot, ran);
+  second.add(std::move(after_ok));
+  Phase after_broken;
+  after_broken.name = "after-broken";
+  after_broken.deps = {"broken"};
+  after_broken.body = counting_body(slot, ran);
+  second.add(std::move(after_broken));
+  const DagReport report = second.run(trace, [] { return 0.0; }, before);
+  EXPECT_EQ(ran, 1);
+  EXPECT_TRUE(report.phase_failed("after-broken"));
+  EXPECT_EQ(report.failed_phase, "broken");
+  EXPECT_EQ(report.phase_retries, 1u);
+  EXPECT_EQ(report.status, JobStatus::kDataUnavailable);
+  EXPECT_EQ(trace.count("phase-skipped"), 1u);
+  // Without the earlier walk, the dependency names no phase.
+  EXPECT_THROW((void)second.topological_order(), common::ConfigError);
+}
+
+TEST(PhaseDag, ConfigErrorPropagates) {
+  PhaseDag dag;
+  Phase ph;
+  ph.name = "misconfigured";
+  ph.max_attempts = 3;
+  int runs = 0;
+  ph.body = [&runs](const PhaseAttempt&) -> PhaseResult {
+    ++runs;
+    throw common::ConfigError("no retry mends this");
+  };
+  dag.add(std::move(ph));
+  TraceRecorder trace;
+  EXPECT_THROW((void)dag.run(trace, [] { return 0.0; }), common::ConfigError);
+  EXPECT_EQ(runs, 1);
 }
 
 // ---- TraceRecorder ---------------------------------------------------------
@@ -474,6 +534,34 @@ TEST(PhaseExecutor, ScheduleIsPinnedAcrossSlowdownMigrationAndRescue) {
   }
 }
 
+TEST(PhaseExecutor, ChargesTheJitteredPhaseSpeed) {
+  // The executor's phase is one cluster phase: each node's compute is
+  // charged at the speed Cluster::phase_speed draws for it, the same
+  // draw run_phase would make.
+  cluster::ClusterOptions opts;
+  opts.speed_jitter = 0.3;
+  opts.jitter_seed = 777;
+  cluster::Cluster cluster(cluster::standard_cluster(4), opts);
+  cluster::Cluster twin(cluster::standard_cluster(4), opts);
+  std::vector<double> speeds;
+  for (std::uint32_t i = 0; i < 4; ++i) speeds.push_back(twin.phase_speed(i));
+  constexpr double kUnits = 1e6;
+  std::vector<std::vector<std::uint32_t>> queues(4, {0u});
+  PhaseExecutor executor(
+      cluster, queues,
+      [](cluster::NodeContext& ctx, std::span<const std::uint32_t>) {
+        ctx.meter().add(kUnits);
+      },
+      {.chunk_records = 1});
+  const ExecutorReport report = executor.run();
+  const cluster::WorkRate& rate = cluster.options().work_rate;
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    EXPECT_EQ(report.per_node[i].compute_s, rate.seconds(kUnits, speeds[i]))
+        << "node " << i;
+    EXPECT_NE(speeds[i], cluster.node(i).speed) << "node " << i;
+  }
+}
+
 // ---- straggler / re-plan math ----------------------------------------------
 
 TEST(Replan, DetectsOnlyDeviatingNodes) {
@@ -682,7 +770,47 @@ TEST(JobRuntime, RejectsBadSpecs) {
   EXPECT_THROW(JobRuntime(cluster, energy, bad_slowdown), common::ConfigError);
 }
 
-// ---- JobRuntime against core::ParetoFramework ------------------------------
+TEST(JobRuntime, ExecuteBeforePrepareThrows) {
+  cluster::Cluster cluster(cluster::standard_cluster(2));
+  const auto energy = energy::GreenEnergyEstimator::standard(72);
+  JobRuntime rt(cluster, energy, fast_spec());
+  EXPECT_THROW((void)rt.execute(core::Strategy::kHetAware),
+               common::ConfigError);
+}
+
+TEST(JobRuntime, WorkloadConfigErrorPropagates) {
+  // A subtree miner given text records is a caller's mistake: the job
+  // throws instead of reporting the records as lost to faults.
+  cluster::Cluster cluster(cluster::standard_cluster(4));
+  const auto energy = energy::GreenEnergyEstimator::standard(72);
+  JobRuntime rt(cluster, energy, fast_spec());
+  core::SubtreeMiningWorkload workload(
+      {.min_support = 0.1, .max_pattern_nodes = 2});
+  EXPECT_THROW((void)rt.run(small_corpus(300), workload), common::ConfigError);
+}
+
+TEST(JobRuntime, RunIsPrepareThenExecute) {
+  const data::Dataset ds = small_corpus();
+  LinearWorkload workload;
+  const auto energy = energy::GreenEnergyEstimator::standard(72);
+  cluster::Cluster whole(cluster::standard_cluster(4));
+  JobRuntime one(whole, energy, fast_spec());
+  const std::string summary = summary_json(one.run(ds, workload));
+  const std::string trace = one.trace().chrome_trace_json();
+
+  cluster::Cluster halves(cluster::standard_cluster(4));
+  JobRuntime two(halves, energy, fast_spec());
+  two.prepare(ds, workload);
+  EXPECT_GT(two.prepare_time_s(), 0.0);
+  EXPECT_EQ(two.strata().assignment.size(), ds.size());
+  EXPECT_EQ(two.plan_sizes(core::Strategy::kHetAware, ds.size()),
+            optimize::solve_partition_sizes(two.node_models(), ds.size(), 1.0)
+                .sizes);
+  EXPECT_EQ(summary_json(two.execute(fast_spec().strategy)), summary);
+  EXPECT_EQ(two.trace().chrome_trace_json(), trace);
+}
+
+// ---- JobRuntime and core::ParetoFramework on one cluster ------------------
 
 core::FrameworkConfig planning_config() {
   core::FrameworkConfig cfg;
@@ -738,54 +866,6 @@ TEST(JobRuntime, RepeatedJobsOnOneClusterStartClean) {
   EXPECT_EQ(rt_setup[2], rt_setup[0]);
   EXPECT_EQ(summaries[2], summaries[0]);
   EXPECT_TRUE(traces[2] == traces[0]) << "trace of job 3 differs from job 1";
-}
-
-/// Plans one job through both entry points, each on a fresh cluster, and
-/// expects the same models and sizes (and the same quality if asked).
-void expect_same_plan(const data::Dataset& ds, core::Workload& workload,
-                      bool same_quality) {
-  const auto energy = energy::GreenEnergyEstimator::standard(72);
-  cluster::Cluster fw_cluster(cluster::standard_cluster(8));
-  core::ParetoFramework framework(fw_cluster, energy, planning_config());
-  framework.prepare(ds, workload);
-  const std::vector<std::size_t> fw_sizes =
-      framework.plan_sizes(core::Strategy::kHetAware, ds.size());
-  const std::span<const optimize::NodeModel> fw_models =
-      framework.node_models();
-  const double fw_quality =
-      framework.run(core::Strategy::kHetAware, ds, workload).quality;
-
-  cluster::Cluster rt_cluster(cluster::standard_cluster(8));
-  JobRuntime rt(rt_cluster, energy, planning_spec());
-  const JobSummary summary = rt.run(ds, workload);
-  ASSERT_EQ(summary.status, JobStatus::kOk);
-  const std::vector<optimize::NodeModel>& rt_models = rt.node_models();
-  ASSERT_EQ(rt_models.size(), fw_models.size());
-  for (std::size_t i = 0; i < rt_models.size(); ++i) {
-    EXPECT_EQ(rt_models[i].slope, fw_models[i].slope) << "node " << i;
-    EXPECT_EQ(rt_models[i].intercept, fw_models[i].intercept) << "node " << i;
-    EXPECT_EQ(rt_models[i].dirty_rate, fw_models[i].dirty_rate)
-        << "node " << i;
-  }
-  EXPECT_EQ(summary.initial_sizes, fw_sizes);
-  // Makespans differ by design: the runtime executes in chunks.
-  if (same_quality) {
-    EXPECT_EQ(summary.quality, fw_quality);
-  }
-}
-
-TEST(JobRuntime, PlansLikeTheFrameworkOnText) {
-  const data::Dataset ds = data::generate_text_corpus(data::rcv1_like(0.25));
-  core::PatternMiningWorkload workload(
-      {.min_support = 0.08, .max_pattern_length = 3});
-  expect_same_plan(ds, workload, /*same_quality=*/true);
-}
-
-TEST(JobRuntime, PlansLikeTheFrameworkOnWebgraph) {
-  const data::Dataset ds = data::generate_graph_corpus(data::uk_like(0.12));
-  core::CompressionWorkload workload(
-      core::CompressionWorkload::Algorithm::kWebGraph);
-  expect_same_plan(ds, workload, /*same_quality=*/false);
 }
 
 }  // namespace
