@@ -16,7 +16,7 @@
 
 namespace hetsim::bench {
 
-const StrategyOutcome& ExperimentOutcome::find(core::Strategy s) const {
+const core::JobReport& ExperimentOutcome::find(core::Strategy s) const {
   for (const auto& o : strategies) {
     if (o.strategy == s) return o;
   }
@@ -75,15 +75,7 @@ ExperimentOutcome run_experiment(const data::Dataset& dataset,
   out.partitions = partitions;
   out.setup_time_s = framework.setup_time_s();
   for (const core::Strategy s : strategies) {
-    const core::JobReport r = framework.run(s, dataset, workload);
-    StrategyOutcome o;
-    o.strategy = s;
-    o.exec_time_s = r.exec_time_s;
-    o.dirty_energy_j = r.dirty_energy_j;
-    o.green_energy_j = r.green_energy_j;
-    o.quality = r.quality;
-    o.partition_sizes = r.partition_sizes;
-    out.strategies.push_back(std::move(o));
+    out.strategies.push_back(framework.run(s, dataset, workload));
   }
   return out;
 }

@@ -19,23 +19,14 @@
 
 namespace hetsim::bench {
 
-struct StrategyOutcome {
-  core::Strategy strategy{};
-  double exec_time_s = 0.0;
-  double dirty_energy_j = 0.0;
-  double green_energy_j = 0.0;
-  double quality = 0.0;
-  std::vector<std::size_t> partition_sizes;
-};
-
 struct ExperimentOutcome {
   std::string dataset;
   std::size_t records = 0;
   std::uint32_t partitions = 0;
   double setup_time_s = 0.0;
-  std::vector<StrategyOutcome> strategies;
+  std::vector<core::JobReport> strategies;
 
-  [[nodiscard]] const StrategyOutcome& find(core::Strategy s) const;
+  [[nodiscard]] const core::JobReport& find(core::Strategy s) const;
   /// Percent improvement of `s` over the Stratified baseline on time
   /// (positive = faster than baseline).
   [[nodiscard]] double time_improvement_pct(core::Strategy s) const;

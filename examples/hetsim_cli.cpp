@@ -1,8 +1,7 @@
 // hetsim_cli — run any paper experiment from the command line.
 //
-//   ./build/examples/hetsim_cli --workload text --partitions 8
-//   ./build/examples/hetsim_cli --strategy all --alpha 0.6 --workload tree
-//   ./build/examples/hetsim_cli --workload graph --scale 0.5 --csv
+//   ./build/examples/hetsim_cli run-job --workload text --partitions 8
+//   ./build/examples/hetsim_cli run-job --workload tree --strategy all
 //   ./build/examples/hetsim_cli run-job --workload text
 //       --slowdown 2.5,1,1,1 --trace_out job.trace.json  (one line)
 //   ./build/examples/hetsim_cli run-job --workload text
@@ -15,10 +14,13 @@
 // compression on the UK analogue), lz77 / deflate (byte compression of
 // the UK analogue payloads).
 //
-// The run-job subcommand executes ONE job through hetsim::runtime (phase
-// DAG + straggler-triggered re-planning), prints the job summary JSON,
-// and optionally writes a Chrome-trace file viewable in chrome://tracing
-// or https://ui.perfetto.dev.
+// The run-job subcommand runs a job through hetsim::runtime (phase DAG +
+// straggler-triggered re-planning): it prepares the dataset and workload
+// once, executes each requested strategy (`--strategy all` runs Random,
+// Stratified, Het-Aware and Het-Energy-Aware, the paper's Figs. 2-6
+// comparison) and prints one job summary JSON line per strategy. It
+// optionally writes a Chrome-trace file viewable in chrome://tracing or
+// https://ui.perfetto.dev.
 #include <cstring>
 #include <fstream>
 #include <iostream>
@@ -28,13 +30,10 @@
 #include "chaos/chaos.h"
 #include "common/args.h"
 #include "common/error.h"
-#include "common/table.h"
 #include "fault/fault.h"
 #include "kvstore/client.h"
 #include "core/compression_workload.h"
-#include "core/framework.h"
 #include "core/mining_workload.h"
-#include "core/report_io.h"
 #include "core/subtree_workload.h"
 #include "data/generators.h"
 #include "runtime/runtime.h"
@@ -119,9 +118,11 @@ std::vector<double> parse_slowdown(const std::string& csv) {
 int run_job_main(int argc, const char* const* argv) {
   common::ArgParser args(
       "hetsim_cli run-job",
-      "run one job through the runtime (phase DAG, re-planning, trace)");
+      "run one job through the runtime (phase DAG, re-planning, trace);\n"
+      "--strategy all prepares once, then executes the four strategies");
   args.add_string("workload", "text | tree | graph | lz77 | deflate", "text");
-  args.add_string("strategy", "random | stratified | het | energy", "het");
+  args.add_string("strategy", "all | random | stratified | het | energy",
+                  "het");
   args.add_int("partitions", "cluster size / partition count", 8);
   args.add_double("scale", "dataset scale multiplier", 0.5);
   args.add_double("support", "mining support fraction", 0.08);
@@ -152,8 +153,12 @@ int run_job_main(int argc, const char* const* argv) {
 
   const std::vector<core::Strategy> strategies =
       parse_strategies(args.get_string("strategy"));
-  common::require<common::ConfigError>(strategies.size() == 1,
-                                       "run-job takes a single strategy");
+  const std::string plan_path = args.get_string("fault_plan");
+  // The injector's state carries from one execution to the next, so
+  // strategies after the first would not see the plan a lone run sees.
+  common::require<common::ConfigError>(
+      strategies.size() == 1 || plan_path.empty(),
+      "--strategy all cannot be combined with --fault_plan");
 
   Job job = make_job(args.get_string("workload"), args.get_double("scale"),
                      args.get_double("support"));
@@ -170,7 +175,6 @@ int run_job_main(int argc, const char* const* argv) {
 
   // The injector must outlive every phase the cluster runs.
   std::unique_ptr<fault::FaultInjector> injector;
-  const std::string plan_path = args.get_string("fault_plan");
   if (!plan_path.empty()) {
     injector = std::make_unique<fault::FaultInjector>(
         fault::FaultPlan::from_json_text(read_file(plan_path)));
@@ -179,7 +183,6 @@ int run_job_main(int argc, const char* const* argv) {
 
   runtime::JobSpec spec;
   spec.name = args.get_string("workload") + "-job";
-  spec.strategy = strategies[0];
   spec.alpha = args.get_double("alpha");
   spec.sampling.min_records = 40;
   spec.checkpoint_records = static_cast<std::size_t>(args.get_int("checkpoint"));
@@ -190,9 +193,11 @@ int run_job_main(int argc, const char* const* argv) {
   spec.replication = static_cast<std::size_t>(args.get_int("replication"));
 
   runtime::JobRuntime job_runtime(cluster, energy, spec);
-  const runtime::JobSummary summary =
-      job_runtime.run(job.dataset, *job.workload);
-  std::cout << runtime::summary_json(summary) << '\n';
+  job_runtime.prepare(job.dataset, *job.workload);
+  for (const core::Strategy strategy : strategies) {
+    std::cout << runtime::summary_json(job_runtime.execute(strategy)) << '\n';
+  }
+  job_runtime.release();
 
   const std::string trace_path = args.get_string("trace_out");
   if (!trace_path.empty()) {
@@ -280,68 +285,9 @@ int main(int argc, char** argv) {
       return 1;
     }
   }
-  common::ArgParser args("hetsim_cli",
-                         "run a Pareto-framework experiment end to end");
-  args.add_string("workload", "text | tree | graph | lz77 | deflate", "text");
-  args.add_string("strategy", "all | random | stratified | het | energy",
-                  "all");
-  args.add_int("partitions", "cluster size / partition count", 8);
-  args.add_double("scale", "dataset scale multiplier", 0.5);
-  args.add_double("support", "mining support fraction", 0.08);
-  args.add_double("alpha", "Het-Energy-Aware tradeoff weight", 0.75);
-  args.add_flag("raw_alpha",
-                "use the paper's raw scalarization (alpha must then sit\n"
-                "      very close to 1, e.g. 0.995) instead of the normalized,\n"
-                "      scale-free variant");
-  args.add_flag("csv", "emit CSV instead of a table");
-  args.add_flag("json", "emit one JSON object per strategy");
-  if (!args.parse(argc, argv, std::cerr)) return 2;
-
-  try {
-    Job job = make_job(args.get_string("workload"), args.get_double("scale"),
-                       args.get_double("support"));
-    const auto partitions =
-        static_cast<std::uint32_t>(args.get_int("partitions"));
-
-    cluster::Cluster cluster(cluster::standard_cluster(partitions));
-    const energy::GreenEnergyEstimator energy =
-        energy::GreenEnergyEstimator::standard(72);
-    core::FrameworkConfig config;
-    config.sampling.min_records = 40;
-    config.energy_alpha = args.get_double("alpha");
-    config.normalized_alpha = !args.get_flag("raw_alpha");
-    core::ParetoFramework framework(cluster, energy, config);
-    framework.prepare(job.dataset, *job.workload);
-
-    common::Table table({"strategy", "time_s", "dirty_j", "green_j",
-                         "quality", "load_s"});
-    for (const core::Strategy strategy :
-         parse_strategies(args.get_string("strategy"))) {
-      const core::JobReport r =
-          framework.run(strategy, job.dataset, *job.workload);
-      if (args.get_flag("json")) std::cout << core::to_json(r) << '\n';
-      table.add_row({core::strategy_name(strategy),
-                     common::format_double(r.exec_time_s, 5),
-                     common::format_double(r.dirty_energy_j, 1),
-                     common::format_double(r.green_energy_j, 1),
-                     common::format_double(r.quality, 2),
-                     common::format_double(r.load_time_s, 5)});
-    }
-    if (args.get_flag("json")) {
-      // JSON already streamed per strategy.
-    } else if (args.get_flag("csv")) {
-      table.print_csv(std::cout);
-    } else {
-      std::cout << "dataset: " << job.dataset.name << " ("
-                << job.dataset.size() << " records), workload: "
-                << job.workload->name() << ", setup "
-                << common::format_double(framework.setup_time_s(), 3)
-                << " sim-s\n";
-      table.print(std::cout, "results");
-    }
-  } catch (const std::exception& e) {
-    std::cerr << "hetsim_cli: " << e.what() << '\n';
-    return 1;
-  }
-  return 0;
+  std::cerr << "usage: hetsim_cli run-job [flags]  run one job, or all four\n"
+               "                                   strategies on one prepare\n"
+               "       hetsim_cli chaos [flags]    seeded chaos search\n"
+               "(--help after a subcommand lists its flags)\n";
+  return 2;
 }

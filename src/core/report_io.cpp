@@ -40,26 +40,6 @@ std::string to_json(const JobReport& report) {
   return w.str();
 }
 
-std::string to_json(const cluster::PhaseReport& report) {
-  common::JsonWriter w;
-  w.begin_object();
-  w.field("name", report.name);
-  w.field("makespan_s", report.makespan_s());
-  w.field("total_busy_s", report.total_busy_s());
-  w.key("nodes").begin_array();
-  for (const auto& n : report.per_node) {
-    w.begin_object();
-    w.field("node", static_cast<std::uint64_t>(n.node_id));
-    w.field("work_units", n.work_units);
-    w.field("compute_s", n.compute_time_s);
-    w.field("network_s", n.network_time_s);
-    w.end_object();
-  }
-  w.end_array();
-  w.end_object();
-  return w.str();
-}
-
 std::string frontier_to_json(
     const std::vector<optimize::FrontierPoint>& frontier) {
   common::JsonWriter w;

@@ -4,7 +4,6 @@
 
 #include <string>
 
-#include "cluster/cluster.h"
 #include "core/framework.h"
 #include "optimize/pareto.h"
 
@@ -13,9 +12,6 @@ namespace hetsim::core {
 /// One JobReport as a JSON object (strategy, sizes, times, energy,
 /// quality, per-node execution seconds).
 [[nodiscard]] std::string to_json(const JobReport& report);
-
-/// A cluster phase report (per-node work/compute/network breakdown).
-[[nodiscard]] std::string to_json(const cluster::PhaseReport& report);
 
 /// A frontier sweep as a JSON array of {alpha, makespan_s, dirty_joules}.
 [[nodiscard]] std::string frontier_to_json(

@@ -14,11 +14,13 @@
 // pins straggler detection and migration.
 //
 // The Framework rows pin the paper-figure path: `ParetoFramework`, the
-// prepare-once façade over `JobRuntime`'s prepare and execute halves,
-// built the way `hetsim_cli --strategy all --json` builds it (scale 0.5,
-// support 0.08, 8 partitions, normalized alpha 0.75, 40-record sampling
-// floor): one prepare and the four strategy runs, plus the predicted
-// frontier over Fig. 5's alpha list. Besides the digests, each row pins
+// prepare-once façade over `JobRuntime`'s prepare and execute halves, at
+// `hetsim_cli run-job`'s defaults (scale 0.5, support 0.08, 8 partitions,
+// normalized alpha 0.75, 40-record sampling floor): one prepare and the
+// four strategy runs, plus the predicted frontier over Fig. 5's alpha
+// list. `hetsim_cli run-job --strategy all --checkpoint 1000000
+// --no_replan` prints the same execution time, energies, quality, work
+// units and partition sizes. Besides the digests, each row pins
 // every report field as a hex float, so a one-ulp move names its field.
 #include <gtest/gtest.h>
 
@@ -236,7 +238,7 @@ TEST(FaultJob, RetryPolicyStoreStallSeed9) {
 }
 
 struct FrameworkDigest {
-  /// The four strategies' `core::to_json` lines, as `--json` prints them.
+  /// The four strategies' `core::to_json` lines, concatenated.
   std::uint64_t reports_hash = 0;
   std::size_t reports_size = 0;
   /// `frontier_to_json` of `predicted_frontier` over kFig5Alphas.

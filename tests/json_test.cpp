@@ -85,17 +85,6 @@ TEST(ReportIo, JobReportRoundsTheCorners) {
   EXPECT_NE(json.find(R"("node_exec_s":[1.5,0.75])"), std::string::npos);
 }
 
-TEST(ReportIo, PhaseReportSerializes) {
-  cluster::PhaseReport p;
-  p.name = "exec";
-  p.per_node.push_back(
-      {.node_id = 0, .work_units = 10, .compute_time_s = 1, .network_time_s = 2});
-  const std::string json = core::to_json(p);
-  EXPECT_NE(json.find(R"("name":"exec")"), std::string::npos);
-  EXPECT_NE(json.find(R"("makespan_s":3)"), std::string::npos);
-  EXPECT_NE(json.find(R"("network_s":2)"), std::string::npos);
-}
-
 TEST(ReportIo, FrontierSerializesAsArray) {
   std::vector<optimize::FrontierPoint> frontier(2);
   frontier[0].alpha = 1.0;

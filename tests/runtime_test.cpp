@@ -808,6 +808,32 @@ TEST(JobRuntime, RunIsPrepareThenExecute) {
                 .sizes);
   EXPECT_EQ(summary_json(two.execute(fast_spec().strategy)), summary);
   EXPECT_EQ(two.trace().chrome_trace_json(), trace);
+
+  // One prepare, every strategy in turn (`run-job --strategy all`): each
+  // execution equals a lone run(), even after the one before it
+  // re-planned and refit the node models.
+  JobSpec replanning = fast_spec();
+  replanning.per_node_slowdown = {2.5, 1.0, 1.0, 1.0};
+  cluster::Cluster shared(cluster::standard_cluster(4));
+  JobRuntime all(shared, energy, replanning);
+  all.prepare(ds, workload);
+  std::size_t replans_before_last = 0;
+  for (const core::Strategy s :
+       {core::Strategy::kRandom, core::Strategy::kStratified,
+        core::Strategy::kHetAware, core::Strategy::kHetEnergyAware}) {
+    JobSpec lone_spec = replanning;
+    lone_spec.strategy = s;
+    cluster::Cluster fresh(cluster::standard_cluster(4));
+    JobRuntime lone(fresh, energy, lone_spec);
+    const std::string expected = summary_json(lone.run(ds, workload));
+    const JobSummary got = all.execute(s);
+    EXPECT_EQ(summary_json(got), expected) << core::strategy_name(s);
+    if (s != core::Strategy::kHetEnergyAware) {
+      replans_before_last += got.replans;
+    }
+  }
+  all.release();
+  EXPECT_GE(replans_before_last, 1u);
 }
 
 // ---- JobRuntime and core::ParetoFramework on one cluster ------------------
