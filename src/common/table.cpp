@@ -58,16 +58,4 @@ void Table::print(std::ostream& os, const std::string& title) const {
   for (const auto& row : rows_) emit(row);
 }
 
-void Table::print_csv(std::ostream& os) const {
-  const auto emit = [&](const std::vector<std::string>& row) {
-    for (std::size_t c = 0; c < row.size(); ++c) {
-      if (c) os << ',';
-      os << row[c];
-    }
-    os << '\n';
-  };
-  emit(header_);
-  for (const auto& row : rows_) emit(row);
-}
-
 }  // namespace hetsim::common

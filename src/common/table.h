@@ -30,9 +30,6 @@ class Table {
   /// Renders with column padding, a header separator and `title` above.
   void print(std::ostream& os, const std::string& title = {}) const;
 
-  /// Renders as CSV (for downstream plotting).
-  void print_csv(std::ostream& os) const;
-
  private:
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;

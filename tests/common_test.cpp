@@ -238,13 +238,5 @@ TEST(Table, RejectsArityMismatch) {
   EXPECT_THROW(t.add_row({"only-one"}), std::invalid_argument);
 }
 
-TEST(Table, CsvEscapesNothingButDelimits) {
-  Table t({"x", "y"});
-  t.add_row({"1", "2"});
-  std::ostringstream os;
-  t.print_csv(os);
-  EXPECT_EQ(os.str(), "x,y\n1,2\n");
-}
-
 }  // namespace
 }  // namespace hetsim::common
