@@ -232,11 +232,15 @@ int chaos_main(int argc, const char* const* argv) {
 
   const std::string replay_path = args.get_string("replay");
   if (!replay_path.empty()) {
-    const chaos::Violation v = chaos::replay_file(replay_path);
+    const chaos::ReplayOutcome r = chaos::replay_file(replay_path);
+    const chaos::Violation& v = r.fired;
     if (v.violated) {
-      std::cout << "reproduced: " << chaos::victim_name(v.victim) << " "
-                << v.invariant << " — " << v.detail << '\n';
-      return 0;
+      // A different violation is a different finding, not this repro.
+      std::cout << (r.reproduced ? "reproduced: "
+                                 : "did not reproduce; fired instead: ")
+                << chaos::victim_name(v.victim) << " " << v.invariant
+                << " — " << v.detail << '\n';
+      return r.reproduced ? 0 : 1;
     }
     std::cout << "did not reproduce (fixed, or a stale repro)\n";
     return 1;

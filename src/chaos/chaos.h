@@ -18,11 +18,6 @@
 //               router has marked down.
 //             * stale-read: a successful replicated read returns the
 //               exact acknowledged value.
-//   recovery  snapshot + log replay onto a fresh store.
-//             * recovery-divergence: the recovered keyspace fingerprint
-//               equals the original's.
-//             * recovery-replay-failed: no replayed op reports a lost
-//               effect.
 //   job       a small replicated runtime::JobRuntime run (every
 //             job_cadence-th trial; it is the expensive victim). The
 //             victim takes the generated plan verbatim — the full fault
@@ -103,6 +98,12 @@ struct Grammar {
   std::uint64_t max_crash_op = 64;
   std::uint64_t max_partition_trips = 32;
   std::size_t churn_ops = 160;  // puts per churn trial
+
+  /// Throws common::ConfigError unless nodes >= 2 and
+  /// 1 <= min_events <= max_events. generate_events and
+  /// repro_from_json_text both apply it, so a replay never hands a
+  /// victim a grammar the search could not have drawn from.
+  void validate() const;
 };
 
 /// The trial's event list: a pure function of (seed, trial, grammar).
@@ -123,7 +124,7 @@ struct Grammar {
 [[nodiscard]] std::vector<Event> events_from_json(
     const common::JsonValue& arr);
 
-enum class Victim : std::uint8_t { kChurn, kRecovery, kJob };
+enum class Victim : std::uint8_t { kChurn, kJob };
 [[nodiscard]] std::string_view victim_name(Victim v);
 
 /// One invariant violation (empty `invariant` / violated=false when the
@@ -156,10 +157,19 @@ struct ReproCase {
 [[nodiscard]] std::string repro_json(const ReproCase& repro);
 [[nodiscard]] ReproCase repro_from_json_text(std::string_view text);
 
-/// Replay a repro: returns the violation the shrunk plan produces now
-/// (violated=false when it no longer reproduces).
-Violation replay(const ReproCase& repro);
-Violation replay_file(const std::string& path);
+/// What a replay produced, judged against what the repro recorded.
+struct ReplayOutcome {
+  /// The violation the shrunk plan produces now (violated=false when
+  /// nothing fires).
+  Violation fired;
+  /// True only when the recorded victim broke the recorded invariant
+  /// again; a different violation firing is a different finding.
+  bool reproduced = false;
+};
+
+/// Replay a repro against the current code.
+ReplayOutcome replay(const ReproCase& repro);
+ReplayOutcome replay_file(const std::string& path);
 
 struct SearchConfig {
   std::uint64_t seed = 1;

@@ -53,13 +53,17 @@ std::string_view event_kind_name(EventKind kind) {
   return kKindNames[static_cast<std::size_t>(kind)];
 }
 
+void Grammar::validate() const {
+  common::require<common::ConfigError>(
+      nodes >= 2, "chaos::Grammar: need at least two nodes");
+  common::require<common::ConfigError>(
+      min_events >= 1 && max_events >= min_events,
+      "chaos::Grammar: need 1 <= min_events <= max_events");
+}
+
 std::vector<Event> generate_events(std::uint64_t seed, std::uint64_t trial,
                                    const Grammar& g) {
-  common::require<common::ConfigError>(
-      g.nodes >= 2, "chaos::Grammar: need at least two nodes");
-  common::require<common::ConfigError>(
-      g.min_events >= 1 && g.max_events >= g.min_events,
-      "chaos::Grammar: need 1 <= min_events <= max_events");
+  g.validate();
   DrawStream draw(seed, trial);
   const std::size_t n =
       g.min_events +
@@ -260,8 +264,6 @@ std::string_view victim_name(Victim v) {
   switch (v) {
     case Victim::kChurn:
       return "churn";
-    case Victim::kRecovery:
-      return "recovery";
     case Victim::kJob:
       return "job";
   }

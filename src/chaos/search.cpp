@@ -2,6 +2,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "chaos/chaos.h"
@@ -30,48 +31,50 @@ std::string grammar_json(const Grammar& g) {
   return w.str();
 }
 
+/// A grammar count: absent keeps `fallback`; a negative value is
+/// rejected rather than wrapped to a huge unsigned bound.
+std::uint64_t get_count(const common::JsonValue& doc, std::string_view key,
+                        std::uint64_t fallback) {
+  const common::JsonValue* v = doc.find(key);
+  if (v == nullptr) return fallback;
+  const std::int64_t i = v->as_int(key);
+  common::require<common::ConfigError>(
+      i >= 0, "chaos repro: grammar '" + std::string(key) + "' must be >= 0");
+  return static_cast<std::uint64_t>(i);
+}
+
+double get_double(const common::JsonValue& doc, std::string_view key,
+                  double fallback) {
+  const common::JsonValue* v = doc.find(key);
+  return v == nullptr ? fallback : v->as_double(key);
+}
+
 Grammar grammar_from_json(const common::JsonValue& doc) {
   Grammar g;
-  if (const auto* f = doc.find("nodes")) {
-    g.nodes = static_cast<std::size_t>(f->as_int("nodes"));
-  }
-  if (const auto* f = doc.find("min_events")) {
-    g.min_events = static_cast<std::size_t>(f->as_int("min_events"));
-  }
-  if (const auto* f = doc.find("max_events")) {
-    g.max_events = static_cast<std::size_t>(f->as_int("max_events"));
-  }
-  if (const auto* f = doc.find("max_prob")) {
-    g.max_prob = f->as_double("max_prob");
-  }
-  if (const auto* f = doc.find("max_spike_s")) {
-    g.max_spike_s = f->as_double("max_spike_s");
-  }
-  if (const auto* f = doc.find("max_stall_s")) {
-    g.max_stall_s = f->as_double("max_stall_s");
-  }
-  if (const auto* f = doc.find("max_fail_stop_s")) {
-    g.max_fail_stop_s = f->as_double("max_fail_stop_s");
-  }
-  if (const auto* f = doc.find("max_slowdown")) {
-    g.max_slowdown = f->as_double("max_slowdown");
-  }
-  if (const auto* f = doc.find("max_crash_op")) {
-    g.max_crash_op = static_cast<std::uint64_t>(f->as_int("max_crash_op"));
-  }
-  if (const auto* f = doc.find("max_partition_trips")) {
-    g.max_partition_trips =
-        static_cast<std::uint64_t>(f->as_int("max_partition_trips"));
-  }
-  if (const auto* f = doc.find("churn_ops")) {
-    g.churn_ops = static_cast<std::size_t>(f->as_int("churn_ops"));
-  }
+  g.nodes = get_count(doc, "nodes", g.nodes);
+  g.min_events = get_count(doc, "min_events", g.min_events);
+  g.max_events = get_count(doc, "max_events", g.max_events);
+  g.max_prob = get_double(doc, "max_prob", g.max_prob);
+  g.max_spike_s = get_double(doc, "max_spike_s", g.max_spike_s);
+  g.max_stall_s = get_double(doc, "max_stall_s", g.max_stall_s);
+  g.max_fail_stop_s = get_double(doc, "max_fail_stop_s", g.max_fail_stop_s);
+  g.max_slowdown = get_double(doc, "max_slowdown", g.max_slowdown);
+  g.max_crash_op = get_count(doc, "max_crash_op", g.max_crash_op);
+  g.max_partition_trips =
+      get_count(doc, "max_partition_trips", g.max_partition_trips);
+  g.churn_ops = get_count(doc, "churn_ops", g.churn_ops);
   return g;
+}
+
+/// The finding a repro records: the same victim breaking the same
+/// invariant. Any other violation is a different bug.
+bool same_finding(const Violation& v, Victim victim,
+                  std::string_view invariant) {
+  return v.violated && v.victim == victim && v.invariant == invariant;
 }
 
 Victim victim_from_name(std::string_view name) {
   if (name == "churn") return Victim::kChurn;
-  if (name == "recovery") return Victim::kRecovery;
   if (name == "job") return Victim::kJob;
   throw common::ConfigError("chaos repro: unknown victim '" +
                             std::string(name) + "'");
@@ -121,6 +124,7 @@ ReproCase repro_from_json_text(std::string_view text) {
   if (const auto* g = doc.find("grammar")) {
     repro.grammar = grammar_from_json(*g);
   }
+  repro.grammar.validate();
   repro.events = events_from_json(*events);
   if (const auto* plan = doc.find("plan")) {
     // Not used for the replay (the events are canonical) but must be a
@@ -130,14 +134,17 @@ ReproCase repro_from_json_text(std::string_view text) {
   return repro;
 }
 
-Violation replay(const ReproCase& repro) {
+ReplayOutcome replay(const ReproCase& repro) {
   const fault::FaultPlan plan =
       events_to_plan(repro.chaos_seed, repro.trial, repro.events);
-  return run_victim(repro.victim, plan, repro.grammar, repro.chaos_seed,
-                    repro.trial);
+  ReplayOutcome out;
+  out.fired = run_victim(repro.victim, plan, repro.grammar, repro.chaos_seed,
+                         repro.trial);
+  out.reproduced = same_finding(out.fired, repro.victim, repro.invariant);
+  return out;
 }
 
-Violation replay_file(const std::string& path) {
+ReplayOutcome replay_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   common::require<common::ConfigError>(
       in.good(), "chaos replay: cannot open '" + path + "'");
@@ -151,10 +158,10 @@ std::vector<Event> shrink_events(const std::vector<Event>& events,
                                  const Grammar& grammar, std::uint64_t seed,
                                  std::uint64_t trial) {
   const auto reproduces = [&](const std::vector<Event>& subset) {
-    const Violation v = run_victim(
-        target.victim, events_to_plan(seed, trial, subset), grammar, seed,
-        trial);
-    return v.violated && v.invariant == target.invariant;
+    return same_finding(
+        run_victim(target.victim, events_to_plan(seed, trial, subset),
+                   grammar, seed, trial),
+        target.victim, target.invariant);
   };
   // Hook-planted bugs often need no events at all — test that first.
   if (reproduces({})) return {};
@@ -195,7 +202,7 @@ SearchReport run_search(const SearchConfig& config) {
     line << "trial=" << trial << " events=" << events.size();
     const bool run_job =
         config.job_cadence != 0 && trial % config.job_cadence == 0;
-    const Victim order[] = {Victim::kChurn, Victim::kRecovery, Victim::kJob};
+    const Victim order[] = {Victim::kChurn, Victim::kJob};
     for (const Victim victim : order) {
       if (victim == Victim::kJob && !run_job) continue;
       std::string digest;

@@ -1,4 +1,4 @@
-// Chaos victims: the three workloads every trial's plan is thrown at,
+// Chaos victims: the two workloads every trial's plan is thrown at,
 // plus the global invariants they must keep (chaos.h lists them).
 //
 // Everything here is a pure function of (plan, grammar, seed, trial):
@@ -11,7 +11,6 @@
 #include <set>
 #include <sstream>
 #include <string>
-#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -23,7 +22,6 @@
 #include "data/generators.h"
 #include "energy/estimator.h"
 #include "ha/group.h"
-#include "ha/recovery.h"
 #include "kvstore/client.h"
 #include "kvstore/store.h"
 #include "runtime/runtime.h"
@@ -32,24 +30,13 @@ namespace hetsim::chaos {
 
 namespace {
 
-/// Pure mix for per-victim value draws, independent of the plan's
-/// injector streams (tag keeps victims from sharing draws).
+/// Pure mix for the churn victim's value draws, independent of the
+/// plan's injector streams.
 [[nodiscard]] std::uint64_t mix(std::uint64_t seed, std::uint64_t trial,
                                 std::uint64_t tag, std::uint64_t i) {
   std::uint64_t s = seed ^ (trial * 0x9e3779b97f4a7c15ULL) ^ tag;
   std::uint64_t x = common::splitmix64(s) ^ i;
   return common::splitmix64(x);
-}
-
-/// FNV-1a over a string — a platform-stable digest for log lines
-/// (std::hash makes no cross-build promises).
-[[nodiscard]] std::uint64_t fnv1a(std::string_view s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
 }
 
 Violation pass(Victim victim) {
@@ -188,86 +175,6 @@ Violation run_churn(const fault::FaultPlan& plan, const Grammar& g,
   return pass(Victim::kChurn);
 }
 
-// ---- recovery ---------------------------------------------------------
-
-Violation run_recovery(const Grammar&, std::uint64_t seed,
-                       std::uint64_t trial, std::string* digest) {
-  constexpr std::uint64_t kTag = 0x6368616f735f7263ULL;  // "chaos_rc"
-  // A standalone durable-store model, not data-plane traffic: the
-  // victim drives the snapshot/replay machinery directly.
-  kvstore::Store original;  // hetsim-analyze: allow(direct-store)
-  ha::OpLog log;
-  const auto apply = [&](kvstore::Command cmd) {
-    // The command mix includes gets of absent keys; non-ok replies are
-    // part of the fixture.  // hetsim-analyze: allow(status-flow)
-    (void)kvstore::apply_command(original, cmd);  // hetsim-analyze: allow(status-flow)
-    log.append(std::move(cmd));
-  };
-  const auto command_at = [&](std::uint64_t i) {
-    const std::uint64_t draw = mix(seed, trial, kTag, i);
-    kvstore::Command cmd;
-    switch (i % 3) {
-      case 0:
-        cmd.type = kvstore::CommandType::kSet;
-        cmd.key = "k" + std::to_string(i);
-        cmd.value = "v" + std::to_string(draw);
-        break;
-      case 1:
-        cmd.type = kvstore::CommandType::kRPush;
-        cmd.key = "l" + std::to_string(i % 5);
-        cmd.value = "e" + std::to_string(draw & 0xffULL);
-        break;
-      default:
-        cmd.type = kvstore::CommandType::kIncrBy;
-        cmd.key = "n" + std::to_string(i % 3);
-        cmd.arg0 = static_cast<std::int64_t>(draw % 9ULL) + 1;
-        break;
-    }
-    return cmd;
-  };
-
-  const std::uint64_t n1 = 24 + mix(seed, trial, kTag, 1001) % 24;
-  const std::uint64_t n2 = 8 + mix(seed, trial, kTag, 1002) % 16;
-  for (std::uint64_t i = 0; i < n1; ++i) apply(command_at(i));
-  const ha::Snapshot snap = ha::take_snapshot(original, log.last_seq());
-  for (std::uint64_t i = n1; i < n1 + n2; ++i) apply(command_at(i));
-
-  const auto fingerprint =
-      [](const kvstore::Store& store) {  // hetsim-analyze: allow(direct-store)
-    std::ostringstream os;
-    for (const std::string& key :
-         store.keys()) {  // hetsim-analyze: allow(direct-store)
-      os << key << '=' << store.value_digest(key) << ';';
-    }
-    return os.str();
-  };
-  const std::string want = fingerprint(original);
-
-  kvstore::Store rebuilt;  // hetsim-analyze: allow(direct-store)
-  const ha::RecoveryReport report = ha::recover(rebuilt, snap, log);
-  if (report.failed_ops != 0) {
-    return fail(Victim::kRecovery, "recovery-replay-failed",
-                std::to_string(report.failed_ops) +
-                    " replayed op(s) reported no effect");
-  }
-  const std::string got = fingerprint(rebuilt);
-  if (got != want) {
-    return fail(Victim::kRecovery, "recovery-divergence",
-                "recovered keyspace fingerprint differs from the "
-                "original (" +
-                    std::to_string(n1 + n2) + " ops, snapshot at " +
-                    std::to_string(n1) + ")");
-  }
-
-  if (digest != nullptr) {
-    std::ostringstream os;
-    os << "ops=" << (n1 + n2) << " snap=" << snap.entries.size()
-       << " replayed=" << report.replayed_ops << " fp=" << fnv1a(want);
-    *digest = os.str();
-  }
-  return pass(Victim::kRecovery);
-}
-
 // ---- job --------------------------------------------------------------
 
 class LinearWorkload final : public core::Workload {
@@ -359,8 +266,6 @@ Violation run_victim(Victim victim, const fault::FaultPlan& plan,
     switch (victim) {
       case Victim::kChurn:
         return run_churn(plan, grammar, seed, trial, digest);
-      case Victim::kRecovery:
-        return run_recovery(grammar, seed, trial, digest);
       case Victim::kJob:
         return run_job(plan, grammar, digest);
     }

@@ -16,9 +16,6 @@
 namespace hetsim::fault {
 
 struct TestHooks {
-  /// ha::recover() skips the first op-log tail entry (replay
-  /// off-by-one): the recovered store silently misses one write.
-  bool recovery_skip_first_replay = false;
   /// ha::ShardRouter never gives up on a key's first preference: a
   /// dead (or breaker-open) primary keeps its route slot instead of
   /// being demoted/shed, so every op burns its retry budget against a
@@ -29,8 +26,7 @@ struct TestHooks {
   bool fanout_skip_last_replica = false;
 
   [[nodiscard]] bool any() const noexcept {
-    return recovery_skip_first_replay || router_pin_dead_primary ||
-           fanout_skip_last_replica;
+    return router_pin_dead_primary || fanout_skip_last_replica;
   }
 };
 

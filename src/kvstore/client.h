@@ -36,14 +36,13 @@ enum class CommandType : std::uint8_t {
   kLRange,
   kLLen,
   kLIndex,
-  kIncrBy,
 };
 
 struct Command {
   CommandType type{};
   std::string key;
   std::string value;       // kSet / kRPush payload
-  std::int64_t arg0 = 0;   // kLRange start, kLIndex index, kIncrBy delta
+  std::int64_t arg0 = 0;   // kLRange start, kLIndex index
   std::int64_t arg1 = 0;   // kLRange stop
 };
 
@@ -70,16 +69,15 @@ enum class Status : std::uint8_t {
 [[nodiscard]] Status worse_status(Status a, Status b);
 
 /// True when re-applying the command cannot change the outcome beyond
-/// the first application (reads, kSet, kDel). kRPush and
-/// kIncrBy append/accumulate, so a retry after an ambiguous loss could
-/// double-apply them.
+/// the first application (reads, kSet, kDel). kRPush appends, so a
+/// retry after an ambiguous loss could double-apply it.
 [[nodiscard]] bool idempotent(CommandType type);
 
 struct Reply {
   bool ok = false;                 // key found / operation applied
   std::string blob;                // kGet / kLIndex
   std::vector<std::string> list;   // kLRange
-  std::int64_t integer = 0;        // kIncrBy / kLLen / kRPush
+  std::int64_t integer = 0;        // kLLen / kRPush
   Status status = Status::kOk;     // transport outcome
 };
 
@@ -123,10 +121,6 @@ class UnavailableError : public common::Error {
 /// idiom for "I only care that it succeeded".
 Reply expect_ok(Reply reply);
 std::vector<Reply> expect_ok(std::vector<Reply> replies);
-
-/// Execute a command against a store, producing its reply. Shared by the
-/// simulated Client, HA op-log replay and the chaos recovery victim.
-[[nodiscard]] Reply apply_command(Store& store, const Command& cmd);
 
 /// A connection from host `self` to the store hosted on `target`.
 class Client {
@@ -179,7 +173,6 @@ class Client {
   }
 
  private:
-  Reply apply(const Command& cmd);
   [[nodiscard]] static std::size_t request_bytes(const Command& cmd);
   [[nodiscard]] static std::size_t response_bytes(const Command& cmd,
                                                   const Reply& reply);

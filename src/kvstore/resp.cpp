@@ -17,8 +17,8 @@ std::size_t digits_of(std::int64_t v) {
 }
 
 /// Command name table, index = CommandType.
-constexpr std::array<std::string_view, 8> kNames{
-    "SET", "GET", "DEL", "RPUSH", "LRANGE", "LLEN", "LINDEX", "INCRBY"};
+constexpr std::array<std::string_view, 7> kNames{
+    "SET", "GET", "DEL", "RPUSH", "LRANGE", "LLEN", "LINDEX"};
 
 std::string_view name_of(CommandType type) {
   return kNames[static_cast<std::size_t>(type)];
@@ -46,7 +46,6 @@ std::size_t command_wire_size(const Command& cmd) {
       parts += 2;
       break;
     case CommandType::kLIndex:
-    case CommandType::kIncrBy:
       payload += bulk_wire_size(digits_of(cmd.arg0));
       ++parts;
       break;
@@ -67,7 +66,6 @@ std::size_t reply_wire_size(CommandType type, const Reply& reply) {
       return 4;  // :0\r\n or :1\r\n
     case CommandType::kRPush:
     case CommandType::kLLen:
-    case CommandType::kIncrBy:
       return 1 + digits_of(reply.integer) + 2;
     case CommandType::kLRange: {
       std::size_t n = 1 + digits_of(static_cast<std::int64_t>(reply.list.size())) + 2;

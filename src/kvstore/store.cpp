@@ -84,15 +84,6 @@ std::optional<std::string> Store::lindex(std::string_view key,
   return (*list)[static_cast<std::size_t>(i)];
 }
 
-std::int64_t Store::incrby(std::string_view key, std::int64_t delta) {
-  ++ops_;
-  auto [it, inserted] = data_.try_emplace(std::string(key), std::int64_t{0});
-  auto* counter = std::get_if<std::int64_t>(&it->second);
-  common::require<StoreError>(counter != nullptr, "INCRBY on non-counter key");
-  *counter += delta;
-  return *counter;
-}
-
 bool Store::del(std::string_view key) {
   ++ops_;
   const auto it = data_.find(key);
@@ -121,93 +112,25 @@ std::vector<std::string> Store::keys() const {
   return out;
 }
 
-namespace {
-
-// Wire tags of the typed value encoding. A tag byte keeps a string "3",
-// a one-element list ["3"] and a counter 3 distinguishable in both the
-// digest and the snapshot encoding.
-constexpr char kTagString = 's';
-constexpr char kTagList = 'l';
-constexpr char kTagCounter = 'c';
-
-std::string encode_variant(
-    const std::variant<std::string, std::vector<std::string>, std::int64_t>&
-        value) {
-  std::string out;
-  if (const auto* str = std::get_if<std::string>(&value)) {
-    out.push_back(kTagString);
-    common::append_u32(out, static_cast<std::uint32_t>(str->size()));
-    out.append(*str);
-  } else if (const auto* list = std::get_if<std::vector<std::string>>(&value)) {
-    out.push_back(kTagList);
-    common::append_u32(out, static_cast<std::uint32_t>(list->size()));
-    for (const std::string& e : *list) {
-      common::append_u32(out, static_cast<std::uint32_t>(e.size()));
-      out.append(e);
-    }
-  } else {
-    out.push_back(kTagCounter);
-    common::append_u64(out,
-                       static_cast<std::uint64_t>(std::get<std::int64_t>(value)));
-  }
-  return out;
-}
-
-}  // namespace
-
 std::uint64_t Store::value_digest(std::string_view key) const {
   const auto it = data_.find(key);
   if (it == data_.end()) return 0;
-  return common::hash_bytes(encode_variant(it->second));
-}
-
-std::optional<std::string> Store::encode_value(std::string_view key) const {
-  const auto it = data_.find(key);
-  if (it == data_.end()) return std::nullopt;
-  return encode_variant(it->second);
-}
-
-void Store::restore_value(std::string_view key, std::string_view encoded) {
-  common::require<StoreError>(!encoded.empty(),
-                              "restore_value: empty encoding");
-  Value value;
-  const std::string body(encoded.substr(1));
-  switch (encoded[0]) {
-    case kTagString: {
-      const std::uint32_t n = common::read_u32(body, 0);
-      common::require<StoreError>(body.size() == 4 + n,
-                                  "restore_value: bad string length");
-      value = body.substr(4);
-      break;
+  // The tag byte keeps a string "x" and a one-element list ["x"] apart.
+  std::string out;
+  if (const auto* str = std::get_if<std::string>(&it->second)) {
+    out.push_back('s');
+    common::append_u32(out, static_cast<std::uint32_t>(str->size()));
+    out.append(*str);
+  } else {
+    const auto& list = std::get<std::vector<std::string>>(it->second);
+    out.push_back('l');
+    common::append_u32(out, static_cast<std::uint32_t>(list.size()));
+    for (const std::string& e : list) {
+      common::append_u32(out, static_cast<std::uint32_t>(e.size()));
+      out.append(e);
     }
-    case kTagList: {
-      const std::uint32_t count = common::read_u32(body, 0);
-      std::vector<std::string> list;
-      list.reserve(count);
-      std::size_t at = 4;
-      for (std::uint32_t i = 0; i < count; ++i) {
-        const std::uint32_t n = common::read_u32(body, at);
-        at += 4;
-        common::require<StoreError>(at + n <= body.size(),
-                                    "restore_value: truncated list element");
-        list.push_back(body.substr(at, n));
-        at += n;
-      }
-      common::require<StoreError>(at == body.size(),
-                                  "restore_value: trailing list bytes");
-      value = std::move(list);
-      break;
-    }
-    case kTagCounter: {
-      common::require<StoreError>(body.size() == 8,
-                                  "restore_value: bad counter length");
-      value = static_cast<std::int64_t>(common::read_u64(body, 0));
-      break;
-    }
-    default:
-      throw StoreError("restore_value: unknown value tag");
   }
-  data_.insert_or_assign(std::string(key), std::move(value));
+  return common::hash_bytes(out);
 }
 
 StoreStats Store::stats() const {
@@ -218,10 +141,10 @@ StoreStats Store::stats() const {
     s.bytes += key.size();
     if (const auto* str = std::get_if<std::string>(&value)) {
       s.bytes += str->size();
-    } else if (const auto* list = std::get_if<std::vector<std::string>>(&value)) {
-      for (const auto& e : *list) s.bytes += e.size();
     } else {
-      s.bytes += sizeof(std::int64_t);
+      for (const auto& e : std::get<std::vector<std::string>>(value)) {
+        s.bytes += e.size();
+      }
     }
   }
   return s;

@@ -1,7 +1,7 @@
 // In-memory key-value store modelled on the subset of Redis the paper's
-// middleware uses (section IV): string blobs, lists of blobs, and a
-// counter supporting fetch-and-increment (the paper's barrier primitive;
-// here Cluster::run_phase is the barrier, in virtual time).
+// middleware uses (section IV): string blobs and lists of blobs. The
+// paper's INCR barrier has no counter here: Cluster::run_phase is the
+// barrier, in virtual time.
 //
 // One Store instance plays the role of one Redis server process. It is
 // completely deterministic and holds no lock: the simulator reaches every
@@ -51,11 +51,6 @@ class Store {
   [[nodiscard]] std::optional<std::string> lindex(std::string_view key,
                                                   std::int64_t index) const;
 
-  // ---- counters ------------------------------------------------------
-  /// Fetch-and-add; creates the counter at 0. Returns the NEW value
-  /// (Redis INCRBY semantics).
-  std::int64_t incrby(std::string_view key, std::int64_t delta);
-
   // ---- keyspace ------------------------------------------------------
   /// Returns true if the key was present.
   bool del(std::string_view key);
@@ -71,26 +66,19 @@ class Store {
   void fail_stop();
   [[nodiscard]] bool is_down() const;
 
-  // ---- snapshot / inspection surface (src/ha, src/chaos) --------------
-  // Snapshots, op-log replay and the chaos invariants need a stable,
-  // enumerable view of the keyspace. None of these count as served
-  // operations (ops_ untouched): they model control-plane access, not
-  // client traffic.
+  // ---- inspection surface (tests) -------------------------------------
+  // A stable, enumerable view of the keyspace for durability checks.
+  // Neither counts as a served operation (ops_ untouched): they model
+  // control-plane access, not client traffic.
   /// All keys, in map (lexicographic) order.
   [[nodiscard]] std::vector<std::string> keys() const;
   /// Stable 64-bit digest of the value under `key` (type-tagged, so a
-  /// string "3" and a counter 3 differ); 0 when the key is absent.
+  /// string "x" and a one-element list ["x"] differ); 0 when the key is
+  /// absent.
   [[nodiscard]] std::uint64_t value_digest(std::string_view key) const;
-  /// Type-tagged wire encoding of the value under `key` (nullopt when
-  /// absent). restore_value() round-trips it exactly.
-  [[nodiscard]] std::optional<std::string> encode_value(
-      std::string_view key) const;
-  /// Install an encoded value under `key`, replacing any previous value.
-  /// Throws StoreError on a malformed encoding.
-  void restore_value(std::string_view key, std::string_view encoded);
 
  private:
-  using Value = std::variant<std::string, std::vector<std::string>, std::int64_t>;
+  using Value = std::variant<std::string, std::vector<std::string>>;
 
   std::map<std::string, Value, std::less<>> data_;
   mutable std::uint64_t ops_ = 0;

@@ -116,11 +116,12 @@ TEST(ChaosSearch, CleanStackPassesAndTheTrialLogIsByteIdentical) {
   }
 }
 
-TEST(ChaosSearch, TrialLogPinnedAcrossHaDeletion) {
-  // Run-against-run identity cannot see a change to churn or recovery
-  // behaviour, so pin the logs themselves: the constants are the
-  // hash and length of the trial logs the HA stack produced before
-  // its replica-rejoin mechanism was deleted.
+TEST(ChaosSearch, TrialLogPinnedAcrossRecoveryDeletion) {
+  // Run-against-run identity cannot see a change to churn or job
+  // behaviour, so pin the logs themselves: the constants are the hash
+  // and length of the trial logs produced when the snapshot/op-log
+  // recovery victim was deleted. They equal the earlier logs with each
+  // line's ` recovery=[...]` segment removed, byte for byte.
   struct Pinned {
     std::uint64_t seed;
     std::uint64_t trials;
@@ -128,8 +129,8 @@ TEST(ChaosSearch, TrialLogPinnedAcrossHaDeletion) {
     std::uint64_t log_hash;
     std::size_t log_size;
   };
-  for (const Pinned& p : {Pinned{1, 200, 8, 0x1a7e4d7bc65c9df9ULL, 33315},
-                          Pinned{3, 60, 1, 0xebc4e7f31e80397dULL, 13506}}) {
+  for (const Pinned& p : {Pinned{1, 200, 8, 0xf6ba8edcae19cf1cULL, 21066},
+                          Pinned{3, 60, 1, 0x00e1f1ec02cb847cULL, 9837}}) {
     chaos::SearchConfig config = quick_config(p.seed, p.trials);
     config.job_cadence = p.job_cadence;
     const chaos::SearchReport report = chaos::run_search(config);
@@ -167,11 +168,56 @@ TEST(ChaosRepro, JsonRoundTripsAndEmbedsAValidFaultPlan) {
 TEST(ChaosRepro, RejectsUnknownVictimAndMissingKeys) {
   EXPECT_THROW((void)chaos::repro_from_json_text("{}"),
                common::ConfigError);
-  EXPECT_THROW(
-      (void)chaos::repro_from_json_text(
-          R"({"chaos_seed": 1, "trial": 0, "victim": "toaster",
-              "invariant": "x", "events": []})"),
-      common::ConfigError);
+  const auto repro_text = [](const std::string& victim,
+                             const std::string& grammar) {
+    return R"({"chaos_seed": 1, "trial": 0, "victim": ")" + victim +
+           R"(", "invariant": "x", "events": [], "grammar": )" + grammar +
+           "}";
+  };
+  EXPECT_NO_THROW((void)chaos::repro_from_json_text(repro_text("churn", "{}")));
+  for (const char* victim : {"toaster", "recovery"}) {
+    EXPECT_THROW((void)chaos::repro_from_json_text(repro_text(victim, "{}")),
+                 common::ConfigError)
+        << victim;
+  }
+  // A grammar the search could never have drawn from is rejected while
+  // parsing, before any victim runs: too few nodes, an empty or
+  // inverted event range, and negative counts (which would otherwise
+  // wrap to huge unsigned bounds).
+  for (const char* grammar :
+       {R"({"nodes": 0})", R"({"nodes": 1})", R"({"nodes": -2})",
+        R"({"min_events": 0})", R"({"min_events": 3, "max_events": 2})",
+        R"({"max_events": -1})", R"({"churn_ops": -1})",
+        R"({"max_crash_op": -1})"}) {
+    EXPECT_THROW(
+        (void)chaos::repro_from_json_text(repro_text("churn", grammar)),
+        common::ConfigError)
+        << grammar;
+  }
+}
+
+TEST(ChaosRepro, ADifferentViolationIsNotAReproduction) {
+  // The planted fan-out bug breaks replica-conservation on the churn
+  // victim under any plan. A repro recording another invariant, or the
+  // same invariant on another victim, must not count it as reproduced.
+  fault::TestHooks hooks;
+  hooks.fanout_skip_last_replica = true;
+  fault::ScopedTestHooks guard(hooks);
+  chaos::ReproCase repro;
+  repro.chaos_seed = 1;
+  repro.victim = chaos::Victim::kChurn;
+  repro.invariant = "replica-conservation";
+  EXPECT_TRUE(chaos::replay(repro).reproduced);
+
+  repro.invariant = "acked-write-lost";
+  const chaos::ReplayOutcome other = chaos::replay(repro);
+  EXPECT_TRUE(other.fired.violated);
+  EXPECT_EQ(other.fired.invariant, "replica-conservation");
+  EXPECT_FALSE(other.reproduced);
+
+  repro.victim = chaos::Victim::kJob;
+  repro.invariant = "replica-conservation";
+  EXPECT_FALSE(chaos::replay(repro).reproduced);
 }
 
 // ---- mutation self-test ----------------------------------------------------
@@ -185,14 +231,6 @@ struct Fixture {
 
 std::vector<Fixture> fixtures() {
   std::vector<Fixture> out;
-  {
-    Fixture f{};
-    f.name = "recovery_skip_first_replay";
-    f.hooks.recovery_skip_first_replay = true;
-    f.victim = chaos::Victim::kRecovery;
-    f.invariant = "recovery-divergence";
-    out.push_back(f);
-  }
   {
     Fixture f{};
     f.name = "router_pin_dead_primary";
@@ -231,14 +269,16 @@ TEST(ChaosMutation, FindsAndShrinksEverySeededBugFixture) {
 
     // The written artifact replays to the same violation while the bug
     // is in...
-    const chaos::Violation again = chaos::replay_file(report.repro_path);
-    EXPECT_TRUE(again.violated);
-    EXPECT_EQ(again.invariant, fixture.invariant);
+    const chaos::ReplayOutcome again = chaos::replay_file(report.repro_path);
+    EXPECT_TRUE(again.reproduced);
+    EXPECT_EQ(again.fired.invariant, fixture.invariant);
     {
       // ...and passes once it is fixed (hooks off).
       fault::ScopedTestHooks fixed(fault::TestHooks{});
-      const chaos::Violation healthy = chaos::replay_file(report.repro_path);
-      EXPECT_FALSE(healthy.violated) << healthy.detail;
+      const chaos::ReplayOutcome healthy =
+          chaos::replay_file(report.repro_path);
+      EXPECT_FALSE(healthy.fired.violated) << healthy.fired.detail;
+      EXPECT_FALSE(healthy.reproduced);
     }
     std::remove(report.repro_path.c_str());
   }

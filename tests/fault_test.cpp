@@ -474,8 +474,7 @@ kvstore::Command random_command(common::Rng& rng) {
       return {.type = CommandType::kLIndex, .key = "l" + n,
               .arg0 = static_cast<std::int64_t>(rng.bounded(3))};
     default:
-      return {.type = CommandType::kIncrBy, .key = "c" + n,
-              .arg0 = static_cast<std::int64_t>(rng.bounded(5)) + 1};
+      return {.type = CommandType::kRPush, .key = "l" + n, .value = v};
   }
 }
 

@@ -2,8 +2,8 @@
 // consistent-hash shard maps (determinism + bounded churn), the
 // liveness-aware router's seeded failover elections, the replicated
 // client's write fan-out / read fallback for every transport status,
-// snapshot + op-log replay recovery, and the job runtime's replicated
-// degraded mode driven by the example fault plan.
+// and the job runtime's replicated degraded mode driven by the example
+// fault plan.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -25,7 +25,6 @@
 #include "fault/fault.h"
 #include "ha/client.h"
 #include "ha/group.h"
-#include "ha/recovery.h"
 #include "ha/router.h"
 #include "ha/shard_map.h"
 #include "kvstore/client.h"
@@ -655,65 +654,6 @@ TEST(NodeGroup, FailStoppedReplicaAcksNoBatchedPutAndServesNoBatchedRead) {
     EXPECT_EQ(reads[i].reply.blob, pairs[i].second) << keys[i];
     EXPECT_NE(reads[i].served_by, dead) << keys[i];
   }
-}
-
-// ---- recovery: snapshot + op-log replay ------------------------------------
-
-TEST(Recovery, SnapshotPlusLogReplayRebuildsTheExactStore) {
-  kvstore::Store store;
-  ha::OpLog log;
-  const auto apply_and_log = [&](kvstore::Command cmd) {
-    (void)kvstore::apply_command(store, cmd);
-    (void)log.append(std::move(cmd));
-  };
-  apply_and_log({.type = kvstore::CommandType::kSet, .key = "a", .value = "1"});
-  apply_and_log(
-      {.type = kvstore::CommandType::kRPush, .key = "l", .value = "x"});
-  const ha::Snapshot snap = ha::take_snapshot(store, log.last_seq());
-  // Post-snapshot writes live only in the log tail.
-  apply_and_log(
-      {.type = kvstore::CommandType::kRPush, .key = "l", .value = "y"});
-  apply_and_log({.type = kvstore::CommandType::kIncrBy, .key = "c", .arg0 = 5});
-  apply_and_log({.type = kvstore::CommandType::kDel, .key = "a"});
-
-  kvstore::Store rebuilt;
-  const ha::RecoveryReport report = ha::recover(rebuilt, snap, log);
-  EXPECT_EQ(report.snapshot_seq, 2u);
-  EXPECT_EQ(report.snapshot_keys, 2u);
-  EXPECT_EQ(report.replayed_ops, 3u);
-  EXPECT_EQ(rebuilt.keys(), store.keys());
-  for (const std::string& key : store.keys()) {
-    EXPECT_EQ(rebuilt.value_digest(key), store.value_digest(key)) << key;
-  }
-  EXPECT_EQ(rebuilt.lrange("l", 0, -1),
-            (std::vector<std::string>{"x", "y"}));
-  EXPECT_EQ(rebuilt.incrby("c", 0), 5);
-}
-
-TEST(Recovery, ReplayFailuresAreCountedNotSwallowed) {
-  // Regression for the status-flow finding in recover(): replay used to
-  // (void)-discard every Reply, so a log entry that re-applied with no
-  // effect vanished silently. A corrupted tail entry (here: a read of a
-  // key the snapshot+log state cannot contain) must be surfaced.
-  ha::OpLog log;
-  (void)log.append(
-      {.type = kvstore::CommandType::kSet, .key = "a", .value = "1"});
-  (void)log.append({.type = kvstore::CommandType::kGet, .key = "ghost"});
-  kvstore::Store rebuilt;
-  const ha::RecoveryReport report = ha::recover(rebuilt, ha::Snapshot{}, log);
-  EXPECT_EQ(report.replayed_ops, 1u);
-  EXPECT_EQ(report.failed_ops, 1u);
-  EXPECT_TRUE(report.diverged());
-}
-
-TEST(Recovery, DelOfAbsentKeyIsALegitimateNoOpNotDivergence) {
-  ha::OpLog log;
-  (void)log.append({.type = kvstore::CommandType::kDel, .key = "never"});
-  kvstore::Store rebuilt;
-  const ha::RecoveryReport report = ha::recover(rebuilt, ha::Snapshot{}, log);
-  EXPECT_EQ(report.replayed_ops, 1u);
-  EXPECT_EQ(report.failed_ops, 0u);
-  EXPECT_FALSE(report.diverged());
 }
 
 // ---- runtime integration: replicated jobs ----------------------------------

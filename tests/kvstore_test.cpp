@@ -34,8 +34,7 @@ TEST(Store, TypeMismatchThrows) {
   EXPECT_THROW((void)s.rpush("str", "y"), common::StoreError);
   (void)s.rpush("list", "y");
   EXPECT_THROW((void)s.get("list"), common::StoreError);
-  (void)s.incrby("ctr", 1);
-  EXPECT_THROW((void)s.lrange("ctr", 0, -1), common::StoreError);
+  EXPECT_THROW((void)s.lrange("str", 0, -1), common::StoreError);
 }
 
 TEST(Store, RPushGrowsAndLLenCounts) {
@@ -64,15 +63,6 @@ TEST(Store, LIndexBothEnds) {
   EXPECT_EQ(s.lindex("l", -1), "c");
   EXPECT_EQ(s.lindex("l", 3), std::nullopt);
   EXPECT_EQ(s.lindex("l", -4), std::nullopt);
-}
-
-TEST(Store, IncrByIsFetchAndAdd) {
-  Store s;
-  EXPECT_EQ(s.incrby("c", 1), 1);
-  EXPECT_EQ(s.incrby("c", 5), 6);
-  EXPECT_EQ(s.incrby("c", -2), 4);
-  EXPECT_EQ(s.incrby("c", 0), 4);
-  EXPECT_EQ(s.incrby("fresh", 0), 0);  // created at 0
 }
 
 TEST(Store, DelAndExists) {
@@ -114,8 +104,6 @@ TEST_F(ClientTest, ImmediateOpsWork) {
             std::vector<std::string>{"a"});
   EXPECT_EQ(run({.type = CommandType::kLIndex, .key = "l", .arg0 = -1}).blob,
             "a");
-  EXPECT_EQ(run({.type = CommandType::kIncrBy, .key = "c", .arg0 = 7}).integer,
-            7);
   EXPECT_TRUE(run({.type = CommandType::kDel, .key = "k"}).ok);
   EXPECT_FALSE(run({.type = CommandType::kDel, .key = "k"}).ok);
   EXPECT_FALSE(run({.type = CommandType::kGet, .key = "k"}).ok);
@@ -208,12 +196,12 @@ TEST_F(ClientTest, PipelinedRepliesPreserveOrder) {
   store_.set("x", "X");
   c.enqueue({.type = CommandType::kGet, .key = "x"});
   c.enqueue({.type = CommandType::kGet, .key = "missing"});
-  c.enqueue({.type = CommandType::kIncrBy, .key = "n", .arg0 = 3});
+  c.enqueue({.type = CommandType::kRPush, .key = "n", .value = "a"});
   const auto replies = c.drain();
   ASSERT_EQ(replies.size(), 3u);
   EXPECT_EQ(replies[0].blob, "X");
   EXPECT_FALSE(replies[1].ok);
-  EXPECT_EQ(replies[2].integer, 3);
+  EXPECT_EQ(replies[2].integer, 1);
 }
 
 // ---- RetryPolicy JSON ------------------------------------------------------

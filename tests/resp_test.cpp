@@ -100,8 +100,6 @@ std::string name_of(CommandType type) {
       return "LLEN";
     case CommandType::kLIndex:
       return "LINDEX";
-    case CommandType::kIncrBy:
-      return "INCRBY";
   }
   return "?";
 }
@@ -121,7 +119,6 @@ std::string encode_command(const Command& cmd) {
       parts.push_back(Value::bulk(std::to_string(cmd.arg1)));
       break;
     case CommandType::kLIndex:
-    case CommandType::kIncrBy:
       parts.push_back(Value::bulk(std::to_string(cmd.arg0)));
       break;
     default:
@@ -143,7 +140,6 @@ std::string encode_reply(CommandType type, const Reply& reply) {
       return encode(Value::integer_value(reply.ok ? 1 : 0));
     case CommandType::kRPush:
     case CommandType::kLLen:
-    case CommandType::kIncrBy:
       return encode(Value::integer_value(reply.integer));
     case CommandType::kLRange: {
       std::vector<Value> elems;
@@ -177,7 +173,6 @@ TEST(RespCommand, WireSizeIsExact) {
       {.type = CommandType::kSet, .key = "some-key", .value = std::string(300, 'x')},
       {.type = CommandType::kGet, .key = ""},
       {.type = CommandType::kLRange, .key = "l", .arg0 = -100, .arg1 = 100000},
-      {.type = CommandType::kIncrBy, .key = "c", .arg0 = -1},
   };
   for (const Command& cmd : commands) {
     EXPECT_EQ(command_wire_size(cmd), encode_command(cmd).size());
@@ -197,10 +192,8 @@ TEST(RespReply, StatusAndIntegerRepliesEncodeAsRedisWould) {
   EXPECT_EQ(encode_reply(CommandType::kSet, Reply{.ok = true}), "+OK\r\n");
   EXPECT_EQ(encode_reply(CommandType::kDel, Reply{.ok = true}), ":1\r\n");
   EXPECT_EQ(encode_reply(CommandType::kDel, Reply{.ok = false}), ":0\r\n");
-  EXPECT_EQ(encode_reply(CommandType::kIncrBy, Reply{.ok = true, .integer = 42}),
+  EXPECT_EQ(encode_reply(CommandType::kRPush, Reply{.ok = true, .integer = 42}),
             ":42\r\n");
-  EXPECT_EQ(encode_reply(CommandType::kIncrBy, Reply{.ok = true, .integer = -5}),
-            ":-5\r\n");
 }
 
 TEST(RespReply, LRangeOfEmptyList) {
@@ -216,7 +209,7 @@ TEST(RespReply, LRangeOfEmptyList) {
 constexpr CommandType kAllTypes[] = {
     CommandType::kSet,    CommandType::kGet,  CommandType::kDel,
     CommandType::kRPush,  CommandType::kLRange, CommandType::kLLen,
-    CommandType::kLIndex, CommandType::kIncrBy,
+    CommandType::kLIndex,
 };
 
 constexpr std::int64_t kIntegerEdges[] = {

@@ -206,7 +206,7 @@ std::vector<std::size_t> Resolver::callees(const FunctionDef& fn,
       collect_for_class(key);
       return out;
     }
-    // Namespace qualification (`kvstore::apply_command`): free functions.
+    // Namespace qualification (`kvstore::expect_ok`): free functions.
     for (auto it = range.first; it != range.second; ++it) {
       if (index_.funcs[it->second].klass.empty()) out.push_back(it->second);
     }
