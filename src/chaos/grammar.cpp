@@ -47,6 +47,15 @@ constexpr std::string_view kKindNames[] = {
     "store_stall", "store_crash", "node_fail_stop", "node_slowdown"};
 constexpr std::size_t kNumKinds = 8;
 
+/// An event's integer field: a negative value is rejected rather than
+/// wrapped to a host no plan names or a count no run reaches.
+std::uint64_t event_count(const common::JsonValue& f, std::string_view key) {
+  const std::int64_t i = f.as_int(key);
+  common::require<common::ConfigError>(
+      i >= 0, "chaos repro: event '" + std::string(key) + "' must be >= 0");
+  return static_cast<std::uint64_t>(i);
+}
+
 }  // namespace
 
 std::string_view event_kind_name(EventKind kind) {
@@ -237,10 +246,10 @@ std::vector<Event> events_from_json(const common::JsonValue& arr) {
     common::require<common::ConfigError>(
         known, "chaos repro: unknown event kind '" + name + "'");
     if (const common::JsonValue* f = v.find("host")) {
-      e.host = static_cast<fault::HostId>(f->as_int("host"));
+      e.host = static_cast<fault::HostId>(event_count(*f, "host"));
     }
     if (const common::JsonValue* f = v.find("peer")) {
-      e.peer = static_cast<fault::HostId>(f->as_int("peer"));
+      e.peer = static_cast<fault::HostId>(event_count(*f, "peer"));
     }
     if (const common::JsonValue* f = v.find("p")) e.p = f->as_double("p");
     if (const common::JsonValue* f = v.find("seconds")) {
@@ -250,10 +259,10 @@ std::vector<Event> events_from_json(const common::JsonValue& arr) {
       e.factor = f->as_double("factor");
     }
     if (const common::JsonValue* f = v.find("count")) {
-      e.count = static_cast<std::uint64_t>(f->as_int("count"));
+      e.count = event_count(*f, "count");
     }
     if (const common::JsonValue* f = v.find("heal")) {
-      e.heal = static_cast<std::uint64_t>(f->as_int("heal"));
+      e.heal = event_count(*f, "heal");
     }
     events.push_back(e);
   }

@@ -1,6 +1,8 @@
-// Little-endian byte packing helpers shared by the kvstore codec and the
-// dataset serializers. All framing in hetsim is explicit little-endian so
-// stored blobs are portable across hosts.
+// Little-endian byte packing helpers: the dataset serializers and the
+// Huffman codec write and read them; the runtime's sketch upload, the
+// mining workload's count blobs and the store's value digests only
+// write. No kvstore codec decodes anything. All framing in hetsim is
+// explicit little-endian so stored blobs are portable across hosts.
 #pragma once
 
 #include <cstdint>
@@ -31,12 +33,6 @@ inline std::uint32_t read_u32(std::string_view in, std::size_t at) {
 inline void append_u64(std::string& out, std::uint64_t v) {
   append_u32(out, static_cast<std::uint32_t>(v & 0xffffffffULL));
   append_u32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
-inline std::uint64_t read_u64(std::string_view in, std::size_t at) {
-  const std::uint64_t lo = read_u32(in, at);
-  const std::uint64_t hi = read_u32(in, at + 4);
-  return lo | (hi << 32);
 }
 
 }  // namespace hetsim::common

@@ -662,10 +662,13 @@ PhaseResult JobRuntime::stratify(Prepared& s) {
   // node uploading its sketches to the master), then compositeKModes on
   // the master ("cluster-sketches"). The clustering reads the in-memory
   // sketches, so a lost upload costs wire time only and is just counted.
+  // The host computes every sketch up front on the pool the solve uses;
+  // the node tasks charge, encode and upload them in the modelled order.
   const std::size_t p = s.p;
   const std::size_t n = s.n;
   const sketch::MinHasher hasher(spec_.sketch);
-  std::vector<sketch::Sketch> sketches(n);
+  const std::vector<sketch::Sketch> sketches =
+      hasher.sketch_all(s.dataset.records, spec_.kmodes.par);
   const std::vector<std::string> keys = sketch_keys(p);
   std::uint64_t tolerated = 0;  // non-kOk upload/read replies
   std::vector<cluster::NodeTask> tasks;
@@ -674,7 +677,6 @@ PhaseResult JobRuntime::stratify(Prepared& s) {
     tasks.push_back([&, node](cluster::NodeContext& ctx) {
       kvstore::Client& to_master = ctx.client(master_);
       for (std::size_t i = node; i < n; i += p) {
-        sketches[i] = hasher.sketch(s.dataset.records[i].items);
         // One op per (item, permutation) pair.
         ctx.meter().add(
             static_cast<double>(s.dataset.records[i].items.size()) *

@@ -52,15 +52,16 @@ std::uint64_t MinHasher::permute(std::uint32_t j, data::Item x) const {
 }
 
 Sketch MinHasher::sketch(std::span<const data::Item> items) const {
+  Sketch sig(a_.size(), kEmptySentinel);
   common::Arena arena;
-  return sketch(items, arena);
+  sketch_into(items, arena, sig);
+  return sig;
 }
 
-Sketch MinHasher::sketch(std::span<const data::Item> items,
-                         common::Arena& arena) const {
+void MinHasher::sketch_into(std::span<const data::Item> items,
+                            common::Arena& arena, Sketch& sig) const {
+  if (items.empty()) return;
   const std::size_t k = a_.size();
-  Sketch sig(k, kEmptySentinel);
-  if (items.empty()) return sig;
   const simd::Kernels& kern = simd::dispatch();
   // Hash-major over item tiles: each tile is staged once as
   // zero-extended u64 lanes (what the vector kernels consume) and then
@@ -77,21 +78,22 @@ Sketch MinHasher::sketch(std::span<const data::Item> items,
       sig[j] = kern.minhash_min_run(a_[j], b_[j], staged.data(), len, sig[j]);
     }
   }
-  return sig;
 }
 
 std::vector<Sketch> MinHasher::sketch_all(
     const std::vector<data::Record>& records, const par::Options& par) const {
-  std::vector<Sketch> out(records.size());
+  // Every row is allocated here, on the calling thread: rows malloc'd on
+  // pool lanes come from per-thread malloc arenas and raise peak RSS.
+  std::vector<Sketch> out(records.size(), Sketch(a_.size(), kEmptySentinel));
   par::resolve(par).parallel_for(
       records.size(), par::chunk_or(par, kRecordChunk),
       [&](std::size_t begin, std::size_t end) {
         // One arena per chunk (never shared across lanes); reset()
         // between records keeps the staging buffer's block hot, so the
-        // steady state allocates only the output sketches.
+        // chunk allocates nothing per record.
         common::Arena arena;
         for (std::size_t i = begin; i < end; ++i) {
-          out[i] = sketch(records[i].items, arena);
+          sketch_into(records[i].items, arena, out[i]);
           arena.reset();
         }
       });

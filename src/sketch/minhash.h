@@ -66,12 +66,6 @@ class MinHasher {
   /// byte-identical on every ISA lane.
   [[nodiscard]] Sketch sketch(std::span<const data::Item> items) const;
 
-  /// Same, staging scratch in `arena` (spans released by the caller's
-  /// reset()). The fast path for sketch_all, which reuses one arena per
-  /// record chunk so steady state touches malloc only for the output.
-  [[nodiscard]] Sketch sketch(std::span<const data::Item> items,
-                              common::Arena& arena) const;
-
   /// Sketch every record of a dataset (row i = record i), fanned out
   /// over `par` in record chunks. Results are identical for every
   /// thread count and chunk size.
@@ -89,6 +83,12 @@ class MinHasher {
   static constexpr std::uint64_t kEmptySentinel = ~0ULL;
 
  private:
+  /// Fold `items` into `sig`, which holds num_hashes() entries (all
+  /// kEmptySentinel for a fresh sketch), staging scratch in `arena`
+  /// (spans released by the caller's reset()).
+  void sketch_into(std::span<const data::Item> items, common::Arena& arena,
+                   Sketch& sig) const;
+
   std::vector<std::uint64_t> a_;  // multipliers, in [1, p-1]
   std::vector<std::uint64_t> b_;  // offsets, in [0, p-1]
 };

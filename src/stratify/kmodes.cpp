@@ -15,18 +15,13 @@ namespace hetsim::stratify {
 
 namespace {
 
-/// Score entries (points × (strata + 1)) of one assignment-step block,
-/// at most 256 points: the rows stay in L1/L2 while every attribute's
-/// codes stream past.
-constexpr std::size_t kScoreBlockEntries = std::size_t{1} << 16;
-
 /// Points ahead that encoding prefetches a column value.
 constexpr std::size_t kGatherAhead = 16;
 
 constexpr std::uint32_t kUnassigned = UINT32_MAX;
 
 /// Contiguous runs of `items` per pool lane: the fan-out of the per-
-/// attribute steps, one chunk (and one scratch) per lane.
+/// attribute and per-point steps, one chunk (and one scratch) per lane.
 std::size_t per_lane(std::size_t items, const par::ThreadPool& pool) {
   return std::max<std::size_t>(
       1, (items + pool.num_threads() - 1) / pool.num_threads());
@@ -155,46 +150,89 @@ std::optional<Columns<Code>> encode(
   return cols;
 }
 
-/// centers[j * num_strata + c] = codes of attribute j in center c.
+/// centers[j * num_strata + c] = codes of attribute j in center c,
+/// ascending.
 using Centers = std::vector<std::vector<std::uint32_t>>;
 
-/// Assignment-step lookup for one attribute, dense over its codes:
-/// owner[p] tells which centers hold code p. A value below num_strata is
-/// the one center holding it. num_strata means none: scoring adds it to
-/// a sink column, so the common miss costs no branch. num_strata + 1 + t
-/// means several: held[t] starts the run of (p, center) pairs.
-struct Owners {
-  std::vector<std::uint32_t> owner;
-  /// Every (code, center) pair of the centers, sorted: the runs behind
-  /// shared codes, and the entries the next rebuild resets.
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> held;
-  /// Distinct codes any center holds: the candidates one scoring pass
-  /// abstractly considers (the work meter).
-  std::uint32_t distinct_held = 0;
-};
-
-/// Rebuild attribute j's owners from the centers.
-void index_owners(const Centers& centers, std::size_t j,
-                  std::uint32_t num_strata, Owners& owners) {
-  auto& held = owners.held;
-  for (const auto& pair : held) owners.owner[pair.first] = num_strata;
+/// Distinct codes any center holds in attribute j: the candidates one
+/// scoring pass abstractly considers (the work meter).
+std::uint32_t distinct_held(const Centers& centers, std::size_t j,
+                            std::uint32_t num_strata,
+                            std::vector<std::uint32_t>& held) {
   held.clear();
   for (std::uint32_t c = 0; c < num_strata; ++c) {
-    for (const std::uint32_t p : centers[j * num_strata + c]) {
-      held.emplace_back(p, c);
-    }
+    const auto& slot = centers[j * num_strata + c];
+    held.insert(held.end(), slot.begin(), slot.end());
   }
   std::sort(held.begin(), held.end());
-  owners.distinct_held = 0;
-  for (std::size_t t = 0, u = 0; t < held.size(); t = u) {
-    const std::uint32_t p = held[t].first;
-    while (u < held.size() && held[u].first == p) ++u;
-    owners.owner[p] = u - t == 1
-                          ? held[t].second
-                          : num_strata + 1 + static_cast<std::uint32_t>(t);
-    ++owners.distinct_held;
-  }
+  return static_cast<std::uint32_t>(
+      std::unique(held.begin(), held.end()) - held.begin());
 }
+
+/// The points holding each code of each column, ascending, built once
+/// per solve by a counting sort of the encoded columns. `Point` is 16
+/// bits when every point id fits: chosen from the input, as `Code` is.
+template <typename Point>
+struct Postings {
+  std::size_t n = 0;
+  /// points[j * n + start[base[j] + p] ...] = the points whose attribute
+  /// j holds code p; the run ends where code p + 1's starts, or at n.
+  std::vector<Point> points;
+  /// Offset of each code's run within its column, in [0, n).
+  std::vector<Point> start;
+  /// base[j] = index of column j's first code in `start`.
+  std::vector<std::size_t> base;
+
+  [[nodiscard]] std::span<const Point> holders(std::size_t j,
+                                               std::uint32_t p) const {
+    const std::size_t first = base[j] + p;
+    const std::size_t end = first + 1 < base[j + 1] ? start[first + 1] : n;
+    return {points.data() + j * n + start[first], end - start[first]};
+  }
+};
+
+template <typename Point, typename Code>
+Postings<Point> index_points(const Columns<Code>& cols,
+                             par::ThreadPool& pool) {
+  const std::size_t n = cols.n;
+  const std::size_t k_attr = cols.distinct.size();
+  Postings<Point> post;
+  post.n = n;
+  post.points.resize(n * k_attr);
+  post.base.resize(k_attr + 1);
+  for (std::size_t j = 0; j < k_attr; ++j) {
+    post.base[j + 1] = post.base[j] + cols.distinct[j];
+  }
+  post.start.resize(post.base[k_attr]);
+  pool.parallel_for(
+      k_attr, per_lane(k_attr, pool), [&](std::size_t begin, std::size_t end) {
+        std::vector<std::uint32_t> cursor;
+        for (std::size_t j = begin; j < end; ++j) {
+          const Code* const col = cols.column(j);
+          cursor.assign(cols.distinct[j], 0U);
+          for (std::size_t i = 0; i < n; ++i) ++cursor[col[i]];
+          std::uint32_t sum = 0;
+          for (std::size_t p = 0; p < cursor.size(); ++p) {
+            post.start[post.base[j] + p] = static_cast<Point>(sum);
+            sum += std::exchange(cursor[p], sum);
+          }
+          Point* const out = post.points.data() + j * n;
+          for (std::size_t i = 0; i < n; ++i) {
+            out[cursor[col[i]]++] = static_cast<Point>(i);
+          }
+        }
+      });
+  return post;
+}
+
+/// One code entering (or leaving) one attribute of one center: +1 (or
+/// -1) on that center's score for every point holding the code.
+struct Delta {
+  std::uint32_t attr = 0;
+  std::uint32_t code = 0;
+  std::uint32_t center = 0;
+  bool enter = true;
+};
 
 /// (count, code) of one candidate center value.
 using CodeCount = std::pair<std::uint32_t, std::uint32_t>;
@@ -205,7 +243,7 @@ using CodeCount = std::pair<std::uint32_t, std::uint32_t>;
 /// the L-th best count so far, can still enter, so once L candidates are
 /// known the kernel skips every row entry at or below it. Candidates
 /// collect in `top` and are cut back to the best L whenever 2L gather;
-/// the kept set (not its order) is the center slot.
+/// the kept codes, ascending, are the center slot.
 void top_codes(const std::uint32_t* row, std::size_t d, std::size_t l,
                const simd::Kernels& kern, std::vector<CodeCount>& top,
                std::vector<std::uint32_t>& slot) {
@@ -232,10 +270,10 @@ void top_codes(const std::uint32_t* row, std::size_t d, std::size_t l,
   if (top.size() > l) keep_best();
   slot.clear();
   for (const auto& entry : top) slot.push_back(entry.second);
+  std::sort(slot.begin(), slot.end());
 }
 
-/// Per-chunk tallies of the assignment step, reduced in chunk order so
-/// the totals are identical for every thread count.
+/// Per-lane tallies of the assignment step, reduced in lane order.
 struct AssignStats {
   std::uint64_t objective = 0;
   std::uint64_t zero_match = 0;
@@ -244,13 +282,41 @@ struct AssignStats {
 
 /// Update-step scratch, one per lane for the whole solve: a dense count
 /// row over the codes of the attribute in hand (all zero between
-/// strata) and the top-L candidates.
+/// strata), the top-L candidates, a rebuilt center's previous codes and
+/// the score deltas the lane's rebuilds emit.
 struct UpdateScratch {
   std::vector<std::uint32_t> counts;
   std::vector<CodeCount> top;
+  std::vector<std::uint32_t> old_slot;
+  std::vector<Delta> deltas;
 };
 
-template <typename Code>
+/// Emit a delta for every code in exactly one of two ascending slots:
+/// entering if only `now` holds it, leaving if only `was` does.
+void diff_slots(const std::vector<std::uint32_t>& was,
+                const std::vector<std::uint32_t>& now, std::uint32_t attr,
+                std::uint32_t center, std::vector<Delta>& deltas) {
+  auto left = was.begin();
+  auto kept = now.begin();
+  while (left != was.end() || kept != now.end()) {
+    if (kept == now.end() || (left != was.end() && *left < *kept)) {
+      deltas.push_back({attr, *left++, center, false});
+    } else if (left == was.end() || *kept < *left) {
+      deltas.push_back({attr, *kept++, center, true});
+    } else {
+      ++left;
+      ++kept;
+    }
+  }
+}
+
+/// The solve over `Code`-wide columns, `Point`-wide postings and
+/// `Score`-wide score rows. Every point keeps one score per center, the
+/// number of its attributes whose code that center holds, across
+/// iterations: the update step emits a delta per code entering or
+/// leaving a rebuilt (attribute, center) pair, and the assignment step
+/// applies only those before it takes each row's arg-max.
+template <typename Code, typename Point, typename Score>
 Stratification solve(const Columns<Code>& cols, const KModesConfig& config,
                      std::uint32_t num_strata, par::ThreadPool& pool) {
   const std::size_t n = cols.n;
@@ -259,7 +325,13 @@ Stratification solve(const Columns<Code>& cols, const KModesConfig& config,
   Stratification out;
   out.num_strata = num_strata;
 
-  // Init: distinct random points seed the centers.
+  const Postings<Point> postings = index_points<Point>(cols, pool);
+  const std::size_t attrs_per_lane = per_lane(k_attr, pool);
+  std::vector<UpdateScratch> update_scratch(
+      (k_attr + attrs_per_lane - 1) / attrs_per_lane);
+
+  // Init: distinct random points seed the centers. Score rows start at
+  // zero, so every seeded code enters as a delta.
   common::Rng rng(config.seed);
   std::vector<std::uint32_t> order(n);
   for (std::size_t i = 0; i < n; ++i) order[i] = static_cast<std::uint32_t>(i);
@@ -267,26 +339,23 @@ Stratification solve(const Columns<Code>& cols, const KModesConfig& config,
     std::swap(order[i], order[i + rng.bounded(n - i)]);
   }
   Centers centers(k_attr * num_strata);
-  std::vector<Owners> owners(k_attr);
+  std::vector<std::uint32_t> held(k_attr);
+  std::vector<std::uint32_t> held_scratch;
   for (std::size_t j = 0; j < k_attr; ++j) {
     for (std::uint32_t c = 0; c < num_strata; ++c) {
-      centers[j * num_strata + c] = {cols.column(j)[order[c]]};
+      const std::uint32_t code = cols.column(j)[order[c]];
+      centers[j * num_strata + c] = {code};
+      update_scratch[0].deltas.push_back(
+          {static_cast<std::uint32_t>(j), code, c, true});
     }
-    owners[j].owner.assign(cols.distinct[j], num_strata);
-    index_owners(centers, j, num_strata, owners[j]);
+    held[j] = distinct_held(centers, j, num_strata, held_scratch);
   }
 
-  const std::size_t chunk = par::chunk_or(config.par, 1024);
-  const std::size_t attrs_per_lane = per_lane(k_attr, pool);
+  const std::size_t points_per_lane = per_lane(n, pool);
   // One dispatch resolution for the whole solve: every top-L scan of
   // every iteration goes through the same kernel table.
   const simd::Kernels& kern = simd::dispatch();
-  std::vector<UpdateScratch> update_scratch(
-      (k_attr + attrs_per_lane - 1) / attrs_per_lane);
-  // Score rows carry one sink column past the centers (see Owners).
-  const std::size_t row_width = std::size_t{num_strata} + 1;
-  const std::size_t score_block =
-      std::clamp<std::size_t>(kScoreBlockEntries / row_width, 1, 256);
+  std::vector<Score> score(n * num_strata, Score{0});
 
   std::vector<std::uint32_t> assignment(n, kUnassigned);
   std::vector<std::uint32_t> next(n);
@@ -297,65 +366,54 @@ Stratification solve(const Columns<Code>& cols, const KModesConfig& config,
   std::vector<std::uint32_t> members(n);
   for (std::uint32_t iter = 0; iter < config.max_iterations; ++iter) {
     out.iterations = iter + 1;
-    // Scoring work per point: every center-held code is (abstractly)
-    // considered once, so the meter is a single multiply per chunk.
+    // Scoring work per point, metered as a full rescore: every
+    // center-held code is (abstractly) considered once.
     std::uint64_t values_per_point = 0;
-    for (const Owners& o : owners) values_per_point += o.distinct_held;
-    // Assignment step: per-point work is independent (each point writes
-    // only next[i]), so chunks fan out; the scalar tallies reduce in
-    // ascending chunk order. Within a chunk, blocks of points are scored
-    // attribute by attribute through the dense owner lookups. Tie-break
-    // contract (kmodes.h): strict `score > best` over ascending center
-    // ids keeps the LOWEST center on ties.
+    for (const std::uint32_t h : held) values_per_point += h;
+    // Assignment step over contiguous point ranges, one per lane: each
+    // lane applies every delta to its own points' rows, clipping each
+    // posting list to its range by binary search, then takes their
+    // arg-max; the scalar tallies reduce in ascending lane order. A
+    // leaving code adds the score type's all-ones, which wraps to -1.
+    // Tie-break contract (kmodes.h): strict `score > best` over
+    // ascending center ids keeps the LOWEST center on ties.
     const AssignStats stats = pool.parallel_reduce<AssignStats>(
-        n, chunk, AssignStats{},
+        n, points_per_lane, AssignStats{},
         [&](std::size_t begin, std::size_t end) {
+          for (const UpdateScratch& lane : update_scratch) {
+            for (const Delta& d : lane.deltas) {
+              const std::span<const Point> pts =
+                  postings.holders(d.attr, d.code);
+              const Score step = d.enter ? Score{1} : static_cast<Score>(~0U);
+              for (auto it = std::lower_bound(pts.begin(), pts.end(), begin);
+                   it != pts.end() && *it < end; ++it) {
+                Score& s = score[std::size_t{*it} * num_strata + d.center];
+                s = static_cast<Score>(s + step);
+              }
+            }
+          }
           AssignStats local;
           local.ops = (end - begin) * values_per_point;
-          std::vector<std::uint32_t> score(std::min(score_block, end - begin) *
-                                           row_width);
-          for (std::size_t b0 = begin; b0 < end; b0 += score_block) {
-            const std::size_t b1 = std::min(end, b0 + score_block);
-            std::fill(score.begin(), score.end(), 0U);
-            for (std::size_t j = 0; j < k_attr; ++j) {
-              const Code* const col = cols.column(j);
-              const std::uint32_t* const owner = owners[j].owner.data();
-              const auto& held = owners[j].held;
-              for (std::size_t i = b0; i < b1; ++i) {
-                std::uint32_t* const row = score.data() + (i - b0) * row_width;
-                const std::uint32_t e = owner[col[i]];
-                if (e <= num_strata) {
-                  ++row[e];
-                  continue;
-                }
-                for (std::size_t t = e - num_strata - 1;
-                     t < held.size() && held[t].first == col[i]; ++t) {
-                  ++row[held[t].second];
-                }
+          for (std::size_t i = begin; i < end; ++i) {
+            const Score* const row = score.data() + i * num_strata;
+            std::uint32_t best_c = 0;
+            Score best_score = 0;
+            for (std::uint32_t c = 0; c < num_strata; ++c) {
+              if (row[c] > best_score) {
+                best_score = row[c];
+                best_c = c;
               }
             }
-            for (std::size_t i = b0; i < b1; ++i) {
-              const std::uint32_t* const row =
-                  score.data() + (i - b0) * row_width;
-              std::uint32_t best_c = 0;
-              std::uint32_t best_score = 0;
-              for (std::uint32_t c = 0; c < num_strata; ++c) {
-                if (row[c] > best_score) {
-                  best_score = row[c];
-                  best_c = c;
-                }
-              }
-              if (best_score == 0) {
-                // No center shares any attribute: hash fallback keeps the
-                // point placed deterministically (tracked for the L
-                // ablation).
-                best_c = static_cast<std::uint32_t>(common::hash_u64(i) %
-                                                    num_strata);
-                ++local.zero_match;
-              }
-              local.objective += best_score;
-              next[i] = best_c;
+            if (best_score == 0) {
+              // No center shares any attribute: hash fallback keeps the
+              // point placed deterministically (tracked for the L
+              // ablation).
+              best_c =
+                  static_cast<std::uint32_t>(common::hash_u64(i) % num_strata);
+              ++local.zero_match;
             }
+            local.objective += best_score;
+            next[i] = best_c;
           }
           return local;
         },
@@ -401,12 +459,15 @@ Stratification solve(const Columns<Code>& cols, const KModesConfig& config,
     }
     // Attributes fan out, one contiguous run per lane. Per attribute and
     // refreshed, non-empty stratum, the members' codes count into the
-    // dense row, the row yields the top-L codes and is zeroed again. Each
-    // lane writes only its attributes' centers and owner lookups, so the
-    // result is identical for every pool size.
+    // dense row, the row yields the top-L codes and is zeroed again, and
+    // the codes that entered or left the center become deltas. Each lane
+    // writes only its attributes' centers, meters and its own deltas, so
+    // the result is identical for every pool size.
     pool.parallel_for(
         k_attr, attrs_per_lane, [&](std::size_t begin, std::size_t end) {
           UpdateScratch& scratch = update_scratch[begin / attrs_per_lane];
+          scratch.deltas.clear();
+          std::vector<std::uint32_t> held_codes;
           for (std::size_t j = begin; j < end; ++j) {
             const std::size_t d = cols.distinct[j];
             const Code* const col = cols.column(j);
@@ -418,11 +479,14 @@ Stratification solve(const Columns<Code>& cols, const KModesConfig& config,
                   member_start[c + 1] - member_start[c]);
               if (group.empty()) continue;
               for (const std::uint32_t r : group) ++row[col[r]];
-              top_codes(row, d, config.composite_l, kern, scratch.top,
-                        centers[j * num_strata + c]);
+              std::vector<std::uint32_t>& slot = centers[j * num_strata + c];
+              scratch.old_slot.swap(slot);
+              top_codes(row, d, config.composite_l, kern, scratch.top, slot);
+              diff_slots(scratch.old_slot, slot,
+                         static_cast<std::uint32_t>(j), c, scratch.deltas);
               std::fill(row, row + d, 0U);
             }
-            index_owners(centers, j, num_strata, owners[j]);
+            held[j] = distinct_held(centers, j, num_strata, held_codes);
           }
         });
   }
@@ -431,6 +495,32 @@ Stratification solve(const Columns<Code>& cols, const KModesConfig& config,
   out.stratum_sizes.assign(num_strata, 0);
   for (const std::uint32_t c : out.assignment) ++out.stratum_sizes[c];
   return out;
+}
+
+/// Pick the point-id and score widths from the input, as the code width
+/// is: 16-bit point ids when every id fits, 8-bit scores when a score
+/// (at most the attribute count) does.
+template <typename Code>
+Stratification solve_columns(const Columns<Code>& cols,
+                             const KModesConfig& config,
+                             std::uint32_t num_strata, par::ThreadPool& pool) {
+  constexpr std::size_t kNarrowPoints =
+      std::size_t{std::numeric_limits<std::uint16_t>::max()} + 1;
+  const bool narrow_points = cols.n <= kNarrowPoints;
+  const bool narrow_scores =
+      cols.distinct.size() <= std::numeric_limits<std::uint8_t>::max();
+  if (narrow_points) {
+    return narrow_scores
+               ? solve<Code, std::uint16_t, std::uint8_t>(cols, config,
+                                                          num_strata, pool)
+               : solve<Code, std::uint16_t, std::uint32_t>(cols, config,
+                                                           num_strata, pool);
+  }
+  return narrow_scores
+             ? solve<Code, std::uint32_t, std::uint8_t>(cols, config,
+                                                        num_strata, pool)
+             : solve<Code, std::uint32_t, std::uint32_t>(cols, config,
+                                                         num_strata, pool);
 }
 
 }  // namespace
@@ -456,10 +546,10 @@ Stratification composite_kmodes(const std::vector<sketch::Sketch>& sketches,
   // Code width comes from the input, never from a setting: 16 bits when
   // every column fits them, else 32.
   if (const auto narrow = encode<std::uint16_t>(sketches, pool)) {
-    return solve(*narrow, config, num_strata, pool);
+    return solve_columns(*narrow, config, num_strata, pool);
   }
-  return solve(*encode<std::uint32_t>(sketches, pool), config, num_strata,
-               pool);
+  return solve_columns(*encode<std::uint32_t>(sketches, pool), config,
+                       num_strata, pool);
 }
 
 }  // namespace hetsim::stratify

@@ -25,20 +25,11 @@ struct KModesConfig {
   std::uint32_t composite_l = 3;
   std::uint32_t max_iterations = 20;
   std::uint64_t seed = 23;
-  /// Fan-out for the assignment step (chunked by `par.chunk`) and for
-  /// the sketch encoding and the update step (one run of attributes per
-  /// pool lane). Speed only: the result is identical for every pool size
-  /// and chunk.
+  /// Fan-out for the assignment step (one run of points per pool lane)
+  /// and for the sketch encoding, the point postings and the update step
+  /// (one run of attributes per lane); the solve ignores `par.chunk`.
+  /// Speed only: the result is identical for every pool size.
   par::Options par{};
-};
-
-/// Cluster centers: center c, attribute j holds up to L values, most
-/// frequent first.
-struct KModesCenters {
-  std::uint32_t num_attributes = 0;
-  std::uint32_t composite_l = 0;
-  /// centers[c][j] = top values of attribute j in cluster c.
-  std::vector<std::vector<std::vector<std::uint64_t>>> values;
 };
 
 struct Stratification {

@@ -9,6 +9,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chaos/chaos.h"
@@ -193,6 +194,36 @@ TEST(ChaosRepro, RejectsUnknownVictimAndMissingKeys) {
         (void)chaos::repro_from_json_text(repro_text("churn", grammar)),
         common::ConfigError)
         << grammar;
+  }
+}
+
+TEST(ChaosRepro, RejectsNegativeEventFields) {
+  // A negative host, peer, count or heal would wrap to a host no plan
+  // names or a count no run reaches, and the replay would read as a
+  // healed bug. The parser rejects it by name instead.
+  const auto repro_text = [](const std::string& event) {
+    return R"({"chaos_seed": 1, "trial": 0, "victim": "churn", )"
+           R"("invariant": "x", "events": [)" +
+           event + "]}";
+  };
+  EXPECT_NO_THROW((void)chaos::repro_from_json_text(
+      repro_text(R"({"kind":"store_crash","host":7,"count":3})")));
+  const std::pair<const char*, const char*> cases[] = {
+      {R"({"kind":"store_crash","host":-1,"count":3})", "'host'"},
+      {R"({"kind":"store_crash","host":7,"count":-3})", "'count'"},
+      {R"({"kind":"partition","host":1,"peer":-2,"count":1})", "'peer'"},
+      {R"({"kind":"partition","host":1,"peer":2,"heal":-1})", "'heal'"},
+  };
+  for (const auto& [event, field] : cases) {
+    try {
+      (void)chaos::repro_from_json_text(repro_text(event));
+      ADD_FAILURE() << "accepted " << event;
+    } catch (const common::ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+          << e.what();
+      EXPECT_NE(std::string(e.what()).find("must be >= 0"), std::string::npos)
+          << e.what();
+    }
   }
 }
 

@@ -213,7 +213,10 @@ TEST(Bytes, U32RoundTrip) {
 TEST(Bytes, U64RoundTrip) {
   std::string buf;
   append_u64(buf, 0x123456789abcdef0ULL);
-  EXPECT_EQ(read_u64(buf, 0), 0x123456789abcdef0ULL);
+  ASSERT_EQ(buf.size(), 8u);
+  // Little-endian: the low word first.
+  EXPECT_EQ(read_u32(buf, 0), 0x9abcdef0u);
+  EXPECT_EQ(read_u32(buf, 4), 0x12345678u);
 }
 
 TEST(Bytes, TruncatedReadThrows) {

@@ -232,15 +232,27 @@ TEST(ParDeterminism, SketchAllMatchesPerRecordSketch) {
   data::TextCorpusConfig corpus;
   corpus.num_docs = 200;
   corpus.seed = 5;
-  const data::Dataset ds = data::generate_text_corpus(corpus);
+  data::Dataset ds = data::generate_text_corpus(corpus);
+  // Empty item sets at the first and last record and on both sides of
+  // the chunk-13 boundary must come back as the all-sentinel sketch.
+  for (const std::size_t i : {0, 12, 13, 14, 50, 199}) {
+    ds.records[i].items.clear();
+  }
   const sketch::MinHasher hasher({.num_hashes = 32, .seed = 7});
+  const sketch::Sketch sentinel(32, sketch::MinHasher::kEmptySentinel);
   par::ThreadPool pool(4);
   const auto all =
       hasher.sketch_all(ds.records, par::Options{.pool = &pool, .chunk = 13});
   ASSERT_EQ(all.size(), ds.records.size());
+  std::size_t empty = 0;
   for (std::size_t i = 0; i < all.size(); ++i) {
     EXPECT_EQ(all[i], hasher.sketch(ds.records[i].items)) << "record " << i;
+    if (ds.records[i].items.empty()) {
+      EXPECT_EQ(all[i], sentinel) << "record " << i;
+      ++empty;
+    }
   }
+  EXPECT_EQ(empty, 6u);
 }
 
 // ---- compositeKModes update-step fan-out ------------------------------------

@@ -7,7 +7,10 @@
 #include <cmath>
 #include <map>
 #include <set>
+#include <string>
 #include <string_view>
+#include <unordered_map>
+#include <utility>
 
 #include "common/error.h"
 #include "common/hash.h"
@@ -478,6 +481,231 @@ TEST(KModes, PinnedAcrossDictionaryRewrite) {
     EXPECT_EQ(pinned_solve(sketches, 4, 3, 23, four), serial);
     EXPECT_EQ(serial, kPinnedManyPoints[wide ? 0 : 1]) << "wide=" << wide;
   }
+}
+
+// ---- compositeKModes against a full-rescore oracle -------------------------
+
+/// compositeKModes as the model states it, with no encoding, postings or
+/// deltas: every iteration rescores every point against every center
+/// over raw values, keeps the lowest center on ties, places zero-match
+/// points by hash, and rebuilds the centers of the strata a point
+/// entered or left from their members' top-L values (count desc, value
+/// asc). `work_ops` is metered as compositeKModes documents it.
+stratify::Stratification reference_kmodes(const std::vector<Sketch>& points,
+                                          const stratify::KModesConfig& cfg) {
+  const std::size_t n = points.size();
+  const std::size_t k_attr = points.front().size();
+  const auto num_strata =
+      std::min<std::uint32_t>(cfg.num_strata, static_cast<std::uint32_t>(n));
+  stratify::Stratification out;
+  out.num_strata = num_strata;
+  common::Rng rng(cfg.seed);
+  std::vector<std::uint32_t> order(n);
+  for (std::size_t i = 0; i < n; ++i) order[i] = static_cast<std::uint32_t>(i);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::swap(order[i], order[i + rng.bounded(n - i)]);
+  }
+  // centers[c][j] = the values attribute j of center c holds.
+  std::vector<std::vector<std::set<std::uint64_t>>> centers(
+      num_strata, std::vector<std::set<std::uint64_t>>(k_attr));
+  for (std::uint32_t c = 0; c < num_strata; ++c) {
+    for (std::size_t j = 0; j < k_attr; ++j) {
+      centers[c][j] = {points[order[c]][j]};
+    }
+  }
+  std::vector<std::uint32_t> assignment(n, UINT32_MAX);
+  for (std::uint32_t iter = 0; iter < cfg.max_iterations; ++iter) {
+    out.iterations = iter + 1;
+    // holders[j][v] = the centers whose attribute j holds value v.
+    std::vector<std::unordered_map<std::uint64_t, std::vector<std::uint32_t>>>
+        holders(k_attr);
+    std::uint64_t values_per_point = 0;
+    for (std::size_t j = 0; j < k_attr; ++j) {
+      for (std::uint32_t c = 0; c < num_strata; ++c) {
+        for (const std::uint64_t v : centers[c][j]) holders[j][v].push_back(c);
+      }
+      values_per_point += holders[j].size();
+    }
+    out.work_ops += n * values_per_point;
+    out.objective = 0;
+    out.zero_match_assignments = 0;
+    std::vector<std::uint32_t> next(n);
+    std::vector<std::uint64_t> score(num_strata);
+    for (std::size_t i = 0; i < n; ++i) {
+      std::fill(score.begin(), score.end(), 0);
+      for (std::size_t j = 0; j < k_attr; ++j) {
+        const auto it = holders[j].find(points[i][j]);
+        if (it == holders[j].end()) continue;
+        for (const std::uint32_t c : it->second) ++score[c];
+      }
+      std::uint32_t best_c = 0;
+      std::uint64_t best_score = 0;
+      for (std::uint32_t c = 0; c < num_strata; ++c) {
+        if (score[c] > best_score) {
+          best_score = score[c];
+          best_c = c;
+        }
+      }
+      if (best_score == 0) {
+        best_c = static_cast<std::uint32_t>(common::hash_u64(i) % num_strata);
+        ++out.zero_match_assignments;
+      }
+      out.objective += best_score;
+      next[i] = best_c;
+    }
+    std::vector<bool> refresh(num_strata, false);
+    bool changed = false;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (next[i] == assignment[i]) continue;
+      changed = true;
+      refresh[next[i]] = true;
+      if (assignment[i] != UINT32_MAX) refresh[assignment[i]] = true;
+    }
+    assignment = next;
+    if (!changed) break;
+    out.work_ops += n * k_attr;
+    std::vector<std::vector<std::size_t>> members(num_strata);
+    for (std::size_t i = 0; i < n; ++i) members[assignment[i]].push_back(i);
+    for (std::uint32_t c = 0; c < num_strata; ++c) {
+      // An emptied stratum keeps its center.
+      if (!refresh[c] || members[c].empty()) continue;
+      for (std::size_t j = 0; j < k_attr; ++j) {
+        std::map<std::uint64_t, std::uint64_t> counts;
+        for (const std::size_t i : members[c]) ++counts[points[i][j]];
+        std::vector<std::pair<std::uint64_t, std::uint64_t>> ranked(
+            counts.begin(), counts.end());  // (value, count), value asc
+        std::stable_sort(
+            ranked.begin(), ranked.end(),
+            [](const auto& a, const auto& b) { return a.second > b.second; });
+        centers[c][j].clear();
+        for (std::size_t t = 0; t < ranked.size() && t < cfg.composite_l; ++t) {
+          centers[c][j].insert(ranked[t].first);
+        }
+      }
+    }
+  }
+  out.assignment = assignment;
+  out.stratum_sizes.assign(num_strata, 0);
+  for (const std::uint32_t c : assignment) ++out.stratum_sizes[c];
+  return out;
+}
+
+/// Random sketches over eight latent groups. Each value is, by weight,
+/// one of its group's `alphabet` typical values for that attribute,
+/// one of a shared noise pool, or unique to the point.
+std::vector<Sketch> random_sketches(std::size_t n, std::size_t k_attr,
+                                    std::uint64_t alphabet,
+                                    std::uint32_t typical_pct,
+                                    std::uint32_t unique_pct,
+                                    std::uint64_t seed) {
+  common::Rng rng(seed);
+  std::vector<Sketch> out(n, Sketch(k_attr));
+  for (Sketch& s : out) {
+    const std::uint64_t group = rng.bounded(8);
+    for (std::size_t j = 0; j < k_attr; ++j) {
+      const std::uint64_t r = rng.bounded(100);
+      if (r < typical_pct) {
+        s[j] = (group << 40) + (j << 20) + rng.bounded(alphabet);
+      } else if (r < typical_pct + unique_pct) {
+        s[j] = rng() | (1ULL << 63);
+      } else {
+        s[j] = (9ULL << 40) + rng.bounded(4 * alphabet);
+      }
+    }
+  }
+  return out;
+}
+
+/// One random input of the oracle grid and the (strata, L) pairs to
+/// solve it with.
+struct OracleInput {
+  std::size_t n;
+  std::size_t k_attr;
+  std::uint64_t alphabet;
+  std::uint32_t typical_pct;
+  std::uint32_t unique_pct;
+  std::vector<std::uint32_t> strata;
+  std::vector<std::uint32_t> ls;
+};
+
+/// What an oracle grid exercised, so a test can insist it is not vacuous.
+struct OracleCoverage {
+  std::size_t multi_iteration = 0;  // solves of three or more iterations
+  std::size_t with_fallbacks = 0;   // solves with zero-match points
+  std::size_t above_255 = 0;        // solves whose mean score tops 255
+};
+
+/// Solve every grid case at pool widths 1 and 4 and compare each result
+/// field for field with reference_kmodes.
+OracleCoverage check_against_oracle(const std::vector<OracleInput>& inputs,
+                                    std::uint64_t seed) {
+  par::ThreadPool one(1);
+  par::ThreadPool four(4);
+  OracleCoverage seen;
+  for (const OracleInput& input : inputs) {
+    const std::vector<Sketch> sketches =
+        random_sketches(input.n, input.k_attr, input.alphabet,
+                        input.typical_pct, input.unique_pct, seed++);
+    for (const std::uint32_t strata : input.strata) {
+      for (const std::uint32_t l : input.ls) {
+        stratify::KModesConfig cfg;
+        cfg.num_strata = strata;
+        cfg.composite_l = l;
+        cfg.seed = seed;
+        const stratify::Stratification want = reference_kmodes(sketches, cfg);
+        for (par::ThreadPool* pool : {&one, &four}) {
+          cfg.par = {.pool = pool};
+          const stratify::Stratification got =
+              stratify::composite_kmodes(sketches, cfg);
+          const std::string label =
+              "n=" + std::to_string(input.n) +
+              " attrs=" + std::to_string(input.k_attr) +
+              " strata=" + std::to_string(strata) + " l=" + std::to_string(l) +
+              " lanes=" + std::to_string(pool->num_threads());
+          EXPECT_EQ(got.assignment, want.assignment) << label;
+          EXPECT_EQ(got.stratum_sizes, want.stratum_sizes) << label;
+          EXPECT_EQ(got.objective, want.objective) << label;
+          EXPECT_EQ(got.zero_match_assignments, want.zero_match_assignments)
+              << label;
+          EXPECT_EQ(got.iterations, want.iterations) << label;
+          EXPECT_EQ(got.work_ops, want.work_ops) << label;
+        }
+        seen.multi_iteration += want.iterations >= 3 ? 1 : 0;
+        seen.with_fallbacks += want.zero_match_assignments > 0 ? 1 : 0;
+        seen.above_255 += want.objective > 255 * input.n ? 1 : 0;
+      }
+    }
+  }
+  return seen;
+}
+
+TEST(KModes, MatchesFullRescoreOracleNarrowPoints) {
+  // 16-bit point ids; one and 64 attributes; every strata count and L.
+  const OracleCoverage seen = check_against_oracle(
+      {{1500, 1, 4, 70, 10, {1, 3, 16, 64}, {1, 3, 5}},
+       {1000, 64, 6, 55, 15, {1, 3, 16, 64}, {1, 3, 5}}},
+      100);
+  EXPECT_GE(seen.multi_iteration, 12u);
+  EXPECT_GE(seen.with_fallbacks, 12u);
+}
+
+TEST(KModes, MatchesFullRescoreOracleWideScores) {
+  // 300 attributes over a one-value group alphabet: scores pass 255, so
+  // an 8-bit score row would wrap.
+  const OracleCoverage seen =
+      check_against_oracle({{400, 300, 1, 92, 3, {3, 16}, {1, 3}}}, 200);
+  EXPECT_GE(seen.above_255, 3u);
+}
+
+TEST(KModes, MatchesFullRescoreOracleWidePoints) {
+  // 32-bit point ids: 70,000 points, then one column of mostly unique
+  // values that 16-bit codes cannot number.
+  const OracleCoverage seen = check_against_oracle(
+      {{70000, 3, 4, 60, 20, {3, 16}, {3}},
+       {70000, 1, 4, 3, 96, {64}, {1, 5}}},
+      300);
+  EXPECT_GE(seen.multi_iteration, 2u);
+  EXPECT_GE(seen.with_fallbacks, 2u);
 }
 
 // ---- stratified sampling ---------------------------------------------------
