@@ -124,6 +124,14 @@ struct Grammar {
 [[nodiscard]] std::vector<Event> events_from_json(
     const common::JsonValue& arr);
 
+/// A repro's integer field `key`, held in `v`. A negative value throws
+/// ConfigError "chaos repro: <part>'<key>' must be >= 0" rather than
+/// wrapping to a huge unsigned one; `part` is "grammar ", "event " or ""
+/// (a top-level key).
+[[nodiscard]] std::uint64_t repro_count(const common::JsonValue& v,
+                                        std::string_view part,
+                                        std::string_view key);
+
 enum class Victim : std::uint8_t { kChurn, kJob };
 [[nodiscard]] std::string_view victim_name(Victim v);
 

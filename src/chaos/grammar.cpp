@@ -47,15 +47,6 @@ constexpr std::string_view kKindNames[] = {
     "store_stall", "store_crash", "node_fail_stop", "node_slowdown"};
 constexpr std::size_t kNumKinds = 8;
 
-/// An event's integer field: a negative value is rejected rather than
-/// wrapped to a host no plan names or a count no run reaches.
-std::uint64_t event_count(const common::JsonValue& f, std::string_view key) {
-  const std::int64_t i = f.as_int(key);
-  common::require<common::ConfigError>(
-      i >= 0, "chaos repro: event '" + std::string(key) + "' must be >= 0");
-  return static_cast<std::uint64_t>(i);
-}
-
 }  // namespace
 
 std::string_view event_kind_name(EventKind kind) {
@@ -246,10 +237,10 @@ std::vector<Event> events_from_json(const common::JsonValue& arr) {
     common::require<common::ConfigError>(
         known, "chaos repro: unknown event kind '" + name + "'");
     if (const common::JsonValue* f = v.find("host")) {
-      e.host = static_cast<fault::HostId>(event_count(*f, "host"));
+      e.host = static_cast<fault::HostId>(repro_count(*f, "event ", "host"));
     }
     if (const common::JsonValue* f = v.find("peer")) {
-      e.peer = static_cast<fault::HostId>(event_count(*f, "peer"));
+      e.peer = static_cast<fault::HostId>(repro_count(*f, "event ", "peer"));
     }
     if (const common::JsonValue* f = v.find("p")) e.p = f->as_double("p");
     if (const common::JsonValue* f = v.find("seconds")) {
@@ -259,14 +250,23 @@ std::vector<Event> events_from_json(const common::JsonValue& arr) {
       e.factor = f->as_double("factor");
     }
     if (const common::JsonValue* f = v.find("count")) {
-      e.count = event_count(*f, "count");
+      e.count = repro_count(*f, "event ", "count");
     }
     if (const common::JsonValue* f = v.find("heal")) {
-      e.heal = event_count(*f, "heal");
+      e.heal = repro_count(*f, "event ", "heal");
     }
     events.push_back(e);
   }
   return events;
+}
+
+std::uint64_t repro_count(const common::JsonValue& v, std::string_view part,
+                          std::string_view key) {
+  const std::int64_t i = v.as_int(key);
+  common::require<common::ConfigError>(
+      i >= 0, "chaos repro: " + std::string(part) + "'" + std::string(key) +
+                  "' must be >= 0");
+  return static_cast<std::uint64_t>(i);
 }
 
 std::string_view victim_name(Victim v) {

@@ -36,11 +36,7 @@ std::string grammar_json(const Grammar& g) {
 std::uint64_t get_count(const common::JsonValue& doc, std::string_view key,
                         std::uint64_t fallback) {
   const common::JsonValue* v = doc.find(key);
-  if (v == nullptr) return fallback;
-  const std::int64_t i = v->as_int(key);
-  common::require<common::ConfigError>(
-      i >= 0, "chaos repro: grammar '" + std::string(key) + "' must be >= 0");
-  return static_cast<std::uint64_t>(i);
+  return v == nullptr ? fallback : repro_count(*v, "grammar ", key);
 }
 
 double get_double(const common::JsonValue& doc, std::string_view key,
@@ -117,8 +113,8 @@ ReproCase repro_from_json_text(std::string_view text) {
           invariant != nullptr && events != nullptr,
       "chaos repro: required keys are chaos_seed, trial, victim, "
       "invariant, events");
-  repro.chaos_seed = static_cast<std::uint64_t>(seed->as_int("chaos_seed"));
-  repro.trial = static_cast<std::uint64_t>(trial->as_int("trial"));
+  repro.chaos_seed = repro_count(*seed, "", "chaos_seed");
+  repro.trial = repro_count(*trial, "", "trial");
   repro.victim = victim_from_name(victim->as_string("victim"));
   repro.invariant = invariant->as_string("invariant");
   if (const auto* g = doc.find("grammar")) {

@@ -113,8 +113,4 @@ PhaseReport Cluster::run_on(const std::string& name, std::uint32_t node_id,
   return run_phase(name, tasks);
 }
 
-double Cluster::energy_joules(std::uint32_t node_id, double seconds) const {
-  return node(node_id).power_watts * seconds;
-}
-
 }  // namespace hetsim::cluster

@@ -143,9 +143,6 @@ class Cluster {
   }
   void reset_clock() noexcept { virtual_now_ = 0.0; history_.clear(); }
 
-  /// Energy drawn by `node_id` while busy for `seconds` (joules).
-  [[nodiscard]] double energy_joules(std::uint32_t node_id, double seconds) const;
-
  private:
   std::vector<NodeSpec> nodes_;
   Options options_;

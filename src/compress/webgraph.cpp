@@ -9,8 +9,8 @@ namespace hetsim::compress {
 
 namespace {
 
-/// Default lists per reference-choice chunk: the chunk geometry depends
-/// on the list count, never on the pool.
+/// Lists per reference-choice chunk: the chunk geometry depends on the
+/// list count, never on the pool.
 constexpr std::size_t kListChunk = 32;
 
 /// Buffers one encoder reuses from list to list.
@@ -161,8 +161,7 @@ std::string compress_adjacency(const std::vector<std::vector<std::uint32_t>>& li
   std::vector<std::uint32_t> best_refs(lists.size(), 0);
   std::vector<std::uint64_t> trial_ops(lists.size(), 0);
   par::resolve(config.par).parallel_for(
-      lists.size(), par::chunk_or(config.par, kListChunk),
-      [&](std::size_t begin, std::size_t end) {
+      lists.size(), kListChunk, [&](std::size_t begin, std::size_t end) {
         EncodeScratch scratch;
         for (std::size_t i = begin; i < end; ++i) {
           best_refs[i] = choose_reference(lists, i, config, scratch, trial_ops[i]);

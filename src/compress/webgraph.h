@@ -33,9 +33,8 @@ struct WebGraphCodecConfig {
   /// link to consecutive neighbours. 0 or 1 disables; compressor and
   /// decompressor must agree.
   std::uint32_t min_interval = 0;
-  /// Fan-out for reference selection (chunks of lists, `par.chunk` lists
-  /// each). Speed only: bytes and stats are identical for every pool
-  /// size and chunk.
+  /// Fan-out for reference selection (chunks of 32 lists). Speed only:
+  /// bytes and stats are identical for every pool size.
   par::Options par{};
 };
 

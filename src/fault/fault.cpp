@@ -171,16 +171,6 @@ double FaultInjector::slowdown_factor(HostId node) const {
   return it == plan_.nodes.end() ? 1.0 : it->second.slowdown_factor;
 }
 
-std::vector<HostId> FaultInjector::failed_nodes_at(double now_s) const {
-  std::vector<HostId> out;
-  for (const auto& [node, faults] : plan_.nodes) {
-    if (faults.fail_stop_at_s >= 0.0 && faults.fail_stop_at_s <= now_s) {
-      out.push_back(node);
-    }
-  }
-  return out;  // plan_.nodes is an ordered map, so ids are ascending
-}
-
 std::uint64_t FaultInjector::round_trips(HostId src, HostId dst) const {
   const auto it = link_trips_.find({src, dst});
   return it == link_trips_.end() ? 0 : it->second;
@@ -189,20 +179,6 @@ std::uint64_t FaultInjector::round_trips(HostId src, HostId dst) const {
 std::uint64_t FaultInjector::store_ops(HostId host) const {
   const auto it = store_ops_.find(host);
   return it == store_ops_.end() ? 0 : it->second;
-}
-
-std::string_view store_fault_name(StoreFault f) {
-  switch (f) {
-    case StoreFault::kNone:
-      return "none";
-    case StoreFault::kError:
-      return "error";
-    case StoreFault::kStall:
-      return "stall";
-    case StoreFault::kDown:
-      return "down";
-  }
-  return "?";
 }
 
 }  // namespace hetsim::fault

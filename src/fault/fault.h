@@ -153,12 +153,6 @@ class FaultInjector {
   /// Fail-stop virtual time; only meaningful when has_fail_stop(node).
   [[nodiscard]] double fail_stop_time_s(HostId node) const;
   [[nodiscard]] double slowdown_factor(HostId node) const;
-  /// Nodes whose planned fail-stop time is at or before virtual time
-  /// `now_s`, ascending by id. This is the heartbeat oracle the HA
-  /// failover election reads: because it is a pure function of the plan,
-  /// the same plan replays the same membership changes at any
-  /// HETSIM_THREADS.
-  [[nodiscard]] std::vector<HostId> failed_nodes_at(double now_s) const;
 
   // ---- introspection (tests, diagnostics) ----------------------------
   [[nodiscard]] std::uint64_t round_trips(HostId src, HostId dst) const;
@@ -174,8 +168,6 @@ class FaultInjector {
   std::map<std::pair<HostId, HostId>, std::uint64_t> link_trips_;
   std::map<HostId, std::uint64_t> store_ops_;
 };
-
-[[nodiscard]] std::string_view store_fault_name(StoreFault f);
 
 /// Serialize a plan to JSON text that re-parses to an equal plan via
 /// FaultPlan::from_json_text. Only non-default knobs are emitted, so the

@@ -136,11 +136,6 @@ bool ShardRouter::is_down(HostId node) const {
   return down_[idx] != 0;
 }
 
-std::size_t ShardRouter::live_count() const {
-  return static_cast<std::size_t>(
-      std::count(down_.begin(), down_.end(), 0));
-}
-
 std::vector<ElectionRecord> ShardRouter::elections() const {
   return elections_;
 }

@@ -97,7 +97,6 @@ class ShardRouter {
   ElectionRecord mark_down(HostId node, double at_s);
 
   [[nodiscard]] bool is_down(HostId node) const;
-  [[nodiscard]] std::size_t live_count() const;
 
   /// All elections so far, in term order.
   [[nodiscard]] std::vector<ElectionRecord> elections() const;

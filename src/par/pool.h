@@ -121,21 +121,15 @@ class ThreadPool {
 /// use. Kernels reach it through Options::pool == nullptr.
 [[nodiscard]] ThreadPool& global_pool();
 
-/// Per-call parallelism knobs the pipeline kernels thread through their
-/// configs: which pool to fan out on (null = global) and the chunk size
-/// (0 = the kernel's default). Both only affect speed, never results.
+/// Per-call parallelism the pipeline kernels thread through their
+/// configs: which pool to fan out on (null = global). It only affects
+/// speed, never results; each kernel fixes its own chunk size.
 struct Options {
   ThreadPool* pool = nullptr;
-  std::size_t chunk = 0;
 };
 
 [[nodiscard]] inline ThreadPool& resolve(const Options& options) {
   return options.pool != nullptr ? *options.pool : global_pool();
-}
-
-[[nodiscard]] inline std::size_t chunk_or(const Options& options,
-                                          std::size_t fallback) {
-  return options.chunk != 0 ? options.chunk : fallback;
 }
 
 }  // namespace hetsim::par

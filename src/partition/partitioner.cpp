@@ -44,8 +44,7 @@ void check_sizes(std::size_t num_records, std::span<const std::size_t> sizes) {
 /// thread-count effects).
 void sort_partitions(PartitionAssignment& out, const par::Options& par) {
   par::resolve(par).parallel_for(
-      out.partitions.size(), par::chunk_or(par, 1),
-      [&](std::size_t begin, std::size_t end) {
+      out.partitions.size(), 1, [&](std::size_t begin, std::size_t end) {
         for (std::size_t p = begin; p < end; ++p) {
           std::sort(out.partitions[p].begin(), out.partitions[p].end());
         }
@@ -73,8 +72,7 @@ PartitionAssignment representative(const stratify::Stratification& strat,
     stratum_rng.push_back(rng.fork());
   }
   par::resolve(par).parallel_for(
-      members.size(), par::chunk_or(par, 1),
-      [&](std::size_t begin, std::size_t end) {
+      members.size(), 1, [&](std::size_t begin, std::size_t end) {
         for (std::size_t s = begin; s < end; ++s) {
           auto& pool = members[s];
           for (std::size_t i = 0; i + 1 < pool.size(); ++i) {
@@ -130,8 +128,7 @@ PartitionAssignment cut_order(const std::vector<std::uint32_t>& order,
     at += sizes[p];
   }
   par::resolve(par).parallel_for(
-      sizes.size(), par::chunk_or(par, 1),
-      [&](std::size_t begin, std::size_t end) {
+      sizes.size(), 1, [&](std::size_t begin, std::size_t end) {
         for (std::size_t p = begin; p < end; ++p) {
           out.partitions[p].assign(
               order.begin() + static_cast<long>(start[p]),

@@ -1,30 +1,10 @@
 #include "runtime/dag.h"
 
+#include <algorithm>
+
 #include "common/error.h"
 
 namespace hetsim::runtime {
-
-std::string phase_kind_name(PhaseKind kind) {
-  switch (kind) {
-    case PhaseKind::kIngest:
-      return "ingest";
-    case PhaseKind::kStratify:
-      return "stratify";
-    case PhaseKind::kEstimate:
-      return "estimate";
-    case PhaseKind::kForecast:
-      return "forecast";
-    case PhaseKind::kOptimize:
-      return "optimize";
-    case PhaseKind::kPartition:
-      return "partition";
-    case PhaseKind::kExecute:
-      return "execute";
-    case PhaseKind::kGlobal:
-      return "global";
-  }
-  return "?";
-}
 
 std::string_view job_status_name(JobStatus s) {
   switch (s) {
@@ -51,6 +31,9 @@ void PhaseDag::add(Phase phase) {
   common::require<common::ConfigError>(
       phase.max_attempts >= 1,
       "PhaseDag: phase '" + phase.name + "' needs max_attempts >= 1");
+  common::require<common::ConfigError>(
+      static_cast<bool>(phase.body),
+      "PhaseDag: phase '" + phase.name + "' has no body");
   phases_.push_back(std::move(phase));
 }
 
@@ -61,62 +44,25 @@ bool DagReport::phase_failed(std::string_view phase) const {
   return false;
 }
 
-std::vector<std::size_t> PhaseDag::topological_order(
-    const DagReport& before) const {
-  const std::size_t n = phases_.size();
-  // Index of a declared phase, n for one `before` walked.
-  const auto index_of = [&](const std::string& name) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (phases_[i].name == name) return i;
-    }
-    for (const DagReport::Walked& w : before.walked) {
-      if (w.name == name) return n;
-    }
-    throw common::ConfigError("PhaseDag: dependency on undeclared phase '" +
-                              name + "'");
-  };
-  std::vector<std::size_t> indegree(n, 0);
-  std::vector<std::vector<std::size_t>> out_edges(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (const std::string& dep : phases_[i].deps) {
-      const std::size_t d = index_of(dep);
-      if (d == n) continue;  // walked by an earlier DAG
-      common::require<common::ConfigError>(
-          d != i, "PhaseDag: phase '" + phases_[i].name + "' depends on itself");
-      out_edges[d].push_back(i);
-      ++indegree[i];
-    }
-  }
-  std::vector<std::size_t> order;
-  order.reserve(n);
-  std::vector<bool> emitted(n, false);
-  // Kahn with declaration-order priority: scan for the first ready phase
-  // each round. O(n^2) on a handful of phases is irrelevant, and the
-  // order is independent of container internals.
-  for (std::size_t round = 0; round < n; ++round) {
-    std::size_t pick = n;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!emitted[i] && indegree[i] == 0) {
-        pick = i;
-        break;
-      }
-    }
-    common::require<common::ConfigError>(pick != n,
-                                         "PhaseDag: dependency cycle");
-    emitted[pick] = true;
-    order.push_back(pick);
-    for (const std::size_t succ : out_edges[pick]) --indegree[succ];
-  }
-  return order;
-}
-
 DagReport PhaseDag::run(TraceRecorder& trace,
                         const std::function<double()>& clock,
                         DagReport before) const {
+  // Validate every edge before any body runs: a dependency must name a
+  // phase declared earlier here or walked by `before`.
+  for (auto p = phases_.begin(); p != phases_.end(); ++p) {
+    for (const std::string& dep : p->deps) {
+      const auto named = [&dep](const auto& x) { return x.name == dep; };
+      common::require<common::ConfigError>(
+          std::any_of(phases_.begin(), p, named) ||
+              std::any_of(before.walked.begin(), before.walked.end(), named),
+          "PhaseDag: phase '" + p->name + "' depends on '" + dep +
+              "', which is neither declared before it nor walked");
+    }
+  }
+
   DagReport report = std::move(before);
-  for (const std::size_t i : topological_order(report)) {
-    const Phase& p = phases_[i];
-    const std::string category = "phase." + phase_kind_name(p.kind);
+  for (const Phase& p : phases_) {
+    const std::string category = "phase." + p.name;
 
     bool dep_failed = false;
     for (const std::string& dep : p.deps) {
@@ -139,20 +85,16 @@ DagReport PhaseDag::run(TraceRecorder& trace,
       PhaseAttempt at;
       at.attempt = attempt;
       at.last = attempt + 1 >= p.max_attempts;
-      if (p.body) {
-        // Backstop only: the contract is that bodies return their
-        // faults. Anything typed that still escapes (a helper deep in
-        // the phase) is folded into the same retry/exhaust machinery
-        // instead of unwinding out of the job.
-        try {
-          result = p.body(at);
-        } catch (const common::ConfigError&) {
-          throw;  // no retry mends a caller's mistake
-        } catch (const common::Error& e) {
-          result = PhaseResult::transient(e.what());
-        }
-      } else {
-        result = PhaseResult::ok();
+      // Backstop only: the contract is that bodies return their faults.
+      // Anything typed that still escapes (a helper deep in the phase) is
+      // folded into the same retry/exhaust machinery instead of unwinding
+      // out of the job.
+      try {
+        result = p.body(at);
+      } catch (const common::ConfigError&) {
+        throw;  // no retry mends a caller's mistake
+      } catch (const common::Error& e) {
+        result = PhaseResult::transient(e.what());
       }
       if (result.completed && !result.retry) break;
       if (++attempt >= p.max_attempts) {

@@ -1,12 +1,11 @@
 // Typed phase DAG for analytics jobs.
 //
 // A job is declared as named phases (stratify, estimate, optimize,
-// partition, execute, ...) with explicit dependencies, then executed in
-// a deterministic topological order. The DAG form buys three things
-// over hand-wired sequential code: construction-time validation (no
-// cycles, no dangling dependencies, no duplicate names), a single place
-// to record per-phase spans into the trace, and room for future
-// non-linear jobs (independent branches, speculative phases).
+// partition, execute, ...) with explicit dependencies and run in the
+// order they were declared, each after every phase it depends on. The
+// DAG form buys two things over hand-wired sequential code: one place
+// to record per-phase spans into the trace, and the dependency edges
+// that tell which phases a failed one poisons.
 //
 // Fault domains (DESIGN.md §14): each phase body returns a typed
 // PhaseResult instead of throwing, so a store/net/node fault inside a
@@ -26,20 +25,6 @@
 #include "runtime/trace.h"
 
 namespace hetsim::runtime {
-
-/// What a phase does, typed after the paper's pipeline (Fig. 1).
-enum class PhaseKind : std::uint8_t {
-  kIngest,     // load the dataset onto the data master
-  kStratify,   // sketch + compositeKModes
-  kEstimate,   // progressive-sampling time models
-  kForecast,   // green-energy dirty rates
-  kOptimize,   // Pareto LP partition sizes
-  kPartition,  // materialize + distribute partitions
-  kExecute,    // chunked distributed execution (re-plannable)
-  kGlobal,     // cross-partition phase (e.g. SON candidate prune)
-};
-
-[[nodiscard]] std::string phase_kind_name(PhaseKind kind);
 
 /// Typed job outcome, replacing the old throw-on-fault behaviour.
 /// Ordered by severity so outcomes aggregate with worse_job_status().
@@ -105,15 +90,15 @@ struct PhaseResult {
 };
 
 struct Phase {
+  /// Also the trace category's suffix: spans read "phase.<name>".
   std::string name;
-  PhaseKind kind = PhaseKind::kExecute;
-  /// Names of phases that must complete before this one starts.
+  /// Names of phases that must complete before this one starts: each
+  /// declared earlier in the same DAG or walked by the `before` report.
   std::vector<std::string> deps;
-  /// Phase body; a null body completes trivially. Must not throw for
-  /// any well-formed input — faults come back as PhaseResult. (A
-  /// common::Error other than ConfigError that does escape is contained
-  /// by the DAG and treated as a transient failure, but that path is a
-  /// backstop, not the contract.)
+  /// Phase body (required). Must not throw for any well-formed input —
+  /// faults come back as PhaseResult. (A common::Error other than
+  /// ConfigError that does escape is contained by the DAG and treated as
+  /// a transient failure, but that path is a backstop, not the contract.)
   std::function<PhaseResult(const PhaseAttempt&)> body;
   /// Attempts allowed before the phase is exhausted (>= 1).
   std::size_t max_attempts = 1;
@@ -146,20 +131,13 @@ struct DagReport {
 
 class PhaseDag {
  public:
-  /// Add a phase. Throws ConfigError on a duplicate name.
+  /// Add a phase. Throws ConfigError on a duplicate name or a null body.
   void add(Phase phase);
 
-  [[nodiscard]] std::size_t size() const noexcept { return phases_.size(); }
-  [[nodiscard]] const Phase& phase(std::size_t i) const { return phases_.at(i); }
-
-  /// Deterministic topological order (Kahn's algorithm; among ready
-  /// phases, declaration order wins). A dependency may also name a phase
-  /// `before` walked. Throws ConfigError on a cycle or a dependency
-  /// naming no phase of either.
-  [[nodiscard]] std::vector<std::size_t> topological_order(
-      const DagReport& before = {}) const;
-
-  /// Run every phase body in topological order. Each phase is recorded
+  /// Run every phase body in declaration order. Before any body runs,
+  /// every dependency must name a phase declared earlier in this DAG or
+  /// walked by `before`; anything else (a later phase, the phase itself,
+  /// an undeclared name) throws ConfigError. Each phase is recorded
   /// as a span on the runtime lane, with start/end read from `clock`
   /// (virtual seconds). Transient failures retry within the phase's
   /// attempt cap and budget ("phase-retry" instants); an exhausted

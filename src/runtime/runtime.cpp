@@ -118,19 +118,6 @@ std::string encode_sketch(const sketch::Sketch& sig) {
   return out;
 }
 
-/// Declares one phase of a job's DAG.
-void add_phase(PhaseDag& dag, std::string name, PhaseKind kind,
-               std::vector<std::string> deps, std::size_t attempts,
-               JobStatus on_exhausted,
-               std::function<PhaseResult(const PhaseAttempt&)> body) {
-  dag.add({.name = std::move(name),
-           .kind = kind,
-           .deps = std::move(deps),
-           .body = std::move(body),
-           .max_attempts = attempts,
-           .on_exhausted = on_exhausted});
-}
-
 /// Payloads of `records` as fetched by `ctx` (nullopt = no source had it).
 struct Fetched {
   std::vector<std::optional<std::string>> blobs;
@@ -414,16 +401,18 @@ void JobRuntime::prepare(const data::Dataset& dataset,
   }
 
   PhaseDag dag;
-  constexpr JobStatus kLost = JobStatus::kDataUnavailable;
-  add_phase(dag, "ingest", PhaseKind::kIngest, {}, kPhaseAttempts, kLost,
-            [&](const PhaseAttempt& at) { return ingest(s, at); });
-  add_phase(dag, "stratify", PhaseKind::kStratify, {}, kPhaseAttempts, kLost,
-            [&](const PhaseAttempt&) { return stratify(s); });
-  add_phase(dag, "estimate", PhaseKind::kEstimate, {"stratify"},
-            kPhaseAttempts, kLost,
-            [&](const PhaseAttempt& at) { return estimate(s, at); });
-  add_phase(dag, "forecast", PhaseKind::kForecast, {}, 1, kLost,
-            [&](const PhaseAttempt&) { return forecast(s); });
+  dag.add({.name = "ingest",
+           .body = [&](const PhaseAttempt& at) { return ingest(s, at); },
+           .max_attempts = kPhaseAttempts});
+  dag.add({.name = "stratify",
+           .body = [&](const PhaseAttempt&) { return stratify(s); },
+           .max_attempts = kPhaseAttempts});
+  dag.add({.name = "estimate",
+           .deps = {"stratify"},
+           .body = [&](const PhaseAttempt& at) { return estimate(s, at); },
+           .max_attempts = kPhaseAttempts});
+  dag.add({.name = "forecast",
+           .body = [&](const PhaseAttempt&) { return forecast(s); }});
   s.dag = dag.run(trace_, [&] { return cluster_.now() - s.cluster_t0; });
 
   // LP node models: each fitted time model plus its node's dirty rate.
@@ -460,17 +449,20 @@ JobSummary JobRuntime::execute(core::Strategy strategy) {
   const net::RetryStats kv_before = cluster_.fabric().retry_stats();
 
   PhaseDag dag;
-  constexpr JobStatus kLost = JobStatus::kDataUnavailable;
-  add_phase(dag, "optimize", PhaseKind::kOptimize, {"estimate", "forecast"}, 1,
-            kLost, [&](const PhaseAttempt&) { return optimize(s); });
-  add_phase(dag, "partition", PhaseKind::kPartition,
-            {"ingest", "stratify", "optimize"}, kPhaseAttempts, kLost,
-            [&](const PhaseAttempt& at) { return partition(s, at); });
-  add_phase(dag, "execute", PhaseKind::kExecute, {"partition"}, 1, kLost,
-            [&](const PhaseAttempt&) { return execute_chunks(s); });
-  add_phase(dag, "global", PhaseKind::kGlobal, {"execute"}, 1,
-            JobStatus::kDegraded,
-            [&](const PhaseAttempt&) { return global(s); });
+  dag.add({.name = "optimize",
+           .deps = {"estimate", "forecast"},
+           .body = [&](const PhaseAttempt&) { return optimize(s); }});
+  dag.add({.name = "partition",
+           .deps = {"ingest", "stratify", "optimize"},
+           .body = [&](const PhaseAttempt& at) { return partition(s, at); },
+           .max_attempts = kPhaseAttempts});
+  dag.add({.name = "execute",
+           .deps = {"partition"},
+           .body = [&](const PhaseAttempt&) { return execute_chunks(s); }});
+  dag.add({.name = "global",
+           .deps = {"execute"},
+           .body = [&](const PhaseAttempt&) { return global(s); },
+           .on_exhausted = JobStatus::kDegraded});
 
   const DagReport dag_report =
       dag.run(trace_, [&] { return s.clock(); }, prep.dag);

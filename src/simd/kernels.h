@@ -12,8 +12,6 @@ namespace hetsim::simd::detail {
 std::uint64_t minhash_min_run_scalar(std::uint64_t a, std::uint64_t b,
                                      const std::uint64_t* items, std::size_t n,
                                      std::uint64_t acc);
-std::size_t equal_count_u64_scalar(const std::uint64_t* a,
-                                   const std::uint64_t* b, std::size_t n);
 std::size_t find_above_u32_scalar(const std::uint32_t* row, std::size_t len,
                                   std::uint32_t threshold);
 
@@ -21,8 +19,6 @@ std::size_t find_above_u32_scalar(const std::uint32_t* row, std::size_t len,
 std::uint64_t minhash_min_run_avx2(std::uint64_t a, std::uint64_t b,
                                    const std::uint64_t* items, std::size_t n,
                                    std::uint64_t acc);
-std::size_t equal_count_u64_avx2(const std::uint64_t* a, const std::uint64_t* b,
-                                 std::size_t n);
 std::size_t find_above_u32_avx2(const std::uint32_t* row, std::size_t len,
                                 std::uint32_t threshold);
 #endif
@@ -31,8 +27,6 @@ std::size_t find_above_u32_avx2(const std::uint32_t* row, std::size_t len,
 std::uint64_t minhash_min_run_neon(std::uint64_t a, std::uint64_t b,
                                    const std::uint64_t* items, std::size_t n,
                                    std::uint64_t acc);
-std::size_t equal_count_u64_neon(const std::uint64_t* a, const std::uint64_t* b,
-                                 std::size_t n);
 std::size_t find_above_u32_neon(const std::uint32_t* row, std::size_t len,
                                 std::uint32_t threshold);
 #endif

@@ -101,25 +101,6 @@ std::uint64_t minhash_min_run_avx2(std::uint64_t a, std::uint64_t b,
   return best;
 }
 
-std::size_t equal_count_u64_avx2(const std::uint64_t* a, const std::uint64_t* b,
-                                 std::size_t n) {
-  std::size_t match = 0;
-  std::size_t j = 0;
-  for (; j + 4 <= n; j += 4) {
-    const __m256i va =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(a + j));
-    const __m256i vb =
-        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(b + j));
-    const __m256i eq = _mm256_cmpeq_epi64(va, vb);
-    match += static_cast<std::size_t>(__builtin_popcount(
-        static_cast<unsigned>(_mm256_movemask_pd(_mm256_castsi256_pd(eq)))));
-  }
-  for (; j < n; ++j) {
-    if (a[j] == b[j]) ++match;
-  }
-  return match;
-}
-
 std::size_t find_above_u32_avx2(const std::uint32_t* row, std::size_t len,
                                 std::uint32_t threshold) {
   // Unsigned `>` through the same sign flip as the u64 kernels: XOR with

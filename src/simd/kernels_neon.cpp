@@ -70,24 +70,6 @@ std::uint64_t minhash_min_run_neon(std::uint64_t a, std::uint64_t b,
   return best;
 }
 
-std::size_t equal_count_u64_neon(const std::uint64_t* a, const std::uint64_t* b,
-                                 std::size_t n) {
-  // Accumulate each lane's all-ones compare mask negated (-1 per hit),
-  // then subtract the lane totals at the end.
-  int64x2_t neg = vdupq_n_s64(0);
-  std::size_t j = 0;
-  for (; j + 2 <= n; j += 2) {
-    const uint64x2_t eq = vceqq_u64(vld1q_u64(a + j), vld1q_u64(b + j));
-    neg = vaddq_s64(neg, vreinterpretq_s64_u64(eq));
-  }
-  std::size_t match = static_cast<std::size_t>(
-      -(vgetq_lane_s64(neg, 0) + vgetq_lane_s64(neg, 1)));
-  for (; j < n; ++j) {
-    if (a[j] == b[j]) ++match;
-  }
-  return match;
-}
-
 std::size_t find_above_u32_neon(const std::uint32_t* row, std::size_t len,
                                 std::uint32_t threshold) {
   // Native unsigned compares, two 4-wide vectors per step. On a hit,

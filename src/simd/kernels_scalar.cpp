@@ -30,15 +30,6 @@ std::uint64_t minhash_min_run_scalar(std::uint64_t a, std::uint64_t b,
   return std::min(std::min(m0, m1), std::min(m2, m3));
 }
 
-std::size_t equal_count_u64_scalar(const std::uint64_t* a,
-                                   const std::uint64_t* b, std::size_t n) {
-  std::size_t match = 0;
-  for (std::size_t j = 0; j < n; ++j) {
-    if (a[j] == b[j]) ++match;
-  }
-  return match;
-}
-
 std::size_t find_above_u32_scalar(const std::uint32_t* row, std::size_t len,
                                   std::uint32_t threshold) {
   for (std::size_t i = 0; i < len; ++i) {

@@ -13,7 +13,6 @@ namespace {
 constexpr Kernels kScalarKernels{
     Isa::kScalar,
     &detail::minhash_min_run_scalar,
-    &detail::equal_count_u64_scalar,
     &detail::find_above_u32_scalar,
 };
 
@@ -21,7 +20,6 @@ constexpr Kernels kScalarKernels{
 constexpr Kernels kAvx2Kernels{
     Isa::kAvx2,
     &detail::minhash_min_run_avx2,
-    &detail::equal_count_u64_avx2,
     &detail::find_above_u32_avx2,
 };
 #endif
@@ -30,7 +28,6 @@ constexpr Kernels kAvx2Kernels{
 constexpr Kernels kNeonKernels{
     Isa::kNeon,
     &detail::minhash_min_run_neon,
-    &detail::equal_count_u64_neon,
     &detail::find_above_u32_neon,
 };
 #endif

@@ -7,8 +7,8 @@
 //
 // Determinism contract: every kernel computes the *exact* same values
 // on every ISA — the modular arithmetic is exact (no floating point,
-// no reassociation that changes results), scans return the same
-// index, counts are exact. `HETSIM_SIMD=avx2|neon|scalar` forces a
+// no reassociation that changes results) and scans return the same
+// index. `HETSIM_SIMD=avx2|neon|scalar` forces a
 // lane (aborting if it is not runnable here), which is how the
 // equivalence tests and the A/B benches pin each side.
 #pragma once
@@ -67,10 +67,6 @@ struct Kernels {
   std::uint64_t (*minhash_min_run)(std::uint64_t a, std::uint64_t b,
                                    const std::uint64_t* items, std::size_t n,
                                    std::uint64_t acc);
-
-  /// Number of positions j in [0, n) with a[j] == b[j].
-  std::size_t (*equal_count_u64)(const std::uint64_t* a,
-                                 const std::uint64_t* b, std::size_t n);
 
   /// Index of the first `row[i]` in [0, len) with row[i] > threshold
   /// (unsigned order), or `len` when there is none.

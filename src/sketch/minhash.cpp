@@ -1,6 +1,7 @@
 #include "sketch/minhash.h"
 
 #include <algorithm>
+#include <array>
 
 #include "check/check.h"
 #include "common/error.h"
@@ -17,7 +18,7 @@ constexpr std::uint64_t kPrime = detail::kSketchPrime;
 /// cache pass per batch instead of one per (item, hash) pair.
 constexpr std::size_t kItemBatch = 1024;
 
-/// Default records per chunk for sketch_all's fan-out.
+/// Records per chunk of sketch_all's fan-out.
 constexpr std::size_t kRecordChunk = 256;
 
 }  // namespace
@@ -53,22 +54,22 @@ std::uint64_t MinHasher::permute(std::uint32_t j, data::Item x) const {
 
 Sketch MinHasher::sketch(std::span<const data::Item> items) const {
   Sketch sig(a_.size(), kEmptySentinel);
-  common::Arena arena;
-  sketch_into(items, arena, sig);
+  sketch_into(items, sig);
   return sig;
 }
 
 void MinHasher::sketch_into(std::span<const data::Item> items,
-                            common::Arena& arena, Sketch& sig) const {
+                            Sketch& sig) const {
   if (items.empty()) return;
   const std::size_t k = a_.size();
   const simd::Kernels& kern = simd::dispatch();
   // Hash-major over item tiles: each tile is staged once as
   // zero-extended u64 lanes (what the vector kernels consume) and then
   // swept by every permutation while it sits in L1 — one widening pass
-  // per tile instead of one per (item, hash) pair.
-  auto staged =
-      arena.alloc_span<std::uint64_t>(std::min(items.size(), kItemBatch));
+  // per tile instead of one per (item, hash) pair. The tile lives on
+  // the stack (8 KB) and is left uninitialised: only its first `len`
+  // entries are read.
+  std::array<std::uint64_t, kItemBatch> staged;
   for (std::size_t base = 0; base < items.size(); base += kItemBatch) {
     const std::size_t len = std::min(items.size() - base, kItemBatch);
     for (std::size_t i = 0; i < len; ++i) {
@@ -86,15 +87,9 @@ std::vector<Sketch> MinHasher::sketch_all(
   // pool lanes come from per-thread malloc arenas and raise peak RSS.
   std::vector<Sketch> out(records.size(), Sketch(a_.size(), kEmptySentinel));
   par::resolve(par).parallel_for(
-      records.size(), par::chunk_or(par, kRecordChunk),
-      [&](std::size_t begin, std::size_t end) {
-        // One arena per chunk (never shared across lanes); reset()
-        // between records keeps the staging buffer's block hot, so the
-        // chunk allocates nothing per record.
-        common::Arena arena;
+      records.size(), kRecordChunk, [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
-          sketch_into(records[i].items, arena, out[i]);
-          arena.reset();
+          sketch_into(records[i].items, out[i]);
         }
       });
   return out;
@@ -103,8 +98,8 @@ std::vector<Sketch> MinHasher::sketch_all(
 double MinHasher::estimate_jaccard(const Sketch& a, const Sketch& b) {
   common::require<common::ConfigError>(a.size() == b.size() && !a.empty(),
                                        "estimate_jaccard: size mismatch");
-  const std::size_t match =
-      simd::dispatch().equal_count_u64(a.data(), b.data(), a.size());
+  std::size_t match = 0;
+  for (std::size_t j = 0; j < a.size(); ++j) match += a[j] == b[j] ? 1 : 0;
   return static_cast<double>(match) / static_cast<double>(a.size());
 }
 

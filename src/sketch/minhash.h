@@ -15,7 +15,6 @@
 #include <span>
 #include <vector>
 
-#include "common/arena.h"
 #include "data/dataset.h"
 #include "data/itemset.h"
 #include "par/pool.h"
@@ -68,7 +67,7 @@ class MinHasher {
 
   /// Sketch every record of a dataset (row i = record i), fanned out
   /// over `par` in record chunks. Results are identical for every
-  /// thread count and chunk size.
+  /// thread count.
   [[nodiscard]] std::vector<Sketch> sketch_all(
       const std::vector<data::Record>& records,
       const par::Options& par = {}) const;
@@ -84,10 +83,8 @@ class MinHasher {
 
  private:
   /// Fold `items` into `sig`, which holds num_hashes() entries (all
-  /// kEmptySentinel for a fresh sketch), staging scratch in `arena`
-  /// (spans released by the caller's reset()).
-  void sketch_into(std::span<const data::Item> items, common::Arena& arena,
-                   Sketch& sig) const;
+  /// kEmptySentinel for a fresh sketch).
+  void sketch_into(std::span<const data::Item> items, Sketch& sig) const;
 
   std::vector<std::uint64_t> a_;  // multipliers, in [1, p-1]
   std::vector<std::uint64_t> b_;  // offsets, in [0, p-1]

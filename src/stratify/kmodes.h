@@ -27,8 +27,8 @@ struct KModesConfig {
   std::uint64_t seed = 23;
   /// Fan-out for the assignment step (one run of points per pool lane)
   /// and for the sketch encoding, the point postings and the update step
-  /// (one run of attributes per lane); the solve ignores `par.chunk`.
-  /// Speed only: the result is identical for every pool size.
+  /// (one run of attributes per lane). Speed only: the result is
+  /// identical for every pool size.
   par::Options par{};
 };
 

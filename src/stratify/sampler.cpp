@@ -22,11 +22,6 @@ std::vector<std::vector<std::uint32_t>> strata_members(
   return members;
 }
 
-std::vector<std::size_t> proportional_allocation(
-    const std::vector<double>& weights, std::size_t total) {
-  return common::proportional_allocation(weights, total);
-}
-
 std::vector<std::uint32_t> stratified_sample(const Stratification& strat,
                                              std::size_t count,
                                              common::Rng& rng,
@@ -35,7 +30,8 @@ std::vector<std::uint32_t> stratified_sample(const Stratification& strat,
   count = std::min(count, n);
   std::vector<double> weights(strat.stratum_sizes.begin(),
                               strat.stratum_sizes.end());
-  std::vector<std::size_t> take = proportional_allocation(weights, count);
+  std::vector<std::size_t> take =
+      common::proportional_allocation(weights, count);
   auto members = strata_members(strat);
   // Fork one child generator per stratum up front (fixed stratum order,
   // fixed draw count from `rng`), then run every stratum's partial
@@ -47,8 +43,7 @@ std::vector<std::uint32_t> stratified_sample(const Stratification& strat,
     stratum_rng.push_back(rng.fork());
   }
   par::resolve(par).parallel_for(
-      strat.num_strata, par::chunk_or(par, 1),
-      [&](std::size_t begin, std::size_t end) {
+      strat.num_strata, 1, [&](std::size_t begin, std::size_t end) {
         for (std::size_t c = begin; c < end; ++c) {
           auto& pool = members[c];
           const std::size_t want = std::min(take[c], pool.size());

@@ -38,10 +38,4 @@ namespace hetsim::stratify {
 [[nodiscard]] std::vector<std::uint32_t> strata_order(
     const Stratification& strat);
 
-/// Apportion `total` into `weights.size()` integer shares proportional to
-/// `weights` (largest remainder method). Shares sum exactly to `total`;
-/// negative weights are treated as zero.
-[[nodiscard]] std::vector<std::size_t> proportional_allocation(
-    const std::vector<double>& weights, std::size_t total);
-
 }  // namespace hetsim::stratify

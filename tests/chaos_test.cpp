@@ -227,6 +227,32 @@ TEST(ChaosRepro, RejectsNegativeEventFields) {
   }
 }
 
+TEST(ChaosRepro, RejectsNegativeSeedAndTrial) {
+  // A negative chaos_seed or trial would wrap to a trial no search ran
+  // (2^64 - 1 for -1), and the replay would read as a healed bug.
+  const auto repro_text = [](const std::string& seed, const std::string& trial) {
+    return R"({"chaos_seed": )" + seed + R"(, "trial": )" + trial +
+           R"(, "victim": "churn", "invariant": "x", "events": [)"
+           R"({"kind":"store_crash","host":7,"count":3}]})";
+  };
+  EXPECT_NO_THROW((void)chaos::repro_from_json_text(repro_text("0", "0")));
+  struct Case {
+    const char* seed;
+    const char* trial;
+    const char* message;
+  };
+  for (const Case& c : {Case{"1", "-1", "'trial' must be >= 0"},
+                        Case{"-5", "0", "'chaos_seed' must be >= 0"}}) {
+    try {
+      (void)chaos::repro_from_json_text(repro_text(c.seed, c.trial));
+      ADD_FAILURE() << "accepted seed " << c.seed << " trial " << c.trial;
+    } catch (const common::ConfigError& e) {
+      EXPECT_NE(std::string(e.what()).find(c.message), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(ChaosRepro, ADifferentViolationIsNotAReproduction) {
   // The planted fan-out bug breaks replica-conservation on the churn
   // victim under any plan. A repro recording another invariant, or the

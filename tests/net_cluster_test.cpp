@@ -127,13 +127,6 @@ TEST_F(ClusterTest, RunOnExecutesSingleNode) {
   EXPECT_EQ(report.per_node[0].work_units, 0.0);
 }
 
-TEST_F(ClusterTest, EnergyScalesWithPower) {
-  auto c = make(4);
-  // Node 0 is type 1 (440 W), node 3 is type 4 (155 W).
-  EXPECT_DOUBLE_EQ(c.energy_joules(0, 10.0), 4400.0);
-  EXPECT_DOUBLE_EQ(c.energy_joules(3, 10.0), 1550.0);
-}
-
 TEST_F(ClusterTest, RejectsWrongTaskArity) {
   auto c = make(2);
   std::vector<cluster::NodeTask> tasks(1);

@@ -2,7 +2,7 @@
 // determinism contract of every pipeline kernel plumbed onto it: for a
 // fixed seed, sketches, stratification, samples, partition contents and
 // webgraph-compressed bytes must be byte-identical for every thread
-// count and chunk size.
+// count (the pool's own tests also sweep chunk sizes).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -207,7 +207,6 @@ TEST(ParDeterminism, PipelineIdenticalForAllThreadCountsAndChunks) {
   corpus.num_topics = 6;
   corpus.seed = 21;
   const data::Dataset ds = data::generate_text_corpus(corpus);
-  const std::size_t n = ds.records.size();
 
   par::ThreadPool serial(1);
   const PipelineOutputs reference =
@@ -218,31 +217,27 @@ TEST(ParDeterminism, PipelineIdenticalForAllThreadCountsAndChunks) {
   if (hw >= 1) thread_counts.push_back(hw);
   for (const std::uint32_t threads : thread_counts) {
     par::ThreadPool pool(threads);
-    for (const std::size_t chunk : {std::size_t{1}, std::size_t{64}, n}) {
-      const PipelineOutputs got =
-          run_pipeline(ds, par::Options{.pool = &pool, .chunk = chunk});
-      expect_identical(got, reference,
-                       "threads=" + std::to_string(threads) +
-                           " chunk=" + std::to_string(chunk));
-    }
+    const PipelineOutputs got = run_pipeline(ds, par::Options{.pool = &pool});
+    expect_identical(got, reference, "threads=" + std::to_string(threads));
   }
 }
 
 TEST(ParDeterminism, SketchAllMatchesPerRecordSketch) {
   data::TextCorpusConfig corpus;
-  corpus.num_docs = 200;
+  corpus.num_docs = 600;
   corpus.seed = 5;
   data::Dataset ds = data::generate_text_corpus(corpus);
+  ASSERT_EQ(ds.records.size(), 600u);
   // Empty item sets at the first and last record and on both sides of
-  // the chunk-13 boundary must come back as the all-sentinel sketch.
-  for (const std::size_t i : {0, 12, 13, 14, 50, 199}) {
+  // the 256-record chunk boundaries must come back as the all-sentinel
+  // sketch.
+  for (const std::size_t i : {0, 255, 256, 257, 512, 599}) {
     ds.records[i].items.clear();
   }
   const sketch::MinHasher hasher({.num_hashes = 32, .seed = 7});
   const sketch::Sketch sentinel(32, sketch::MinHasher::kEmptySentinel);
   par::ThreadPool pool(4);
-  const auto all =
-      hasher.sketch_all(ds.records, par::Options{.pool = &pool, .chunk = 13});
+  const auto all = hasher.sketch_all(ds.records, par::Options{.pool = &pool});
   ASSERT_EQ(all.size(), ds.records.size());
   std::size_t empty = 0;
   for (std::size_t i = 0; i < all.size(); ++i) {
@@ -363,8 +358,8 @@ std::uint64_t bytes_hash(const std::string& bytes) {
 /// Hand-built lists first (an empty list, lists whose window holds that
 /// empty reference, a short run, all at i < ref_window), then
 /// uk_like(0.054) in SimilarTogether order: partitions of whole strata,
-/// concatenated. 1302 lists make 41 chunks at the codec's default of 32
-/// lists: a short last chunk, and no even split over 2, 3, 4 or 16 lanes.
+/// concatenated. 1302 lists make 41 chunks of the codec's 32 lists: a
+/// short last chunk, and no even split over 2, 3, 4 or 16 lanes.
 std::vector<std::vector<std::uint32_t>> webgraph_corpus() {
   std::vector<std::vector<std::uint32_t>> lists{
       {}, {3, 4, 5, 6, 9}, {}, {3, 4, 5, 6, 7, 9, 40}, {1}, {3, 5, 6, 7, 8, 9, 40, 41}};
@@ -411,28 +406,25 @@ TEST(WebGraph, CompressedBytesPinnedAcrossPools) {
   ASSERT_EQ(lists.size(), 1302U);
   for (const std::uint32_t threads : {1U, 2U, 3U, 4U, 16U}) {
     par::ThreadPool pool(threads);
-    // chunk 0 = the codec's default; 5 makes chunks shorter than the window.
-    for (const std::size_t chunk : {std::size_t{0}, std::size_t{5}}) {
-      for (const Pinned& want : pinned) {
-        compress::WebGraphCodecConfig cfg;
-        cfg.ref_window = want.ref_window;
-        cfg.min_interval = want.min_interval;
-        cfg.par = {.pool = &pool, .chunk = chunk};
-        compress::WebGraphStats stats;
-        const std::string blob = compress::compress_adjacency(lists, cfg, &stats);
-        const std::string label =
-            "threads=" + std::to_string(threads) + " chunk=" + std::to_string(chunk) +
-            " ref_window=" + std::to_string(want.ref_window) +
-            " min_interval=" + std::to_string(want.min_interval);
-        EXPECT_EQ(bytes_hash(blob), want.bytes_hash) << label;
-        EXPECT_EQ(stats.lists, 1302U) << label;
-        EXPECT_EQ(stats.edges, 11801U) << label;
-        EXPECT_EQ(stats.referenced_lists, want.referenced_lists) << label;
-        EXPECT_EQ(stats.copied_edges, want.copied_edges) << label;
-        EXPECT_EQ(stats.compressed_bits, want.compressed_bits) << label;
-        EXPECT_EQ(stats.work_ops, want.work_ops) << label;
-        EXPECT_EQ(blob.size(), (want.compressed_bits + 7) / 8) << label;
-      }
+    for (const Pinned& want : pinned) {
+      compress::WebGraphCodecConfig cfg;
+      cfg.ref_window = want.ref_window;
+      cfg.min_interval = want.min_interval;
+      cfg.par = {.pool = &pool};
+      compress::WebGraphStats stats;
+      const std::string blob = compress::compress_adjacency(lists, cfg, &stats);
+      const std::string label =
+          "threads=" + std::to_string(threads) +
+          " ref_window=" + std::to_string(want.ref_window) +
+          " min_interval=" + std::to_string(want.min_interval);
+      EXPECT_EQ(bytes_hash(blob), want.bytes_hash) << label;
+      EXPECT_EQ(stats.lists, 1302U) << label;
+      EXPECT_EQ(stats.edges, 11801U) << label;
+      EXPECT_EQ(stats.referenced_lists, want.referenced_lists) << label;
+      EXPECT_EQ(stats.copied_edges, want.copied_edges) << label;
+      EXPECT_EQ(stats.compressed_bits, want.compressed_bits) << label;
+      EXPECT_EQ(stats.work_ops, want.work_ops) << label;
+      EXPECT_EQ(blob.size(), (want.compressed_bits + 7) / 8) << label;
     }
   }
 }

@@ -76,42 +76,58 @@ std::function<PhaseResult(const PhaseAttempt&)> counting_body(int& slot,
   };
 }
 
-TEST(PhaseDag, TopologicalOrderRespectsDependencies) {
+TEST(PhaseDag, RunsInDeclarationOrder) {
   PhaseDag dag;
   int ran = 0;
   int a_at = -1, b_at = -1, c_at = -1;
-  dag.add({"c", PhaseKind::kExecute, {"b"}, counting_body(c_at, ran)});
-  dag.add({"a", PhaseKind::kIngest, {}, counting_body(a_at, ran)});
-  dag.add({"b", PhaseKind::kStratify, {"a"}, counting_body(b_at, ran)});
+  dag.add({"ingest", {}, counting_body(a_at, ran)});
+  dag.add({"forecast", {}, counting_body(b_at, ran)});
+  dag.add({"execute", {"ingest"}, counting_body(c_at, ran)});
   TraceRecorder trace;
   const DagReport report = dag.run(trace, [] { return 0.0; });
-  EXPECT_LT(a_at, b_at);
-  EXPECT_LT(b_at, c_at);
-  EXPECT_EQ(ran, 3);
+  EXPECT_EQ(a_at, 0);
+  EXPECT_EQ(b_at, 1);
+  EXPECT_EQ(c_at, 2);
   EXPECT_EQ(report.status, JobStatus::kOk);
   EXPECT_EQ(report.phase_retries, 0u);
   EXPECT_TRUE(report.failed_phase.empty());
-  // One span per phase, categorized by kind; clean phases carry no
-  // args (byte-compatible with pre-PhaseResult traces).
-  EXPECT_EQ(trace.events().size(), 3u);
+  // One span per phase, categorized "phase.<name>"; clean phases carry
+  // no args (byte-compatible with pre-PhaseResult traces).
+  ASSERT_EQ(trace.events().size(), 3u);
   EXPECT_EQ(trace.events()[0].category, "phase.ingest");
+  EXPECT_EQ(trace.events()[1].category, "phase.forecast");
+  EXPECT_EQ(trace.events()[2].category, "phase.execute");
   EXPECT_TRUE(trace.events()[0].args.empty());
 }
 
-TEST(PhaseDag, DeclarationOrderBreaksTies) {
-  PhaseDag dag;
-  std::vector<std::string> order;
-  const auto note = [&order](std::string name) {
-    return [&order, name](const PhaseAttempt&) {
-      order.push_back(name);
-      return PhaseResult::ok();
-    };
-  };
-  dag.add({"y", PhaseKind::kExecute, {}, note("y")});
-  dag.add({"x", PhaseKind::kExecute, {}, note("x")});
+TEST(PhaseDag, RejectsDependencyNotYetWalked) {
+  int ran = 0;
+  int slot = -1;
   TraceRecorder trace;
-  (void)dag.run(trace, [] { return 0.0; });
-  EXPECT_EQ(order, (std::vector<std::string>{"y", "x"}));
+  const auto rejects = [&](std::vector<Phase> phases,
+                           const DagReport& before = {}) {
+    PhaseDag dag;
+    for (Phase& ph : phases) dag.add(std::move(ph));
+    EXPECT_THROW((void)dag.run(trace, [] { return 0.0; }, before),
+                 common::ConfigError);
+  };
+  // A later phase, the phase itself, and a name declared nowhere.
+  rejects({{"a", {"b"}, counting_body(slot, ran)},
+           {"b", {}, counting_body(slot, ran)}});
+  rejects({{"a", {}, counting_body(slot, ran)},
+           {"b", {"b"}, counting_body(slot, ran)}});
+  rejects({{"a", {"ghost"}, counting_body(slot, ran)}});
+  // A continued walk run without the report it continues; the same DAG
+  // runs once that report is passed.
+  DagReport before;
+  before.walked.push_back({"earlier"});
+  rejects({{"a", {"earlier"}, counting_body(slot, ran)}});
+  EXPECT_EQ(ran, 0);
+  EXPECT_TRUE(trace.events().empty());
+  PhaseDag continued;
+  continued.add({"a", {"earlier"}, counting_body(slot, ran)});
+  (void)continued.run(trace, [] { return 0.0; }, before);
+  EXPECT_EQ(ran, 1);
 }
 
 TEST(PhaseDag, TransientFailureRetriesUpToAttemptCap) {
@@ -120,7 +136,6 @@ TEST(PhaseDag, TransientFailureRetriesUpToAttemptCap) {
   std::vector<bool> last_seen;
   Phase ph;
   ph.name = "flaky";
-  ph.kind = PhaseKind::kIngest;
   ph.max_attempts = 3;
   ph.body = [&](const PhaseAttempt& at) {
     attempts_seen.push_back(at.attempt);
@@ -145,19 +160,18 @@ TEST(PhaseDag, ExhaustedPhaseSkipsDependentsAndFloorsStatus) {
   int independent_runs = 0;
   Phase doomed;
   doomed.name = "doomed";
-  doomed.kind = PhaseKind::kIngest;
   doomed.max_attempts = 2;
   doomed.on_exhausted = JobStatus::kDataUnavailable;
   doomed.body = [](const PhaseAttempt&) {
     return PhaseResult::transient("store down");
   };
   dag.add(std::move(doomed));
-  dag.add({"dependent", PhaseKind::kExecute, {"doomed"},
+  dag.add({"dependent", {"doomed"},
            [&](const PhaseAttempt&) {
              ++downstream_runs;
              return PhaseResult::ok();
            }});
-  dag.add({"independent", PhaseKind::kForecast, {},
+  dag.add({"independent", {},
            [&](const PhaseAttempt&) {
              ++independent_runs;
              return PhaseResult::ok();
@@ -175,10 +189,10 @@ TEST(PhaseDag, ExhaustedPhaseSkipsDependentsAndFloorsStatus) {
 
 TEST(PhaseDag, DegradedFloorAggregatesAcrossPhases) {
   PhaseDag dag;
-  dag.add({"a", PhaseKind::kIngest, {}, [](const PhaseAttempt&) {
+  dag.add({"a", {}, [](const PhaseAttempt&) {
              return PhaseResult::degraded("replica fallback");
            }});
-  dag.add({"b", PhaseKind::kExecute, {"a"}, [](const PhaseAttempt&) {
+  dag.add({"b", {"a"}, [](const PhaseAttempt&) {
              return PhaseResult::ok();
            }});
   TraceRecorder trace;
@@ -192,7 +206,6 @@ TEST(PhaseDag, EscapedTypedExceptionIsContainedAsTransient) {
   std::size_t runs = 0;
   Phase ph;
   ph.name = "thrower";
-  ph.kind = PhaseKind::kExecute;
   ph.max_attempts = 2;
   ph.on_exhausted = JobStatus::kDataUnavailable;
   ph.body = [&](const PhaseAttempt&) -> PhaseResult {
@@ -217,39 +230,23 @@ TEST(PhaseDag, WorseJobStatusIsMaxBySeverity) {
             JobStatus::kDegraded);
 }
 
-TEST(PhaseDag, RejectsCycle) {
-  PhaseDag dag;
-  dag.add({"a", PhaseKind::kExecute, {"b"}, nullptr});
-  dag.add({"b", PhaseKind::kExecute, {"a"}, nullptr});
-  EXPECT_THROW((void)dag.topological_order(), common::ConfigError);
-}
-
-TEST(PhaseDag, RejectsMissingDependency) {
-  PhaseDag dag;
-  dag.add({"a", PhaseKind::kExecute, {"ghost"}, nullptr});
-  EXPECT_THROW((void)dag.topological_order(), common::ConfigError);
-}
-
 TEST(PhaseDag, RejectsDuplicateName) {
   PhaseDag dag;
-  dag.add({"a", PhaseKind::kExecute, {}, nullptr});
-  EXPECT_THROW(dag.add({"a", PhaseKind::kExecute, {}, nullptr}),
-               common::ConfigError);
+  const auto ok = [](const PhaseAttempt&) { return PhaseResult::ok(); };
+  dag.add({"a", {}, ok});
+  EXPECT_THROW(dag.add({"a", {}, ok}), common::ConfigError);
 }
 
-TEST(PhaseDag, RejectsSelfDependency) {
+TEST(PhaseDag, RejectsPhaseWithoutBody) {
   PhaseDag dag;
-  dag.add({"a", PhaseKind::kExecute, {"a"}, nullptr});
-  EXPECT_THROW((void)dag.topological_order(), common::ConfigError);
+  EXPECT_THROW(dag.add({"a", {}, nullptr}), common::ConfigError);
 }
 
 TEST(PhaseDag, ContinuesAnEarlierWalk) {
   // The second DAG's phases depend on the first's by name: a dependent of
   // a failed phase is skipped, and the report folds both walks.
   PhaseDag first;
-  Phase ok;
-  ok.name = "ok";
-  first.add(ok);
+  first.add({"ok", {}, [](const PhaseAttempt&) { return PhaseResult::ok(); }});
   Phase broken;
   broken.name = "broken";
   broken.max_attempts = 2;
@@ -282,8 +279,6 @@ TEST(PhaseDag, ContinuesAnEarlierWalk) {
   EXPECT_EQ(report.phase_retries, 1u);
   EXPECT_EQ(report.status, JobStatus::kDataUnavailable);
   EXPECT_EQ(trace.count("phase-skipped"), 1u);
-  // Without the earlier walk, the dependency names no phase.
-  EXPECT_THROW((void)second.topological_order(), common::ConfigError);
 }
 
 TEST(PhaseDag, ConfigErrorPropagates) {

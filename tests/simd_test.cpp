@@ -1,8 +1,9 @@
-// Tests for the runtime-dispatched vector layer: ISA selection, the
-// arena allocator, randomized kernel equivalence against the scalar
-// reference, byte-identity of sketches and k-modes assignments across
-// every runnable ISA, and a golden sketch fixture pinning the exact
-// permutation arithmetic against accidental drift.
+// Tests for the runtime-dispatched vector layer: ISA selection,
+// randomized kernel equivalence against the scalar reference, sketches
+// against a naive per-item minimum across staging tiles, byte-identity
+// of sketches and k-modes assignments across every runnable ISA, and a
+// golden sketch fixture pinning the exact permutation arithmetic
+// against accidental drift.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,9 +12,9 @@
 #include <string>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/rng.h"
 #include "data/dataset.h"
+#include "par/pool.h"
 #include "simd/simd.h"
 #include "sketch/minhash.h"
 #include "stratify/kmodes.h"
@@ -59,41 +60,6 @@ TEST(SimdDispatch, IsaNamesAreStable) {
   EXPECT_EQ(simd::isa_name(Isa::kNeon), "neon");
 }
 
-TEST(Arena, SpansStayValidUntilReset) {
-  common::Arena arena(64);  // small first block forces growth
-  std::vector<std::span<std::uint64_t>> spans;
-  for (std::uint64_t i = 0; i < 32; ++i) {
-    auto s = arena.alloc_span<std::uint64_t>(16);
-    std::fill(s.begin(), s.end(), i);
-    spans.push_back(s);
-  }
-  // Growth must never have moved an earlier span's storage.
-  for (std::uint64_t i = 0; i < spans.size(); ++i) {
-    for (const std::uint64_t v : spans[i]) EXPECT_EQ(v, i);
-  }
-}
-
-TEST(Arena, ResetKeepsOneBlockAndReusesIt) {
-  common::Arena arena(64);
-  (void)arena.alloc_span<std::uint64_t>(512);
-  const std::size_t grown = arena.capacity_bytes();
-  arena.reset();
-  EXPECT_LE(arena.capacity_bytes(), grown);
-  const void* first = arena.alloc_span<std::byte>(64).data();
-  arena.reset();
-  const void* second = arena.alloc_span<std::byte>(64).data();
-  EXPECT_EQ(first, second);  // steady state: same block, no malloc
-}
-
-TEST(Arena, HonorsAlignment) {
-  common::Arena arena;
-  (void)arena.alloc_span<char>(3);  // misalign the bump cursor
-  const auto d = arena.alloc_span<double>(4);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(d.data()) % alignof(double), 0u);
-  const auto z = arena.alloc_span<std::uint64_t>(0);
-  EXPECT_TRUE(z.empty());
-}
-
 // Scalar reference for the min-run kernel, written independently of the
 // kernel implementations (plain loop over simd::permute61).
 std::uint64_t reference_min_run(std::uint64_t a, std::uint64_t b,
@@ -124,27 +90,6 @@ TEST(SimdKernels, MinRunMatchesReferenceOnEveryIsa) {
       const std::uint64_t acc = trial % 3 == 0 ? ~0ULL : rng.bounded(kPrime61);
       EXPECT_EQ(kern.minhash_min_run(a, b, items.data(), items.size(), acc),
                 reference_min_run(a, b, items, acc))
-          << simd::isa_name(isa) << " trial " << trial;
-    }
-  }
-}
-
-TEST(SimdKernels, EqualCountMatchesReferenceOnEveryIsa) {
-  common::Rng rng(12);
-  for (const Isa isa : runnable_isas()) {
-    const simd::Kernels& kern = simd::kernels_for(isa);
-    for (int trial = 0; trial < 100; ++trial) {
-      const std::size_t n = rng.bounded(130);
-      std::vector<std::uint64_t> a(n);
-      std::vector<std::uint64_t> b(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        // Bias toward collisions and include the all-ones sentinel.
-        a[i] = rng.bounded(4) == 0 ? ~0ULL : rng.bounded(8);
-        b[i] = rng.bounded(2) == 0 ? a[i] : rng.bounded(8);
-      }
-      std::size_t want = 0;
-      for (std::size_t i = 0; i < n; ++i) want += a[i] == b[i] ? 1 : 0;
-      EXPECT_EQ(kern.equal_count_u64(a.data(), b.data(), n), want)
           << simd::isa_name(isa) << " trial " << trial;
     }
   }
@@ -230,6 +175,52 @@ TEST(SimdEquivalence, SketchesAreByteIdenticalAcrossIsas) {
   for (const Isa isa : runnable_isas()) {
     simd::ScopedIsaOverride forced(isa);
     EXPECT_EQ(hasher.sketch_all(records), baseline) << simd::isa_name(isa);
+  }
+}
+
+TEST(SimdEquivalence, SketchesMatchNaiveMinimumAcrossStagingTiles) {
+  // The sketch stages items in tiles of 1,024: sets of 0, 1 and 1,023
+  // items fit one tile, 1,024 fills it exactly, and 1,025 and 2,500
+  // carry the running minimum across two and three tiles. Every lane,
+  // through sketch() and through sketch_all() on one and four pool
+  // lanes, must equal the per-item minimum of each permutation.
+  common::Rng rng(17);
+  const sketch::MinHasher hasher({.num_hashes = 24, .seed = 5});
+  std::vector<data::Record> records;
+  for (const std::size_t n : {0u, 1u, 1023u, 1024u, 1025u, 2500u}) {
+    data::Record r;
+    r.items.resize(n);
+    for (auto& x : r.items) {
+      x = static_cast<data::Item>(rng.bounded(1ULL << 32));
+    }
+    if (n > 0) {
+      r.items[rng.bounded(n)] = 0;
+      r.items[n - 1] = 0xffffffffU;  // the last tile's last slot
+    }
+    records.push_back(std::move(r));
+  }
+  std::vector<sketch::Sketch> want;
+  for (const data::Record& r : records) {
+    sketch::Sketch sig(hasher.num_hashes(), sketch::MinHasher::kEmptySentinel);
+    for (std::uint32_t j = 0; j < hasher.num_hashes(); ++j) {
+      for (const data::Item x : r.items) {
+        sig[j] = std::min(sig[j], hasher.permute(j, x));
+      }
+    }
+    want.push_back(std::move(sig));
+  }
+  par::ThreadPool one(1);
+  par::ThreadPool four(4);
+  for (const Isa isa : runnable_isas()) {
+    simd::ScopedIsaOverride forced(isa);
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      EXPECT_EQ(hasher.sketch(records[i].items), want[i])
+          << simd::isa_name(isa) << " items " << records[i].items.size();
+    }
+    EXPECT_EQ(hasher.sketch_all(records, {.pool = &one}), want)
+        << simd::isa_name(isa);
+    EXPECT_EQ(hasher.sketch_all(records, {.pool = &four}), want)
+        << simd::isa_name(isa);
   }
 }
 

@@ -282,7 +282,7 @@ TEST(KModes, TieBreakStableAcrossThreadCounts) {
     par::ThreadPool pool(threads);
     stratify::KModesConfig cfg;
     cfg.num_strata = 4;
-    cfg.par = {.pool = &pool, .chunk = 5};
+    cfg.par = {.pool = &pool};
     const auto strat = stratify::composite_kmodes(sketches, cfg);
     for (const auto a : strat.assignment) {
       EXPECT_EQ(a, 0u) << "threads " << threads;
