@@ -5,19 +5,26 @@
 // heterogeneous nodes — but it (a) moves chunk payloads over the
 // network, and (b) fragments the job into many small mining units whose
 // noisy locally-frequent sets inflate the SON candidate union, i.e. it
-// is size-aware but not payload-aware. The Het-Aware plan reaches the
-// same (or better) makespan with zero migration and a smaller candidate
-// scan.
+// is size-aware but not payload-aware. The Het-Aware plan reaches a
+// better makespan with zero migration and a smaller candidate scan.
+//
+// Every row is a job on runtime::JobRuntime. A stealing row plans equal
+// Random partitions, cut into k chunks each; a node whose queue drains
+// steals one chunk from the most-loaded queue through the fabric. Its
+// time is the execute phase plus the executed SON global phase.
+//
+// Exit status is non-zero unless the candidate union strictly grows
+// from x2 to x16, every stealing row steals and migrates bytes, and
+// Het-Aware is faster than every stealing row. The rows run in virtual
+// time, so the gate is deterministic.
 #include <iostream>
-#include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "bench/harness.h"
 #include "common/table.h"
-#include "core/workstealing.h"
-#include "mining/son.h"
-#include "partition/partitioner.h"
-#include "sketch/minhash.h"
-#include "stratify/kmodes.h"
+#include "runtime/runtime.h"
 
 int main() {
   using namespace hetsim;
@@ -27,67 +34,75 @@ int main() {
       data::generate_text_corpus(data::rcv1_like(1.0), "rcv1");
   const mining::AprioriConfig mining_cfg{.min_support = 0.08,
                                          .max_pattern_length = 3};
-
-  // --- Pareto framework side: Het-Aware run. -------------------------------
-  core::PatternMiningWorkload workload(mining_cfg);
-  const bench::ExperimentOutcome het = bench::run_experiment(
-      ds, workload, 8, 0.75,
-      {core::Strategy::kStratified, core::Strategy::kHetAware});
-  const std::size_t het_union = workload.union_candidates();
-
-  // --- Work-stealing side. --------------------------------------------------
-  // Chunks = random equal fragments (size-aware, payload-blind), costed
-  // by actually mining each fragment.
-  cluster::Cluster cluster(cluster::standard_cluster(8));
+  const energy::GreenEnergyEstimator energy =
+      energy::GreenEnergyEstimator::standard(72);
+  const core::FrameworkConfig cfg = bench::bench_config(0.75);
   common::Table table({"scheme", "time (s)", "migrated MB", "steals",
-                       "candidate union"});
-  for (const std::size_t chunks_per_node : {2u, 4u, 8u, 16u}) {
-    const std::size_t num_chunks = 8 * chunks_per_node;
-    std::vector<std::size_t> sizes(num_chunks, ds.size() / num_chunks);
-    for (std::size_t i = 0; i < ds.size() % num_chunks; ++i) ++sizes[i];
-    const auto chunked = partition::random_partitions(ds.size(), sizes, 97);
-    std::vector<core::ChunkCost> costs;
-    std::vector<std::vector<data::ItemSet>> chunk_txns;
-    for (const auto& chunk : chunked.partitions) {
-      std::vector<data::ItemSet> txns;
-      double bytes = 0;
-      for (const std::uint32_t idx : chunk) {
-        txns.push_back(ds.records[idx].items);
-        bytes += static_cast<double>(ds.records[idx].payload.size());
-      }
-      const mining::MiningResult local = mining::apriori(txns, mining_cfg);
-      costs.push_back({static_cast<double>(local.work_ops), bytes});
-      chunk_txns.push_back(std::move(txns));
-    }
-    const core::WorkStealingReport ws = core::simulate_work_stealing(
-        cluster, costs, {.chunks_per_node = chunks_per_node});
-    // Candidate union when every chunk is a local mining unit, and the
-    // SON phase-2 scan that union forces. Credit stealing with a
-    // perfectly balanced phase 2 (lower bound): total scan work spread
-    // over the cluster's aggregate speed.
-    const mining::SonResult son = mining::son_mine(chunk_txns, mining_cfg);
-    double scan_work = 0.0;
-    for (const auto w : son.global_work) scan_work += static_cast<double>(w);
-    double aggregate_speed = 0.0;
-    for (const auto& node : cluster.nodes()) aggregate_speed += node.speed;
-    const double phase2_s =
-        scan_work / (cluster.options().work_rate.base_rate * aggregate_speed);
-    table.add_row({"stealing x" + std::to_string(chunks_per_node),
-                   common::format_double(ws.makespan_s + phase2_s, 4),
-                   common::format_double(ws.migrated_bytes / 1e6, 3),
-                   std::to_string(ws.steals),
-                   std::to_string(son.union_candidates)});
+                       "dirty J", "candidate union"});
+
+  // --- Work-stealing side: k chunks per node, stolen at checkpoints. -------
+  std::vector<runtime::JobSummary> ws;
+  std::vector<std::size_t> ws_union;
+  for (const std::size_t k : {2u, 4u, 8u, 16u}) {
+    const std::size_t chunk = (ds.size() + 8 * k - 1) / (8 * k);
+    cluster::Cluster cluster(cluster::standard_cluster(8));
+    core::PatternMiningWorkload workload(mining_cfg);
+    runtime::JobRuntime rt(
+        cluster, energy,
+        runtime::JobSpec{.name = "stealing",
+                         .strategy = core::Strategy::kWorkStealing,
+                         .sketch = cfg.sketch,
+                         .kmodes = cfg.kmodes,
+                         .sampling = cfg.sampling,
+                         .checkpoint_records = chunk,
+                         .enable_replan = false});
+    ws.push_back(rt.run(ds, workload));
+    ws_union.push_back(workload.union_candidates());
+    const runtime::JobSummary& s = ws.back();
+    table.add_row({"stealing x" + std::to_string(k),
+                   common::format_double(s.makespan_s, 4),
+                   common::format_double(s.migrated_bytes / 1e6, 3),
+                   std::to_string(s.migration_steps),
+                   common::format_double(s.dirty_energy_j, 2),
+                   std::to_string(ws_union.back())});
   }
-  table.add_row({"Stratified (equal)",
-                 common::format_double(
-                     het.find(core::Strategy::kStratified).exec_time_s, 4),
-                 "0.000", "0", std::to_string(het_union)});
-  table.add_row({"Het-Aware (LP)",
-                 common::format_double(
-                     het.find(core::Strategy::kHetAware).exec_time_s, 4),
-                 "0.000", "0", std::to_string(het_union)});
+
+  // --- Pareto framework side: one prepare, each row its own union. --------
+  double het_time = 0.0;
+  {
+    cluster::Cluster cluster(cluster::standard_cluster(8));
+    core::ParetoFramework framework(cluster, energy, cfg);
+    core::PatternMiningWorkload workload(mining_cfg);
+    framework.prepare(ds, workload);
+    for (const auto& [s, label] :
+         {std::pair{core::Strategy::kStratified, "Stratified (equal)"},
+          std::pair{core::Strategy::kHetAware, "Het-Aware (LP)"}}) {
+      const core::JobReport r = framework.run(s, ds, workload);
+      if (s == core::Strategy::kHetAware) het_time = r.exec_time_s;
+      table.add_row({label, common::format_double(r.exec_time_s, 4), "0.000",
+                     "0", common::format_double(r.dirty_energy_j, 2),
+                     std::to_string(workload.union_candidates())});
+    }
+  }
   table.print(std::cout,
               "work stealing balances size, not payload: candidate union "
               "grows with fragmentation while Het-Aware pays no migration");
-  return 0;
+
+  bool ok = true;
+  for (std::size_t i = 0; i < ws.size(); ++i) {
+    if (i > 0 && ws_union[i] <= ws_union[i - 1]) {
+      std::cout << "FAIL: candidate union does not grow at row " << i << '\n';
+      ok = false;
+    }
+    if (ws[i].migration_steps == 0 || ws[i].migrated_bytes <= 0.0) {
+      std::cout << "FAIL: stealing row " << i << " stole nothing\n";
+      ok = false;
+    }
+    if (het_time >= ws[i].makespan_s) {
+      std::cout << "FAIL: Het-Aware is not faster than stealing row " << i
+                << '\n';
+      ok = false;
+    }
+  }
+  return ok ? 0 : 1;
 }

@@ -38,12 +38,15 @@ class JobRuntime;
 
 namespace hetsim::core {
 
-/// Partitioning strategies compared throughout the paper's evaluation.
+/// Partitioning strategies compared throughout the paper's evaluation,
+/// plus the work-stealing strawman of its section I.
 enum class Strategy : std::uint8_t {
   kRandom,          // non-stratified shuffle (worse than every baseline)
   kStratified,      // equal sizes, strata-driven layout (paper baseline)
   kHetAware,        // LP with alpha = 1 (time only)
   kHetEnergyAware,  // LP with configured alpha < 1
+  kWorkStealing,    // kRandom's plan; a drained node steals a chunk from
+                    // the most-loaded queue, over the fabric
 };
 
 [[nodiscard]] std::string strategy_name(Strategy s);

@@ -14,6 +14,8 @@ std::string strategy_name(Strategy s) {
       return "Het-Aware";
     case Strategy::kHetEnergyAware:
       return "Het-Energy-Aware";
+    case Strategy::kWorkStealing:
+      return "Work-Stealing";
   }
   return "?";
 }

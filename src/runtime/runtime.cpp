@@ -503,7 +503,8 @@ std::vector<std::size_t> JobRuntime::plan_sizes(core::Strategy strategy,
   const std::vector<optimize::NodeModel>& models = prepared().models;
   switch (strategy) {
     case core::Strategy::kRandom:
-    case core::Strategy::kStratified: {
+    case core::Strategy::kStratified:
+    case core::Strategy::kWorkStealing: {
       const std::vector<double> ones(models.size(), 1.0);
       return common::proportional_allocation(ones, total);
     }
@@ -748,10 +749,12 @@ PhaseResult JobRuntime::optimize(JobState& s) {
 PhaseResult JobRuntime::partition(JobState& s, const PhaseAttempt& at) {
   // Recomputed every attempt (pure function of strata + sizes), so a
   // retry after a mid-phase store crash restarts from a clean plan.
-  // Shuffle-and-cut for Random, the workload's strata layout otherwise.
+  // Shuffle-and-cut for Random and WorkStealing, the workload's strata
+  // layout otherwise.
   const Prepared& prep = s.prep;
   s.assignment =
-      s.strategy == core::Strategy::kRandom
+      s.strategy == core::Strategy::kRandom ||
+              s.strategy == core::Strategy::kWorkStealing
           ? partition::random_partitions(prep.n, s.summary.initial_sizes)
           : partition::make_partitions(*prep.strata, s.summary.initial_sizes,
                                        prep.workload.preferred_layout());
@@ -879,6 +882,7 @@ PhaseResult JobRuntime::execute_chunks(JobState& s) {
     // correctness, not optimization, so no straggler gate applies.
     reclaim_lost_nodes(s, node, now);
     rebalance_stragglers(s, now);
+    steal(s, node);
   });
 
   const ExecutorReport report = executor.run();
@@ -1090,6 +1094,28 @@ void JobRuntime::rebalance_stragglers(JobState& s, double now) {
       "replan", "replan", TraceRecorder::kRuntimeLane, s.exec_base + now,
       {{"stragglers", static_cast<double>(stragglers.size())},
        {"moved_records", static_cast<double>(moved_records)}});
+}
+
+void JobRuntime::steal(JobState& s, std::uint32_t node) {
+  PhaseExecutor& executor = *s.executor;
+  if (s.strategy != core::Strategy::kWorkStealing ||
+      executor.remaining(node) != 0) {
+    return;
+  }
+  // The victim is the live node with the most queued records (lowest id
+  // on ties); the thief takes one chunk off the tail of its queue.
+  std::uint32_t victim = node;
+  for (std::uint32_t v = 0; v < s.prep.p; ++v) {
+    if (s.lost[v] == 0 && executor.remaining(v) > executor.remaining(victim)) {
+      victim = v;
+    }
+  }
+  if (victim == node) return;
+  std::vector<std::uint32_t> taken =
+      executor.take_from_tail(victim, s.chunk_records);
+  s.summary.migrated_records += transfer(s, std::move(taken), victim, node,
+                                         "steal", s.summary.migrated_bytes);
+  ++s.summary.migration_steps;
 }
 
 // Move records to node `to`: the receiver pulls the canonical payloads

@@ -52,8 +52,9 @@ struct JobSpec {
   estimator::SampleSpec sampling{};
 
   // Runtime behaviour.
-  /// Records per execution chunk / checkpoint. 0 = auto: largest initial
-  /// partition divided into ~8 checkpoints.
+  /// Records per execution chunk / checkpoint, and per steal under
+  /// kWorkStealing. 0 = auto: largest initial partition divided into ~8
+  /// checkpoints.
   std::size_t checkpoint_records = 0;
   bool enable_replan = true;
   StragglerPolicy straggler{};
@@ -87,10 +88,12 @@ struct JobSummary {
   double makespan_s = 0.0;
   double dirty_energy_j = 0.0;
   double green_energy_j = 0.0;
-  /// Payload bytes moved by re-plan migrations.
+  /// Payload bytes moved by re-plan migrations and, under
+  /// kWorkStealing, by steals.
   double migrated_bytes = 0.0;
   std::size_t replans = 0;
   std::size_t stragglers_detected = 0;
+  /// Re-plan migration steps and steals, and the records they moved.
   std::size_t migration_steps = 0;
   std::size_t migrated_records = 0;
   double total_work_units = 0.0;
@@ -246,6 +249,9 @@ class JobRuntime {
   // Execute-phase checkpoint handlers.
   void reclaim_lost_nodes(JobState& s, std::uint32_t node, double now);
   void rebalance_stragglers(JobState& s, double now);
+  /// Under kWorkStealing, a `node` whose queue has drained steals one
+  /// chunk from the tail of the most-loaded live queue.
+  void steal(JobState& s, std::uint32_t node);
   /// Moves `taken` from node `from` to node `to`, adds the payload bytes
   /// to `bytes_moved` and returns how many records were delivered.
   std::size_t transfer(JobState& s, std::vector<std::uint32_t> taken,

@@ -309,6 +309,7 @@ TEST(Framework, StrategyNamesAreHuman) {
   EXPECT_EQ(strategy_name(Strategy::kHetAware), "Het-Aware");
   EXPECT_EQ(strategy_name(Strategy::kHetEnergyAware), "Het-Energy-Aware");
   EXPECT_EQ(strategy_name(Strategy::kRandom), "Random");
+  EXPECT_EQ(strategy_name(Strategy::kWorkStealing), "Work-Stealing");
 }
 
 }  // namespace

@@ -201,7 +201,7 @@ void expect_identical(const PipelineOutputs& got, const PipelineOutputs& want,
   EXPECT_EQ(got.random.partitions, want.random.partitions) << label;
 }
 
-TEST(ParDeterminism, PipelineIdenticalForAllThreadCountsAndChunks) {
+TEST(ParDeterminism, PipelineIdenticalForAllThreadCounts) {
   data::TextCorpusConfig corpus;
   corpus.num_docs = 1500;
   corpus.num_topics = 6;

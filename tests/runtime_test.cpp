@@ -3,6 +3,7 @@
 // math, end-to-end jobs, and trace determinism.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <numeric>
 #include <string>
 
@@ -829,6 +830,140 @@ TEST(JobRuntime, RunIsPrepareThenExecute) {
   }
   all.release();
   EXPECT_GE(replans_before_last, 1u);
+}
+
+// ---- work stealing (Strategy::kWorkStealing) -------------------------------
+
+struct LinearJob {
+  JobSummary summary;
+  std::vector<TraceEvent> events;
+  std::string trace;
+};
+
+/// One LinearWorkload job under `spec` with re-planning off, on a fresh
+/// standard cluster of `nodes` nodes, under `plan` when given.
+LinearJob run_linear(std::uint32_t nodes, const data::Dataset& dataset,
+                     JobSpec spec, const fault::FaultPlan* plan = nullptr) {
+  cluster::Cluster cluster(cluster::standard_cluster(nodes));
+  std::unique_ptr<fault::FaultInjector> inj;
+  if (plan != nullptr) {
+    inj = std::make_unique<fault::FaultInjector>(*plan);
+    cluster.set_fault(inj.get());
+  }
+  const auto energy = energy::GreenEnergyEstimator::standard(72);
+  LinearWorkload workload;
+  spec.enable_replan = false;
+  JobRuntime runtime(cluster, energy, spec);
+  LinearJob job{.summary = runtime.run(dataset, workload)};
+  job.events = runtime.trace().events();
+  job.trace = runtime.trace().chrome_trace_json();
+  return job;
+}
+
+JobSpec stealing_spec(std::size_t checkpoint_records = 0) {
+  JobSpec spec = fast_spec();
+  spec.strategy = core::Strategy::kWorkStealing;
+  spec.checkpoint_records = checkpoint_records;
+  return spec;
+}
+
+std::size_t total_processed(const JobSummary& summary) {
+  return std::accumulate(summary.processed.begin(), summary.processed.end(),
+                         std::size_t{0});
+}
+
+TEST(WorkStealing, StealsBalanceHeterogeneousNodes) {
+  // Speeds 4/3/2/1 twice over: equal Random partitions leave the slow
+  // nodes with the tail, which the fast nodes steal through the fabric.
+  const data::Dataset dataset = small_corpus();
+  const JobSummary stealing = run_linear(8, dataset, stealing_spec()).summary;
+  JobSpec random_spec = fast_spec();
+  random_spec.strategy = core::Strategy::kRandom;
+  const JobSummary random = run_linear(8, dataset, random_spec).summary;
+  EXPECT_EQ(stealing.initial_sizes, random.initial_sizes);
+  EXPECT_GT(stealing.migration_steps, 0u);
+  EXPECT_EQ(stealing.replans, 0u);
+  EXPECT_EQ(random.migration_steps, 0u);
+  verify_no_work_lost(stealing);
+  EXPECT_LT(stealing.makespan_s, random.makespan_s);
+}
+
+TEST(WorkStealing, MigrationAccounted) {
+  // Every steal is one "steal" span on the thief's lane, and the summary's
+  // migrated_* fields are exactly the sums over those spans.
+  const LinearJob job = run_linear(4, small_corpus(), stealing_spec());
+  std::size_t steals = 0;
+  double records = 0.0;
+  double bytes = 0.0;
+  for (const TraceEvent& e : job.events) {
+    if (e.name != "steal") continue;
+    ++steals;
+    for (const auto& [key, value] : e.args) {
+      if (key == "records") records += value;
+      if (key == "bytes") bytes += value;
+    }
+  }
+  EXPECT_GT(steals, 0u);
+  EXPECT_EQ(job.summary.migration_steps, steals);
+  EXPECT_EQ(static_cast<double>(job.summary.migrated_records), records);
+  EXPECT_GT(job.summary.migrated_bytes, 0.0);
+  EXPECT_DOUBLE_EQ(job.summary.migrated_bytes, bytes);
+}
+
+TEST(WorkStealing, SingleNodeProcessesEverything) {
+  const data::Dataset dataset = small_corpus(200);
+  const JobSummary summary = run_linear(1, dataset, stealing_spec()).summary;
+  EXPECT_EQ(summary.migration_steps, 0u);
+  EXPECT_EQ(summary.migrated_records, 0u);
+  EXPECT_EQ(summary.migrated_bytes, 0.0);
+  EXPECT_EQ(summary.processed[0], dataset.size());
+}
+
+TEST(WorkStealing, DeterministicAcrossRuns) {
+  const data::Dataset dataset = small_corpus(300);
+  const LinearJob a = run_linear(4, dataset, stealing_spec());
+  const LinearJob b = run_linear(4, dataset, stealing_spec());
+  EXPECT_GT(a.summary.migration_steps, 0u);
+  EXPECT_EQ(summary_json(a.summary), summary_json(b.summary));
+  EXPECT_TRUE(a.trace == b.trace) << "same-seed work-stealing traces differ";
+}
+
+TEST(WorkStealing, SkewedChunksStillComplete) {
+  // A node three times slower than its model is stolen from more, and
+  // every record is still processed exactly once.
+  const data::Dataset dataset = small_corpus();
+  JobSpec spec = stealing_spec();
+  spec.per_node_slowdown = {1.0, 1.0, 1.0, 3.0};
+  const JobSummary summary = run_linear(4, dataset, spec).summary;
+  EXPECT_GT(summary.migration_steps, 0u);
+  EXPECT_EQ(total_processed(summary), dataset.size());
+  EXPECT_DOUBLE_EQ(summary.total_work_units,
+                   500.0 * static_cast<double>(dataset.size()));
+}
+
+TEST(WorkStealing, MoreChunksImproveBalance) {
+  const data::Dataset dataset = small_corpus();
+  const JobSummary coarse = run_linear(4, dataset, stealing_spec(50)).summary;
+  const JobSummary fine = run_linear(4, dataset, stealing_spec(6)).summary;
+  EXPECT_GT(coarse.migration_steps, 0u);
+  EXPECT_GE(fine.migration_steps, coarse.migration_steps);
+  EXPECT_LE(fine.makespan_s, coarse.makespan_s);
+}
+
+TEST(WorkStealing, FailStopStillAccountsForEveryRecord) {
+  const data::Dataset dataset = small_corpus();
+  for (const double at : {0.0, 1e-3}) {
+    SCOPED_TRACE(at);
+    fault::FaultPlan plan;
+    plan.nodes[3].fail_stop_at_s = at;
+    const JobSummary summary =
+        run_linear(4, dataset, stealing_spec(), &plan).summary;
+    EXPECT_EQ(summary.nodes_lost, (std::vector<std::uint32_t>{3}));
+    EXPECT_NE(summary.status, JobStatus::kDataUnavailable);
+    EXPECT_GT(summary.migration_steps, 0u);
+    EXPECT_EQ(total_processed(summary), dataset.size());
+    verify_no_work_lost(summary);
+  }
 }
 
 // ---- JobRuntime and core::ParetoFramework on one cluster ------------------
